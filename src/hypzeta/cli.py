@@ -10,6 +10,8 @@ domain), 3 verification-suite failure.
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import math
 import sys
@@ -91,13 +93,13 @@ def _print_human(report: Report, stream=None):
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            value = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
+            if cmath.isfinite(value):
+                return value
     except ValueError:
         pass
-    raise UsageError(f"expected a complex number as RE,IM (got {text!r})")
+    raise UsageError(f"expected a finite complex number as RE,IM (got {text!r})")
 
 
 def _load_config(path: str) -> dict:
@@ -388,7 +390,10 @@ def _add_common(sp, signature=False, group=False, s=False, euler=False):
         sp.add_argument("--cache", help="CSV spectrum cache path")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: each parse_args call
+    fills a fresh namespace, so one run leaves nothing behind for the next."""
     parser = _Parser(prog="hypzeta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,6 +6,10 @@ for Re s > 1, with explicit truncation-error estimates. The inner k-sum
 is cut adaptively from the smallest norm; the missing trace shells are
 extrapolated geometrically from the last included shells and inflated by
 a safety factor of 10 - an honest estimate, not a proven bound.
+
+Both products, and the tail fit, are evaluated over numpy arrays of the
+trace shells (shell x k for the Selberg product), one shell per distinct
+trace weighted by its class count.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, EmptySpectrumError
 from .special_functions import DEFAULT_OPTIONS, EvalOptions
@@ -37,13 +43,21 @@ class TruncatedValue:
 def _require_usable(spectrum: LengthSpectrum, s: complex) -> None:
     if not spectrum.shells:
         raise EmptySpectrumError("length spectrum has no classes")
+    if not cmath.isfinite(s):
+        raise DomainError(f"Euler product needs a finite s (got s = {s})")
     if s.real <= 1.0:
         raise DomainError(
             f"Euler product converges only for Re s > 1 (got Re s = {s.real})"
         )
 
 
-def _trace_tail_estimate(spectrum: LengthSpectrum, sigma: float) -> float:
+def _columns(spectrum: LengthSpectrum) -> np.ndarray:
+    """Trace, count, norm and length of every shell, as four float rows."""
+    table = [(sh.trace, sh.count, sh.norm, sh.length) for sh in spectrum.shells]
+    return np.array(table, dtype=float).T
+
+
+def _trace_tail_estimate(traces: np.ndarray, sums: np.ndarray, max_trace: int) -> float:
     """Extrapolation of the missing shell sums beyond max_trace.
 
     Shell sums count(t) * p(t)^(-sigma) decay like a power of the trace
@@ -53,32 +67,21 @@ def _trace_tail_estimate(spectrum: LengthSpectrum, sigma: float) -> float:
     the safety factor. A near-flat fit means the tail is effectively
     unbounded and the estimate says so.
     """
-    shells = spectrum.shells
-    sums = [sh.count * sh.norm ** (-sigma) for sh in shells]
     if len(sums) < 6:
-        return _TAIL_SAFETY * sums[-1] * len(sums)
+        return _TAIL_SAFETY * float(sums[-1]) * len(sums)
     # anchor the fit window at a fixed lower trace so appending shells
     # perturbs the fit only slightly (keeps the estimate monotone in T)
-    start = 0
-    for i, sh in enumerate(shells):
-        if sh.trace >= 10:
-            start = i
-            break
-    if len(sums) - start < 6:
-        start = len(sums) - 6
-    window = len(sums) - start
-    xs = [math.log(float(sh.trace)) for sh in shells[start:]]
-    ys = [math.log(max(g, 1e-300)) for g in sums[start:]]
-    x_bar = sum(xs) / window
-    y_bar = sum(ys) / window
-    sxx = sum((x - x_bar) ** 2 for x in xs)
-    sxy = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
-    slope = sxy / sxx
+    start = min(int(np.argmax(traces >= 10)), len(sums) - 6)
+    xs = np.log(traces[start:])
+    ys = np.log(np.maximum(sums[start:], 1e-300))
+    x_bar = xs.mean()
+    y_bar = ys.mean()
+    slope = float(np.sum((xs - x_bar) * (ys - y_bar)) / np.sum((xs - x_bar) ** 2))
     decay = -slope
     if decay <= 1.05:
         return math.inf
     log_c = y_bar - slope * x_bar
-    tail = math.exp(log_c) * (spectrum.max_trace + 0.5) ** (1.0 - decay) / (decay - 1.0)
+    tail = math.exp(log_c) * (max_trace + 0.5) ** (1.0 - decay) / (decay - 1.0)
     return _TAIL_SAFETY * tail
 
 
@@ -99,7 +102,9 @@ def selberg_Z(
     """Truncated Selberg zeta value on Re s > 1.
 
     log Z is the double sum of log(1 - p^(-s-k)) over the spectrum's
-    classes and k up to an adaptive cutoff. The error estimate combines
+    classes and k up to an adaptive cutoff, taken over a (shell x k)
+    array with |p^(-s-k)| = p^(-sigma-k) and the phase p^(-i Im s) shared
+    along each row. The error estimate combines
     the k-tail (geometric in the smallest norm) with the extrapolated
     trace tail.
     """
@@ -107,21 +112,17 @@ def selberg_Z(
     _require_usable(spectrum, s)
     sigma = s.real
     cutoff = _k_cutoff(spectrum, sigma, opts.rel_tol)
-    log_z = 0.0 + 0.0j
-    for shell in spectrum.shells:
-        log_p = shell.length
-        inner = 0.0 + 0.0j
-        for k in range(cutoff + 1):
-            x = cmath.exp(-(s + k) * log_p)
-            inner += cmath.log(1.0 - x)
-        log_z += shell.count * inner
+    trace, count, norm, length = _columns(spectrum)
+    phase = np.exp(-1j * s.imag * length)
+    x = np.exp(-np.outer(length, sigma + np.arange(cutoff + 1))) * phase[:, None]
+    log_z = complex(count @ np.log(1.0 - x).sum(axis=1))
     p_min = spectrum.shells[0].norm
     k_tail = (
         spectrum.class_count
         * p_min ** (-(sigma + cutoff + 1))
         / (1.0 - 1.0 / p_min)
     )
-    log_error = k_tail + _trace_tail_estimate(spectrum, sigma)
+    log_error = k_tail + _trace_tail_estimate(trace, count * norm ** (-sigma), spectrum.max_trace)
     value = cmath.exp(log_z)
     return TruncatedValue(
         value=value,
@@ -135,12 +136,10 @@ def _ruelle_direct(
     spectrum: LengthSpectrum,
     s: complex,
 ) -> TruncatedValue:
-    log_r = 0.0 + 0.0j
-    for shell in spectrum.shells:
-        x = cmath.exp(-s * shell.length)
-        log_r += shell.count * cmath.log(1.0 - x)
+    trace, count, norm, length = _columns(spectrum)
+    log_r = complex(count @ np.log(1.0 - np.exp(-s * length)))
     value = cmath.exp(log_r)
-    log_error = _trace_tail_estimate(spectrum, s.real)
+    log_error = _trace_tail_estimate(trace, count * norm ** (-s.real), spectrum.max_trace)
     return TruncatedValue(
         value=value,
         abs_error_estimate=abs(value) * log_error,

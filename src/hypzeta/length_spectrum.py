@@ -8,6 +8,12 @@ canonical form (lexicographically minimal rotation, i.e. the Lyndon
 representative). Enumeration walks the prenecklace tree and prunes on
 the trace, which never decreases when a word is extended; the claimed
 minimum trace ell+1 at word length ell is enforced as a tested invariant.
+
+The walk carries each word as an integer bitmask rather than a string
+and counts the classes of each trace as it finds them, so the trace
+shells the Euler products use come straight out of the walk.
+`LengthSpectrum.classes`, one `GeodesicClass` per word in (trace, word)
+order, is built from the bitmasks on first access.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import (
@@ -102,28 +110,43 @@ class TraceShell:
 class LengthSpectrum:
     """Complete multiset of primitive classes with trace <= max_trace.
 
-    `classes` is None when the spectrum was restored from a trace-level
-    cache; the shell table always carries the data the Euler products use.
+    The shell table carries the data the Euler products use. `word_masks`
+    maps each trace to the bitmasks of its canonical words (see
+    `enumerate_spectrum`); it is None when the spectrum was restored from
+    a trace-level cache, and so is `classes`.
     """
 
     shells: tuple[TraceShell, ...]
     max_trace: int
     group_label: str = MODULAR_GROUP_LABEL
-    classes: tuple[GeodesicClass, ...] | None = None
+    word_masks: dict[int, list[int]] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _counts(self) -> dict[int, int]:
+        return {shell.trace: shell.count for shell in self.shells}
 
     def mult(self, trace: int) -> int:
-        for shell in self.shells:
-            if shell.trace == trace:
-                return shell.count
-        return 0
+        return self._counts.get(trace, 0)
 
-    @property
+    @cached_property
     def class_count(self) -> int:
-        return sum(shell.count for shell in self.shells)
+        return sum(self._counts.values())
 
     @property
     def min_length(self) -> float:
         return self.shells[0].length if self.shells else math.inf
+
+    @cached_property
+    def classes(self) -> tuple[GeodesicClass, ...] | None:
+        """Every class in (trace, word) order, or None for a cached spectrum."""
+        if self.word_masks is None:
+            return None
+        letters = str.maketrans("01", "LR")
+        out = []
+        for shell in self.shells:
+            words = sorted(bin(mask)[3:].translate(letters) for mask in self.word_masks[shell.trace])
+            out.extend(GeodesicClass(word, shell.trace, shell.norm, shell.length) for word in words)
+        return tuple(out)
 
 
 def class_from_word(word: str) -> GeodesicClass:
@@ -167,15 +190,8 @@ def necklace_count(length: int) -> int:
     return total // length
 
 
-def _shells_from_classes(classes: list[GeodesicClass]) -> tuple[TraceShell, ...]:
-    by_trace: dict[int, int] = {}
-    for cls in classes:
-        by_trace[cls.trace] = by_trace.get(cls.trace, 0) + 1
-    shells = []
-    for trace in sorted(by_trace):
-        norm, length = _norm_and_length(trace)
-        shells.append(TraceShell(trace=trace, count=by_trace[trace], norm=norm, length=length))
-    return tuple(shells)
+def _capacity_error(max_classes: int, max_trace: int) -> CapacityError:
+    return CapacityError(f"more than {max_classes} classes below trace {max_trace}")
 
 
 def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSpectrum:
@@ -183,50 +199,67 @@ def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSp
 
     Walks the prenecklace tree over {L, R} recording Lyndon words (the
     canonical rotations) and pruning any prefix whose trace already
-    exceeds max_trace; extending a word never lowers the trace. Raises
-    CapacityError when more than max_classes classes appear.
+    exceeds max_trace; extending a word never lowers the trace. A word
+    w_0 ... w_(t-1) is the integer 2^t + sum of 2^(t-1-i) over the
+    positions i holding R: after the leading 1, its binary digits spell
+    the word with L = 0 and R = 1. Raises CapacityError when more than
+    max_classes classes appear.
     """
     if max_trace < 3:
         raise ValueError("max_trace must be at least 3")
-    max_len = max_trace - 1
-    found: list[tuple[str, int]] = []
-
-    # iterative DFS over prenecklaces; entries: (word, period, a, b, c, d)
-    stack = [("L", 1, 1, 1, 0, 1)]
+    by_trace: dict[int, list[int]] = defaultdict(list)
+    # Every prenecklace using both letters extends some L^k R, a Lyndon word
+    # with matrix [[k+1, k], [1, 1]]. Entries: (mask, period, a, b, c, d).
+    stack = []
+    for k in range(1, max_trace - 1):
+        mask = (1 << (k + 1)) | 1
+        by_trace[k + 2].append(mask)
+        stack.append((mask, k + 1, k + 1, k, 1, 1))
+    found = len(stack)
+    if found > max_classes:
+        raise _capacity_error(max_classes, max_trace)
     while stack:
-        word, period, a, b, c, d = stack.pop()
-        t = len(word)
-        if period == t and t >= 2 and a + d >= 3:
-            found.append((word, a + d))
-            if len(found) > max_classes:
-                raise CapacityError(
-                    f"more than {max_classes} classes below trace {max_trace}"
-                )
-        if t == max_len:
-            continue
-        base = word[t - period]
-        if base == "L":
-            # same-period child L, then the period-resetting child R
-            na, nb, nc, nd = a, a + b, c, c + d
-            if na + nd <= max_trace:
-                stack.append((word + "L", period, na, nb, nc, nd))
-            na, nb, nc, nd = a + b, b, c + d, d
-            if na + nd <= max_trace:
-                stack.append((word + "R", t + 1, na, nb, nc, nd))
-        else:
-            na, nb, nc, nd = a + b, b, c + d, d
-            if na + nd <= max_trace:
-                stack.append((word + "R", period, na, nb, nc, nd))
-    classes = []
-    for word, trace in found:
+        mask, period, a, b, c, d = stack.pop()
+        # Follow one child in place and stack the other; a word that uses both
+        # letters has length below its trace, so the trace bound ends the walk.
+        while True:
+            if (mask >> (period - 1)) & 1:
+                # the periodic letter is R: the only child appends R
+                if a + b + d > max_trace:
+                    break
+                mask = mask << 1 | 1
+                a, c = a + b, c + d
+                continue
+            # the periodic letter is L: the child R resets the period (a new
+            # Lyndon word), the child L keeps it
+            trace = a + b + d
+            if trace <= max_trace:
+                child = mask << 1 | 1
+                by_trace[trace].append(child)
+                found += 1
+                if found > max_classes:
+                    raise _capacity_error(max_classes, max_trace)
+                if a + c + d <= max_trace:
+                    stack.append((child, child.bit_length() - 1, a + b, b, c + d, d))
+                    mask <<= 1
+                    b, d = a + b, c + d
+                else:
+                    mask, period = child, child.bit_length() - 1
+                    a, c = a + b, c + d
+            elif a + c + d <= max_trace:
+                mask <<= 1
+                b, d = a + b, c + d
+            else:
+                break
+    shells = []
+    for trace in sorted(by_trace):
         norm, length = _norm_and_length(trace)
-        classes.append(GeodesicClass(word=word, trace=trace, norm=norm, length=length))
-    classes.sort(key=lambda cls: (cls.trace, cls.word))
+        shells.append(TraceShell(trace, len(by_trace[trace]), norm, length))
     return LengthSpectrum(
-        shells=_shells_from_classes(classes),
+        shells=tuple(shells),
         max_trace=max_trace,
         group_label=MODULAR_GROUP_LABEL,
-        classes=tuple(classes),
+        word_masks=dict(by_trace),
     )
 
 
@@ -257,7 +290,8 @@ def write_cache(spectrum: LengthSpectrum, path: str | Path) -> None:
 
 def read_cache(path: str | Path, max_trace: int,
                group_label: str = MODULAR_GROUP_LABEL) -> LengthSpectrum | None:
-    """Load a cached spectrum; None unless the metadata matches exactly."""
+    """Load a cached spectrum; None unless the metadata matches exactly
+    and every row parses."""
     path = Path(path)
     meta_file = _meta_path(path)
     if not path.exists() or not meta_file.exists():
@@ -275,24 +309,20 @@ def read_cache(path: str | Path, max_trace: int,
     }
     if meta != expected:
         return None
-    shells = []
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["trace", "count", "length", "norm"]:
+        rows = csv.reader(fh)
+        if next(rows, None) != ["trace", "count", "length", "norm"]:
             return None
-        for row in reader:
-            shells.append(
-                TraceShell(
-                    trace=int(row["trace"]),
-                    count=int(row["count"]),
-                    length=float(row["length"]),
-                    norm=float(row["norm"]),
-                )
-            )
+        try:
+            shells = [
+                TraceShell(int(trace), int(count), float(norm), float(length))
+                for trace, count, length, norm in rows
+            ]
+        except ValueError:  # a short, long or unparsable row
+            return None
     shells.sort(key=lambda shell: shell.trace)
     return LengthSpectrum(
         shells=tuple(shells),
         max_trace=max_trace,
         group_label=group_label,
-        classes=None,
     )

@@ -174,7 +174,9 @@ def riemann_zeta(s: complex) -> complex:
     """Analytically continued Riemann zeta function.
 
     Accurate on the strip Re s in [-3, 4], |Im s| <= 20 (and beyond);
-    raises PoleError at s = 1.
+    raises PoleError at s = 1. Returns exactly 0 at the trivial zeros
+    s = -2, -4, ..., where the reflection formula would multiply a rounded
+    sin(pi s / 2) by a huge gamma factor.
     """
     s = complex(s)
     if abs(s - 1.0) < _POLE_TOL:
@@ -182,6 +184,8 @@ def riemann_zeta(s: complex) -> complex:
     if s.real < 0.5:
         if abs(s) < _POLE_TOL:
             return complex(-0.5)
+        if s.real < -1.0 and _is_nonpositive_integer(s) and round(s.real) % 2 == 0:
+            return 0j
         reflected = riemann_zeta(1.0 - s)
         factor = (
             cmath.exp(s * math.log(2.0) + (s - 1.0) * math.log(math.pi))

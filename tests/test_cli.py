@@ -59,6 +59,44 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv", [
+        ["zeta", "--s", "nan", "--max-trace", "10"],
+        ["zeta", "--s", "inf", "--max-trace", "10"],
+        ["zeta", "--s", "2,-inf", "--max-trace", "10"],
+        ["ruelle", "--method", "direct", "--s", "nan", "--max-trace", "10"],
+        ["kappa", "--signature", "0,1,2:3", "--s", "nan"],
+        ["det-laplacian", "--signature", "0,1,2:3", "--s", "2,0", "--z-value", "1e400,0"],
+    ])
+    def test_usage_error(self, argv):
+        code, out, err = invoke(argv)
+        assert code == 1 and "finite" in err and out == ""
+
+    def test_usage_error_emits_json(self):
+        code, out, _ = invoke(["zeta", "--s", "nan", "--json"])
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "usage"
+
+
+class TestParserReuse:
+    def test_method_default_restored(self):
+        argv = ["--s", "2,0", "--max-trace", "20"]
+        code, direct, _ = invoke_json(["ruelle", "--method", "direct"] + argv)
+        assert code == 0 and direct["inputs"]["method"] == "direct"
+        code, quotient, _ = invoke_json(["ruelle"] + argv)
+        assert code == 0 and quotient["inputs"]["method"] == "quotient"
+        assert result_of(quotient, "k_cutoff_used") > 0
+
+    def test_usage_error_does_not_leak(self, tmp_path):
+        code, _, err = invoke(["zeta", "--s", "2,0", "--max-trace", "20", "--bogus"])
+        assert code == 1 and "--bogus" in err
+        code, _, _ = invoke(["zeta", "--max-trace", "20"])
+        assert code == 1
+        code, report, err = invoke_json(["zeta", "--s", "2,0", "--max-trace", "20"])
+        assert code == 0 and err == ""
+        assert report["inputs"] == {"s": {"re": 2.0, "im": 0.0}, "max_trace": 20}
+
+
 class TestOrders:
     def test_paper_example_row(self):
         code, report, _ = invoke_json(
@@ -111,6 +149,15 @@ class TestSpectrum:
         assert code == 0 and report["inputs"]["cache_status"] == "miss"
         code, report, _ = invoke_json(["spectrum", "--max-trace", "10", "--cache", cache])
         assert code == 0 and report["inputs"]["cache_status"] == "hit"
+
+    def test_corrupt_cache_reenumerated(self, tmp_path):
+        cache = tmp_path / "spec.csv"
+        invoke_json(["spectrum", "--max-trace", "10", "--cache", str(cache)])
+        rows = cache.read_text().splitlines()
+        cache.write_text("\n".join(rows[:2] + ["4,2"] + rows[3:]) + "\n")
+        code, report, _ = invoke_json(["zeta", "--s", "2,0", "--max-trace", "10",
+                                       "--cache", str(cache)])
+        assert code == 0 and report["inputs"]["cache_status"] == "miss"
 
     def test_stale_cache_reenumerated(self, tmp_path):
         cache = str(tmp_path / "spec.csv")

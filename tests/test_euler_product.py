@@ -1,6 +1,7 @@
 """Euler-product tests: oracles, two-path agreement, error-estimate behavior."""
 
 import cmath
+import math
 
 import pytest
 
@@ -28,6 +29,51 @@ def double_sum_oracle(spectrum, s, tail=1e-18):
                     break
             total -= shell.count * inner
     return cmath.exp(total)
+
+
+def scalar_tail_estimate(spectrum, sigma):
+    """Trace-tail estimate as a plain loop: the least-squares power-law fit
+    of count * p^(-sigma) over the shells from trace 10 on, integrated past
+    max_trace and inflated tenfold."""
+    shells = spectrum.shells
+    sums = [sh.count * sh.norm ** (-sigma) for sh in shells]
+    start = next((i for i, sh in enumerate(shells) if sh.trace >= 10), 0)
+    start = min(start, len(sums) - 6)
+    xs = [math.log(sh.trace) for sh in shells[start:]]
+    ys = [math.log(max(g, 1e-300)) for g in sums[start:]]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+             / sum((x - x_bar) ** 2 for x in xs))
+    if -slope <= 1.05:
+        return math.inf
+    scale = math.exp(y_bar - slope * x_bar)
+    return 10.0 * scale * (spectrum.max_trace + 0.5) ** (1.0 + slope) / (-slope - 1.0)
+
+
+def scalar_selberg(spectrum, s, cutoff):
+    """Truncated Selberg product as a double loop over shells and k."""
+    log_z = 0j
+    for shell in spectrum.shells:
+        inner = 0j
+        for k in range(cutoff + 1):
+            inner += cmath.log(1.0 - cmath.exp(-(s + k) * shell.length))
+        log_z += shell.count * inner
+    p_min = spectrum.shells[0].norm
+    k_tail = spectrum.class_count * p_min ** (-(s.real + cutoff + 1)) / (1.0 - 1.0 / p_min)
+    value = cmath.exp(log_z)
+    return value, abs(value) * (k_tail + scalar_tail_estimate(spectrum, s.real))
+
+
+def scalar_ruelle(spectrum, s):
+    """Truncated direct Ruelle product as a loop over shells."""
+    log_r = 0j
+    for shell in spectrum.shells:
+        log_r += shell.count * cmath.log(1.0 - cmath.exp(-s * shell.length))
+    value = cmath.exp(log_r)
+    return value, abs(value) * scalar_tail_estimate(spectrum, s.real)
+
+
+VECTOR_POINTS = (1.05, complex(1.5, 1.0), 2.0, complex(3.0, 5.0))
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +133,48 @@ class TestSelbergZ:
         out = selberg_Z(sp40, 2.0)
         assert out.max_trace_used == 40
         assert out.abs_error_estimate >= 0.0
+
+
+class TestAgainstScalarLoops:
+    @pytest.mark.parametrize("max_trace", [40, 200])
+    @pytest.mark.parametrize("s", VECTOR_POINTS)
+    def test_selberg(self, max_trace, s):
+        spectrum = enumerate_spectrum(max_trace)
+        ours = selberg_Z(spectrum, s)
+        value, error = scalar_selberg(spectrum, complex(s), ours.k_cutoff_used)
+        assert abs(ours.value - value) <= 1e-13 * abs(value)
+        assert abs(ours.abs_error_estimate - error) <= 1e-12 * error
+
+    @pytest.mark.parametrize("max_trace", [40, 200])
+    @pytest.mark.parametrize("s", VECTOR_POINTS)
+    def test_ruelle_direct(self, max_trace, s):
+        spectrum = enumerate_spectrum(max_trace)
+        ours = ruelle_R(spectrum, s, method="direct")
+        value, error = scalar_ruelle(spectrum, complex(s))
+        assert abs(ours.value - value) <= 1e-13 * abs(value)
+        assert abs(ours.abs_error_estimate - error) <= 1e-12 * error
+
+    def test_short_spectrum_tail(self):
+        # fewer than six shells: the estimate is ten times the last shell sum
+        # per shell, not a fit
+        spectrum = enumerate_spectrum(7)
+        assert len(spectrum.shells) == 5
+        last = spectrum.shells[-1]
+        ours = ruelle_R(spectrum, 2.0, method="direct")
+        expected = 10.0 * last.count * last.norm ** -2.0 * 5
+        assert abs(ours.abs_error_estimate - abs(ours.value) * expected) <= 1e-14
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("s", [complex(math.nan, 0.0), complex(math.inf, 0.0),
+                                   complex(2.0, math.nan), complex(2.0, -math.inf)])
+    def test_domain_error(self, sp40, s):
+        with pytest.raises(DomainError):
+            selberg_Z(sp40, s)
+        with pytest.raises(DomainError):
+            ruelle_R(sp40, s)
+        with pytest.raises(DomainError):
+            ruelle_R(sp40, s, method="direct")
 
 
 class TestRuelleR:

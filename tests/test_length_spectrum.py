@@ -1,5 +1,6 @@
 """Length-spectrum tests: enumeration vs brute force, words, caching."""
 
+import collections
 import itertools
 import math
 import random
@@ -39,6 +40,34 @@ def brute_force_classes(max_trace):
             if trace <= max_trace:
                 seen[canon] = trace
     return seen
+
+
+def shell_counts_by_word_count(max_trace):
+    """Oracle: classes per trace from all words using both letters.
+
+    Counts every word with trace <= max_trace by (trace, length), removes
+    the proper powers (periodic words) and divides by the length, since an
+    aperiodic cyclic word has exactly that many distinct rotations.
+    """
+    aperiodic = collections.Counter()
+    # entries: word, matrix (a, b, c, d). A word using both letters has trace
+    # above its length, so the length cap only stops the one-letter words.
+    stack = [("L", 1, 1, 0, 1), ("R", 1, 0, 1, 1)]
+    while stack:
+        word, a, b, c, d = stack.pop()
+        if "L" in word and "R" in word and (word + word).find(word, 1) == len(word):
+            aperiodic[a + d, len(word)] += 1
+        if len(word) == max_trace - 1:
+            continue
+        if a + c + d <= max_trace:
+            stack.append((word + "L", a, a + b, c, c + d))
+        if a + b + d <= max_trace:
+            stack.append((word + "R", a + b, b, c + d, d))
+    counts = collections.Counter()
+    for (trace, length), n in aperiodic.items():
+        assert n % length == 0
+        counts[trace] += n // length
+    return dict(counts)
 
 
 words = st.text(alphabet="LR", min_size=1, max_size=12)
@@ -141,6 +170,32 @@ class TestEnumeration:
         oracle = brute_force_classes(max_trace)
         assert {c.word: c.trace for c in spectrum.classes} == oracle
 
+    @pytest.mark.parametrize("max_trace", [30, 60, 100])
+    def test_shell_counts_match_word_counting(self, max_trace):
+        spectrum = enumerate_spectrum(max_trace)
+        expected = shell_counts_by_word_count(max_trace)
+        assert {sh.trace: sh.count for sh in spectrum.shells} == expected
+        assert spectrum.class_count == sum(expected.values())
+        assert all(spectrum.mult(t) == n for t, n in expected.items())
+
+    def test_words_longer_than_a_machine_word(self):
+        # L^k R has trace k + 2: at max_trace 100 the longest word has 99 letters
+        spectrum = enumerate_spectrum(100)
+        longest = max(spectrum.classes, key=lambda cls: len(cls.word))
+        assert longest.word == "L" * 98 + "R" and longest.trace == 100
+        assert all(class_from_word(c.word) == c for c in spectrum.classes if len(c.word) > 64)
+
+    def test_classes_built_on_first_access(self):
+        spectrum = enumerate_spectrum(20)
+        assert "classes" not in vars(spectrum)
+        assert spectrum.classes is spectrum.classes
+        assert len(spectrum.classes) == spectrum.class_count
+
+    def test_capacity_error_on_first_words(self):
+        # the words L^k R alone exceed the limit
+        with pytest.raises(CapacityError):
+            enumerate_spectrum(60, max_classes=40)
+
     def test_classes_sorted(self):
         spectrum = enumerate_spectrum(12)
         keys = [(c.trace, c.word) for c in spectrum.classes]
@@ -231,6 +286,15 @@ class TestCache:
         write_cache(enumerate_spectrum(10), path)
         body = path.read_text().splitlines()
         body[0] = "trace,count,norm,length"
+        path.write_text("\n".join(body) + "\n")
+        assert read_cache(path, 10) is None
+
+    @pytest.mark.parametrize("row", ["4,2,2.6", "4,2,2.6,13.9,1", "4,two,2.6,13.9"])
+    def test_malformed_row_rejected(self, tmp_path, row):
+        path = tmp_path / "spec.csv"
+        write_cache(enumerate_spectrum(10), path)
+        body = path.read_text().splitlines()
+        body[2] = row
         path.write_text("\n".join(body) + "\n")
         assert read_cache(path, 10) is None
 

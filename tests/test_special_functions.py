@@ -106,6 +106,24 @@ class TestRiemannZeta:
                 ref = complex(mp.zeta(mp.mpc(re, im)))
                 assert abs(riemann_zeta(s) - ref) <= 1e-11 * max(1.0, abs(ref))
 
+    def test_trivial_zeros_are_exact(self):
+        # the reflection formula alone gave 7.5 at -40 and -4.4e62 at -100
+        for n in range(1, 51):
+            assert riemann_zeta(-2.0 * n) == 0
+            assert complex(mp.zeta(-2 * n)) == 0
+
+    def test_trivial_zero_tolerance_matches_pole_checks(self):
+        # off a trivial zero by more than the pole tolerance, the value is
+        # the reflection formula's, not a clamped zero
+        s = -2.0 + 5e-12
+        assert riemann_zeta(s) != 0
+        assert abs(riemann_zeta(s) - complex(mp.zeta(s))) < 1e-16
+
+    @pytest.mark.parametrize("s", [-0.5, -1.0, -3.0, -3.7, -15.3, -40.5, -41.0, -71.25, -99.5])
+    def test_negative_axis_against_mpmath(self, s):
+        ref = complex(mp.zeta(s))
+        assert abs(riemann_zeta(s) - ref) <= 1e-12 * abs(ref)
+
     def test_near_eta_degenerate_points(self):
         # zeros of 1 - 2^(1-s) off the real axis must not hurt accuracy
         for s in (complex(1.0, 9.0647), complex(0.99, 18.129), complex(1.01, -9.06)):
