@@ -43,8 +43,6 @@ from .scattering import (
     trivial_model,
 )
 from .special_functions import (
-    DEFAULT_OPTIONS,
-    EvalOptions,
     digamma,
     gauss_multiplication_defect,
     log_barnes_gamma2,
@@ -84,7 +82,7 @@ __all__ = [
     "enumerate_spectrum", "necklace_count", "read_cache", "write_cache",
     "ScatteringModel", "builtin_model", "modular_model", "modular_phi",
     "phi_leading_at_zero", "trivial_model",
-    "DEFAULT_OPTIONS", "EvalOptions", "digamma", "gauss_multiplication_defect",
+    "digamma", "gauss_multiplication_defect",
     "log_barnes_gamma2", "log_gamma", "riemann_zeta", "zeta_prime_minus_one",
     "Signature", "SurfaceConstants", "area", "constants", "order_R", "order_Z",
     "parse_signature",

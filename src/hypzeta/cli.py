@@ -4,7 +4,7 @@ Every operation of the library is reachable as a subcommand; every
 subcommand honors --json and emits a Report whose checks carry both
 sides of each comparison and the tolerance actually applied. Exit codes:
 0 success, 1 usage error, 2 numerical failure (pole, divergence, bad
-domain), 3 verification-suite failure.
+domain, floating-point overflow), 3 verification-suite failure.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from pathlib import Path
 
 from . import euler_product, length_spectrum, verify, zeta_factors
 from .errors import HypzetaError
 from .scattering import BUILTIN_MODEL_LABELS, builtin_model, phi_leading_at_zero
-from .special_functions import EvalOptions
 from .surface import Signature, area, constants, order_R, order_Z, parse_signature
 
 __all__ = ["run", "main"]
@@ -102,44 +100,19 @@ def _parse_complex(text: str) -> complex:
     raise UsageError(f"expected a finite complex number as RE,IM (got {text!r})")
 
 
-def _load_config(path: str) -> dict:
-    allowed = {"rel_tol": float, "gamma2_cutoff": int, "euler_max_trace": int}
-    out = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"config line is not key = value: {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in allowed:
-            raise UsageError(f"unknown config key {key!r}")
-        try:
-            out[key] = allowed[key](value.strip())
-        except ValueError:
-            raise UsageError(f"bad value for config key {key!r}: {value.strip()!r}")
-    return out
-
-
-def _options_from_args(args) -> EvalOptions:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_load_config(args.config))
-    if getattr(args, "rel_tol", None) is not None:
-        values["rel_tol"] = args.rel_tol
-    if getattr(args, "gamma2_cutoff", None) is not None:
-        values["gamma2_cutoff"] = args.gamma2_cutoff
-    if getattr(args, "max_trace", None) is not None:
-        values["euler_max_trace"] = args.max_trace
+def _max_trace(text: str) -> int:
+    """argparse type of --max-trace: an integer trace bound of at least 3."""
     try:
-        return EvalOptions(**{**EvalOptions().__dict__, **values})
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 3:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 3 (got {text!r})")
+    return value
 
 
 def _model_for(args, sig: Signature):
-    label = getattr(args, "group", None)
+    label = args.group
     if label is None:
         label = {0: "trivial", 1: "modular"}.get(sig.n)
         if label is None:
@@ -154,14 +127,14 @@ def _model_for(args, sig: Signature):
     return model
 
 
-def _spectrum_for(args, max_trace: int, report: Report):
-    cache = getattr(args, "cache", None)
+def _spectrum_for(args, report: Report):
+    cache = args.cache
     if cache:
-        cached = length_spectrum.read_cache(cache, max_trace)
+        cached = length_spectrum.read_cache(cache, args.max_trace)
         if cached is not None:
             report.inputs["cache_status"] = "hit"
             return cached
-    spectrum = length_spectrum.enumerate_spectrum(max_trace)
+    spectrum = length_spectrum.enumerate_spectrum(args.max_trace)
     if cache:
         length_spectrum.write_cache(spectrum, cache)
         report.inputs["cache_status"] = "miss"
@@ -224,9 +197,8 @@ def _cmd_orders(args) -> tuple[Report, int]:
 def _cmd_kappa(args) -> tuple[Report, int]:
     sig = parse_signature(args.signature)
     model = _model_for(args, sig)
-    opts = _options_from_args(args)
     s = _parse_complex(args.s)
-    value = zeta_factors.kappa(sig, model, s, opts)
+    value = zeta_factors.kappa(sig, model, s)
     report = Report(
         "kappa", {"signature": sig.label(), "group": model.label, "s": s}
     )
@@ -238,7 +210,6 @@ def _cmd_kappa(args) -> tuple[Report, int]:
 def _cmd_det_laplacian(args) -> tuple[Report, int]:
     sig = parse_signature(args.signature)
     model = _model_for(args, sig)
-    opts = _options_from_args(args)
     s = _parse_complex(args.s)
     report = Report(
         "det-laplacian", {"signature": sig.label(), "group": model.label, "s": s}
@@ -248,15 +219,15 @@ def _cmd_det_laplacian(args) -> tuple[Report, int]:
         report.inputs["z_value"] = z_value
         report.inputs["z_source"] = "probe"
     else:
-        spectrum = _spectrum_for(args, opts.euler_max_trace, report)
-        truncated = euler_product.selberg_Z(spectrum, s, opts)
+        spectrum = _spectrum_for(args, report)
+        truncated = euler_product.selberg_Z(spectrum, s)
         z_value = truncated.value
         report.inputs["z_source"] = f"euler_product(max_trace={spectrum.max_trace})"
         report.add("Z", z_value)
         report.add("Z_abs_error_estimate", truncated.abs_error_estimate)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = zeta_factors.det_laplacian(sig, model, s, z_value, opts)
+        value = zeta_factors.det_laplacian(sig, model, s, z_value)
     for w in caught:
         report.notes.append(str(w.message))
     report.add("det_laplacian", value)
@@ -303,9 +274,7 @@ def _cmd_constants(args) -> tuple[Report, int]:
 
 def _cmd_spectrum(args) -> tuple[Report, int]:
     report = Report("spectrum", {"max_trace": args.max_trace})
-    if args.max_trace < 3:
-        raise UsageError("--max-trace must be at least 3")
-    spectrum = _spectrum_for(args, args.max_trace, report)
+    spectrum = _spectrum_for(args, report)
     rows = [
         {"trace": sh.trace, "count": sh.count, "length": sh.length, "norm": sh.norm}
         for sh in spectrum.shells
@@ -323,17 +292,14 @@ def _print_spectrum_csv(report: Report):
 
 
 def _cmd_euler(args, which: str) -> tuple[Report, int]:
-    opts = _options_from_args(args)
     s = _parse_complex(args.s)
-    max_trace = args.max_trace if args.max_trace is not None else opts.euler_max_trace
-    report = Report(which, {"s": s, "max_trace": max_trace})
-    spectrum = _spectrum_for(args, max_trace, report)
+    report = Report(which, {"s": s, "max_trace": args.max_trace})
+    spectrum = _spectrum_for(args, report)
     if which == "zeta":
-        truncated = euler_product.selberg_Z(spectrum, s, opts)
+        truncated = euler_product.selberg_Z(spectrum, s)
     else:
-        method = getattr(args, "method", "quotient")
-        report.inputs["method"] = method
-        truncated = euler_product.ruelle_R(spectrum, s, opts, method=method)
+        report.inputs["method"] = args.method
+        truncated = euler_product.ruelle_R(spectrum, s, method=args.method)
     report.add("value", truncated.value)
     report.add("abs_error_estimate", truncated.abs_error_estimate)
     report.add("k_cutoff_used", truncated.k_cutoff_used)
@@ -346,13 +312,11 @@ def _cmd_euler(args, which: str) -> tuple[Report, int]:
 
 
 def _cmd_verify(args) -> tuple[Report, int]:
-    opts = _options_from_args(args)
-    outcome = verify.run_verify(opts, tolerance=args.tolerance)
+    outcome = verify.run_verify(tolerance=args.tolerance)
     report = Report(
         "verify",
         {
             "points_version": outcome["points_version"],
-            "options": outcome["options"],
             "tolerance_override": outcome["tolerance_override"],
         },
     )
@@ -372,21 +336,17 @@ def _cmd_verify(args) -> tuple[Report, int]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, signature=False, group=False, s=False, euler=False):
+def _add_common(sp, surface=False, s=False, euler=False):
     sp.add_argument("--json", action="store_true", help="emit the report as JSON")
-    sp.add_argument("--config", help="key = value options file")
-    sp.add_argument("--rel-tol", type=float, dest="rel_tol")
-    sp.add_argument("--gamma2-cutoff", type=int, dest="gamma2_cutoff")
-    if signature:
+    if surface:
         sp.add_argument("--signature", required=True, help="surface as g,n,m1:m2:...:mv")
-    if group:
         sp.add_argument("--group", choices=BUILTIN_MODEL_LABELS,
                         help="scattering model (default: by cusp count)")
     if s:
         sp.add_argument("--s", required=True, help="evaluation point as RE,IM")
     if euler:
-        sp.add_argument("--max-trace", type=int, dest="max_trace",
-                        help="length-spectrum completeness bound")
+        sp.add_argument("--max-trace", type=_max_trace, default=40, dest="max_trace",
+                        help="length-spectrum completeness bound (default 40)")
         sp.add_argument("--cache", help="CSV spectrum cache path")
 
 
@@ -400,36 +360,36 @@ def build_parser() -> _Parser:
     surface_p = sub.add_parser("surface", help="surface-level data")
     surface_sub = surface_p.add_subparsers(dest="surface_command", required=True)
     info = surface_sub.add_parser("info", help="area and determinant constants")
-    _add_common(info, signature=True, group=True)
+    _add_common(info, surface=True)
     info.set_defaults(handler=_cmd_surface_info)
 
     orders = sub.add_parser("orders", help="order tables for Z and R")
-    _add_common(orders, signature=True, group=True)
+    _add_common(orders, surface=True)
     orders.add_argument("--from", type=int, required=True, dest="from_point")
     orders.add_argument("--to", type=int, required=True, dest="to_point")
     orders.set_defaults(handler=_cmd_orders)
 
     kappa_p = sub.add_parser("kappa", help="functional-equation multiplier")
-    _add_common(kappa_p, signature=True, group=True, s=True)
+    _add_common(kappa_p, surface=True, s=True)
     kappa_p.set_defaults(handler=_cmd_kappa)
 
     det = sub.add_parser("det-laplacian", help="closed-form determinant value")
-    _add_common(det, signature=True, group=True, s=True, euler=True)
+    _add_common(det, surface=True, s=True, euler=True)
     det.add_argument("--z-value", dest="z_value",
                      help="probe value for Z(s) as RE,IM (skips the Euler product)")
     det.set_defaults(handler=_cmd_det_laplacian)
 
     leading = sub.add_parser("ruelle-leading", help="order and leading coefficient at 0")
-    _add_common(leading, signature=True, group=True)
+    _add_common(leading, surface=True)
     leading.set_defaults(handler=_cmd_ruelle_leading)
 
     consts = sub.add_parser("constants", help="A, B, C, D, E, c0, c1")
-    _add_common(consts, signature=True, group=True)
+    _add_common(consts, surface=True)
     consts.set_defaults(handler=_cmd_constants)
 
     spectrum_p = sub.add_parser("spectrum", help="geodesic length spectrum table")
     _add_common(spectrum_p)
-    spectrum_p.add_argument("--max-trace", type=int, required=True, dest="max_trace")
+    spectrum_p.add_argument("--max-trace", type=_max_trace, required=True, dest="max_trace")
     spectrum_p.add_argument("--cache", help="CSV spectrum cache path")
     spectrum_p.set_defaults(handler=_cmd_spectrum)
 
@@ -462,7 +422,7 @@ def run(argv=None) -> int:
         if argv is not None and "--json" in argv:
             print(json.dumps({"error": {"kind": "usage", "message": str(exc)}}))
         return 1
-    except HypzetaError as exc:
+    except (HypzetaError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         if argv is not None and "--json" in argv:
             print(json.dumps({

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptySpectrumError
-from .special_functions import DEFAULT_OPTIONS, EvalOptions
 from .length_spectrum import LengthSpectrum
 
 __all__ = ["TruncatedValue", "selberg_Z", "ruelle_R"]
 
 _TAIL_SAFETY = 10.0
 _MIN_K_CUTOFF = 10
+# relative target of the adaptive k-cutoff; the k-tail is cut at a tenth of it
+_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -85,20 +86,16 @@ def _trace_tail_estimate(traces: np.ndarray, sums: np.ndarray, max_trace: int) -
     return _TAIL_SAFETY * tail
 
 
-def _k_cutoff(spectrum: LengthSpectrum, sigma: float, rel_tol: float) -> int:
+def _k_cutoff(spectrum: LengthSpectrum, sigma: float) -> int:
     p_min = spectrum.shells[0].norm
     count = spectrum.class_count
     k = _MIN_K_CUTOFF
-    while count * p_min ** (-(sigma + k + 1)) >= rel_tol / 10.0 and k < 10_000:
+    while count * p_min ** (-(sigma + k + 1)) >= _REL_TOL / 10.0 and k < 10_000:
         k += 1
     return k
 
 
-def selberg_Z(
-    spectrum: LengthSpectrum,
-    s: complex,
-    opts: EvalOptions = DEFAULT_OPTIONS,
-) -> TruncatedValue:
+def selberg_Z(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
     """Truncated Selberg zeta value on Re s > 1.
 
     log Z is the double sum of log(1 - p^(-s-k)) over the spectrum's
@@ -111,7 +108,7 @@ def selberg_Z(
     s = complex(s)
     _require_usable(spectrum, s)
     sigma = s.real
-    cutoff = _k_cutoff(spectrum, sigma, opts.rel_tol)
+    cutoff = _k_cutoff(spectrum, sigma)
     trace, count, norm, length = _columns(spectrum)
     phase = np.exp(-1j * s.imag * length)
     x = np.exp(-np.outer(length, sigma + np.arange(cutoff + 1))) * phase[:, None]
@@ -151,7 +148,7 @@ def _ruelle_direct(
 def ruelle_R(
     spectrum: LengthSpectrum,
     s: complex,
-    opts: EvalOptions = DEFAULT_OPTIONS,
+    *,
     method: str = "quotient",
 ) -> TruncatedValue:
     """Truncated Ruelle zeta value on Re s > 1.
@@ -167,8 +164,8 @@ def ruelle_R(
         return _ruelle_direct(spectrum, s)
     if method != "quotient":
         raise ValueError(f"unknown method {method!r}; use 'quotient' or 'direct'")
-    za = selberg_Z(spectrum, s, opts)
-    zb = selberg_Z(spectrum, s + 1.0, opts)
+    za = selberg_Z(spectrum, s)
+    zb = selberg_Z(spectrum, s + 1.0)
     value = za.value / zb.value
     rel = za.abs_error_estimate / abs(za.value) + zb.abs_error_estimate / abs(zb.value)
     return TruncatedValue(

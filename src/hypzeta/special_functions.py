@@ -5,6 +5,12 @@ an analytically continued Riemann zeta, the double gamma function
 G2 satisfying G2(s) = Gamma(s) * G2(s+1), the constant zeta'(-1), and a
 self-test defect for the Gauss multiplication formula.
 
+Truncations are sized from the argument, never set by the caller: the
+zeta series length grows with |Im s|, and the double-gamma product
+length doubles from 10,000 terms until its remainder bound meets 1e-11,
+up to a ceiling of 160,000 terms (about |s - 1| <= 1,060 after the
+recursion shift); beyond it G2 raises ConvergenceError.
+
 All routines work in IEEE binary64; tolerances quoted in docstrings are
 for that precision. Functions are pure and raise instead of returning
 non-finite values.
@@ -14,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sps
@@ -22,8 +27,6 @@ import scipy.special as sps
 from .errors import ConvergenceError, PoleError
 
 __all__ = [
-    "EvalOptions",
-    "DEFAULT_OPTIONS",
     "EULER_GAMMA",
     "ZETA_PRIME_MINUS_ONE",
     "log_gamma",
@@ -41,31 +44,6 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 ZETA_PRIME_MINUS_ONE = -0.16542114370045092921391966024278
 
 _POLE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class EvalOptions:
-    """Precision and truncation knobs shared by the numeric routines.
-
-    gamma2_cutoff   truncation index K of the double-gamma product
-    rel_tol         tolerance used by identity comparisons and adaptive cutoffs
-    euler_max_trace default completeness bound for Euler-product spectra
-    """
-
-    gamma2_cutoff: int = 10_000
-    rel_tol: float = 1e-10
-    euler_max_trace: int = 40
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.gamma2_cutoff < 64:
-            raise ValueError("gamma2_cutoff must be at least 64")
-        if self.euler_max_trace < 3:
-            raise ValueError("euler_max_trace must be at least 3")
-
-
-DEFAULT_OPTIONS = EvalOptions()
 
 
 def _is_nonpositive_integer(s: complex, tol: float = _POLE_TOL) -> bool:
@@ -107,10 +85,15 @@ def digamma(s: complex) -> complex:
 # ---------------------------------------------------------------------------
 # Riemann zeta: alternating-series (eta) acceleration on Re s >= 1/2, the
 # reflection formula on Re s < 1/2, and an Euler-Maclaurin evaluation near
-# s = 1 and near the removable zeros of the eta prefactor 1 - 2^(1-s).
+# s = 1, near the removable zeros of the eta prefactor 1 - 2^(1-s), and for
+# |Im s| beyond the Borwein range.
 # ---------------------------------------------------------------------------
 
 _BORWEIN_CACHE: dict[int, tuple[float, ...]] = {}
+
+# The Borwein series length grows with |Im s|, and its coefficients pass
+# float range from |Im s| ~ 278 on; above this bound Euler-Maclaurin runs.
+_BORWEIN_MAX_IM = 250.0
 
 # Bernoulli numbers B_2, B_4, ..., B_28 as exact fractions.
 _BERNOULLI = tuple(
@@ -173,7 +156,8 @@ def _zeta_euler_maclaurin(s: complex, terms: int = 50, order: int = 12) -> compl
 def riemann_zeta(s: complex) -> complex:
     """Analytically continued Riemann zeta function.
 
-    Accurate on the strip Re s in [-3, 4], |Im s| <= 20 (and beyond);
+    Accurate on the strip Re s in [-3, 4], |Im s| <= 20, and to ~1e-12 of
+    max(1, |zeta|) for Re s >= 1/2 and |Im s| <= 3,000;
     raises PoleError at s = 1. Returns exactly 0 at the trivial zeros
     s = -2, -4, ..., where the reflection formula would multiply a rounded
     sin(pi s / 2) by a huge gamma factor.
@@ -195,7 +179,11 @@ def riemann_zeta(s: complex) -> complex:
         return _ensure_finite(factor * reflected, "riemann_zeta")
     # Near the pole, and near the zeros of 1 - 2^(1-s) off the real axis,
     # the eta acceleration degenerates; Euler-Maclaurin isolates the pole.
-    if abs(s - 1.0) < 0.5 or abs(1.0 - 2.0 ** (1.0 - s)) < 0.1:
+    if (
+        abs(s - 1.0) < 0.5
+        or abs(1.0 - 2.0 ** (1.0 - s)) < 0.1
+        or abs(s.imag) > _BORWEIN_MAX_IM
+    ):
         return _ensure_finite(_zeta_euler_maclaurin(s), "riemann_zeta")
     return _ensure_finite(_zeta_eta_accelerated(s), "riemann_zeta")
 
@@ -221,15 +209,46 @@ def _log1p_complex(z: np.ndarray) -> np.ndarray:
     return np.where(d == 0, z, np.log(u) * scaled)
 
 
-def _log_gamma2_product(w: complex, cutoff: int) -> complex:
+_G2_MIN_CUTOFF = 10_000
+_G2_MAX_CUTOFF = 160_000
+_G2_TAIL_TOL = 1e-11
+
+
+def _g2_remainder_bound(t: complex, cutoff: int) -> float:
+    """Bound on the j >= 9 tail block the product drops at `cutoff`.
+
+    Geometric in |t|/k beyond the cutoff; infinite once |t| comes within
+    10% of cutoff + 1, where the expansion no longer converges usefully.
+    """
+    margin = 1.0 - abs(t) / (cutoff + 1.0)
+    if margin <= 0.1:
+        return math.inf
+    return (abs(t) ** 9 / 9.0) * float(sps.zeta(8, cutoff + 1)) / margin
+
+
+def _g2_cutoff(t: complex) -> int:
+    """Product length for log G2(1 + t): doubled until the bound holds."""
+    cutoff = _G2_MIN_CUTOFF
+    while _g2_remainder_bound(t, cutoff) > _G2_TAIL_TOL:
+        if cutoff >= _G2_MAX_CUTOFF:
+            raise ConvergenceError(
+                f"double-gamma product needs more than {_G2_MAX_CUTOFF} terms "
+                f"for |s - 1| ~ {abs(t):.3g}"
+            )
+        cutoff *= 2
+    return cutoff
+
+
+def _log_gamma2_product(w: complex) -> complex:
     """log G2(w) from the defining product, valid for Re w > 1/2.
 
-    Truncates the product at `cutoff` and restores the tail analytically
-    through ninth order in w-1 over k.
+    Truncates the product at the cutoff `_g2_cutoff` picks for w and
+    restores the tail analytically through ninth order in w-1 over k.
     """
     t = w - 1.0
     if t == 0:
         return 0.0 + 0.0j
+    cutoff = _g2_cutoff(t)
     k = np.arange(1, cutoff + 1, dtype=float)
     terms = -k * _log1p_complex(t / k) + t - t * t / (2.0 * k)
     total = complex(np.sum(terms[::-1]))
@@ -241,28 +260,20 @@ def _log_gamma2_product(w: complex, cutoff: int) -> complex:
         tail = float(sps.zeta(j - 1, cutoff + 1))
         total += (-1.0 if j % 2 else 1.0) * tp / j * tail
         tp *= t
-    # bound for the dropped j >= 9 block; geometric in |t|/k beyond cutoff
-    margin = 1.0 - abs(t) / (cutoff + 1.0)
-    if margin <= 0.1:
-        raise ConvergenceError(
-            f"double-gamma cutoff {cutoff} too small for |argument| ~ {abs(t):.3g}"
-        )
-    remainder = (abs(t) ** 9 / 9.0) * float(sps.zeta(8, cutoff + 1)) / margin
-    if remainder > 1e-11:
-        raise ConvergenceError(
-            f"double-gamma tail estimate {remainder:.3g} exceeds tolerance; "
-            f"raise gamma2_cutoff (currently {cutoff})"
-        )
     return total
 
 
-def log_barnes_gamma2(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
+def log_barnes_gamma2(s: complex) -> complex:
     """log G2(s) for the double gamma function normalized by G2(1) = 1.
 
     Evaluates the defining product for Re s > 1/2 and extends to the rest
     of the plane through the recursion G2(s) = Gamma(s) * G2(s+1).
-    Relative accuracy ~1e-11 for |s| <= 10 at the default cutoff.
-    Raises PoleError at s = 0, -1, -2, ... (pole of order k+1 at -k).
+    The product length follows from s: 10,000 terms for every
+    |s - 1| <= 120 after the shift, doubled while the remainder bound
+    exceeds 1e-11. Relative accuracy ~1e-11 for |s| <= 10.
+    Raises PoleError at s = 0, -1, -2, ... (pole of order k+1 at -k), and
+    ConvergenceError, before evaluating anything, where 160,000 terms do
+    not suffice (|s - 1| beyond about 1,060 after the shift).
     """
     s = complex(s)
     if _is_nonpositive_integer(s):
@@ -271,8 +282,7 @@ def log_barnes_gamma2(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> comple
     while s.real <= 0.5:
         shift += log_gamma(s)
         s += 1.0
-    return _ensure_finite(shift + _log_gamma2_product(s, opts.gamma2_cutoff),
-                          "log_barnes_gamma2")
+    return _ensure_finite(shift + _log_gamma2_product(s), "log_barnes_gamma2")
 
 
 def gauss_multiplication_defect(s: complex, m: int) -> float:

@@ -28,8 +28,6 @@ from .scattering import (
     trivial_model,
 )
 from .special_functions import (
-    DEFAULT_OPTIONS,
-    EvalOptions,
     digamma,
     gauss_multiplication_defect,
     log_barnes_gamma2,
@@ -163,7 +161,7 @@ def signature_corpus(count: int = 30) -> list[Signature]:
 # ---------------------------------------------------------------------------
 
 
-def special_function_checks(opts: EvalOptions, tol: float = 1e-10) -> list[Check]:
+def special_function_checks(tol: float = 1e-10) -> list[Check]:
     checks = []
     # reflection formula on a 100-point grid avoiding integers
     pts = []
@@ -193,8 +191,8 @@ def special_function_checks(opts: EvalOptions, tol: float = 1e-10) -> list[Check
     for i in range(6):
         for j in range(5):
             s = complex(0.5 + 0.9 * i, -5.0 + 2.5 * j)
-            lhs = cmath.exp(log_barnes_gamma2(s, opts))
-            rhs = cmath.exp(log_gamma(s)) * cmath.exp(log_barnes_gamma2(s + 1.0, opts))
+            lhs = cmath.exp(log_barnes_gamma2(s))
+            rhs = cmath.exp(log_gamma(s)) * cmath.exp(log_barnes_gamma2(s + 1.0))
             c = _rel_check("double-gamma recursion", lhs, rhs, tol)
             if worst is None or c.abs_diff > worst.abs_diff:
                 worst = c
@@ -270,7 +268,7 @@ def _sine_ratio_log(sig: Signature, s: complex) -> complex:
     return total
 
 
-def factor_identity_checks(opts: EvalOptions, tol: float = 1e-9) -> list[Check]:
+def factor_identity_checks(tol: float = 1e-9) -> list[Check]:
     checks = []
     for sig, sc in identity_pairs():
         chi = float(sig.normalized_area())
@@ -282,16 +280,16 @@ def factor_identity_checks(opts: EvalOptions, tol: float = 1e-9) -> list[Check]:
                 worst[key] = c
 
         for s in CUT_SAFE_POINTS:
-            ze = zeta_factors.z_ell(sig, s, opts).log_value
-            ze1m = zeta_factors.z_ell(sig, 1.0 - s, opts).log_value
-            ze1p = zeta_factors.z_ell(sig, s + 1.0, opts).log_value
-            zem = zeta_factors.z_ell(sig, -s, opts).log_value
+            ze = zeta_factors.z_ell(sig, s).log_value
+            ze1m = zeta_factors.z_ell(sig, 1.0 - s).log_value
+            ze1p = zeta_factors.z_ell(sig, s + 1.0).log_value
+            zem = zeta_factors.z_ell(sig, -s).log_value
             note("cone-factor ratio vs sine product",
                  cmath.exp(ze - ze1m), cmath.exp(_sine_ratio_log(sig, s)))
-            zi = zeta_factors.z_infty(sig, s, opts).log_value
-            zi1m = zeta_factors.z_infty(sig, 1.0 - s, opts).log_value
-            zi1p = zeta_factors.z_infty(sig, s + 1.0, opts).log_value
-            zim = zeta_factors.z_infty(sig, -s, opts).log_value
+            zi = zeta_factors.z_infty(sig, s).log_value
+            zi1m = zeta_factors.z_infty(sig, 1.0 - s).log_value
+            zi1p = zeta_factors.z_infty(sig, s + 1.0).log_value
+            zim = zeta_factors.z_infty(sig, -s).log_value
             note("archimedean four-point identity",
                  cmath.exp(zi1p - zi + zi1m - zim),
                  cmath.exp(chi * cmath.log(-4.0 * cmath.sin(math.pi * s) ** 2)))
@@ -304,9 +302,9 @@ def factor_identity_checks(opts: EvalOptions, tol: float = 1e-9) -> list[Check]:
                 )
             note("cone-factor four-point identity",
                  cmath.exp(ze1p - ze + ze1m - zem), cmath.exp(rhs_log))
-            kap = zeta_factors.kappa(sig, sc, s, opts).value
-            kap1m = zeta_factors.kappa(sig, sc, 1.0 - s, opts).value
-            kap1p = zeta_factors.kappa(sig, sc, s + 1.0, opts).value
+            kap = zeta_factors.kappa(sig, sc, s).value
+            kap1m = zeta_factors.kappa(sig, sc, 1.0 - s).value
+            kap1p = zeta_factors.kappa(sig, sc, s + 1.0).value
             note("kappa(s) kappa(1-s) = 1", kap * kap1m, 1.0)
             note("Ruelle functional-equation consistency",
                  kap1p / kap, zeta_factors.ruelle_fe_rhs(sig, sc, s))
@@ -375,12 +373,12 @@ def spectrum_checks() -> list[Check]:
     return checks
 
 
-def euler_checks(opts: EvalOptions) -> list[Check]:
+def euler_checks() -> list[Check]:
     checks = []
     spectrum = length_spectrum.enumerate_spectrum(40)
     larger = length_spectrum.enumerate_spectrum(60)
-    z40 = euler_product.selberg_Z(spectrum, 2.0, opts)
-    z60 = euler_product.selberg_Z(larger, 2.0, opts)
+    z40 = euler_product.selberg_Z(spectrum, 2.0)
+    z60 = euler_product.selberg_Z(larger, 2.0)
     oracle = _double_sum_oracle(spectrum, 2.0)
     checks.append(_check("Selberg product vs expanded double sum at s=2",
                          z40.value, oracle, 1e-8))
@@ -393,15 +391,15 @@ def euler_checks(opts: EvalOptions) -> list[Check]:
         float(z60.abs_error_estimate < z40.abs_error_estimate), 1.0, 0,
     ))
     for s in (1.5, 2.0, 3.0, complex(1.5, 1.0), complex(2.0, 5.0), complex(3.0, 1.0)):
-        quotient = euler_product.ruelle_R(spectrum, s, opts)
-        direct = euler_product.ruelle_R(spectrum, s, opts, method="direct")
+        quotient = euler_product.ruelle_R(spectrum, s)
+        direct = euler_product.ruelle_R(spectrum, s, method="direct")
         budget = quotient.abs_error_estimate + direct.abs_error_estimate
         checks.append(_check(
             f"Ruelle two-path agreement s={s}",
             float(abs(quotient.value - direct.value) <= budget), 1.0, 0,
         ))
-    z_far = euler_product.selberg_Z(spectrum, 20.0, opts)
-    r_far = euler_product.ruelle_R(spectrum, 20.0, opts)
+    z_far = euler_product.selberg_Z(spectrum, 20.0)
+    r_far = euler_product.ruelle_R(spectrum, 20.0)
     checks.append(_check("Z(20) = 1", z_far.value, 1.0, 1e-12))
     checks.append(_check("R(20) = 1", r_far.value, 1.0, 1e-12))
     return checks
@@ -450,10 +448,7 @@ def constants_checks(tol: float = 1e-10) -> list[Check]:
     return checks
 
 
-def run_verify(
-    opts: EvalOptions = DEFAULT_OPTIONS,
-    tolerance: float | None = None,
-) -> dict:
+def run_verify(tolerance: float | None = None) -> dict:
     """Run the whole suite; returns a JSON-ready report dictionary.
 
     `tolerance` overrides every identity tolerance when given (exact
@@ -474,23 +469,18 @@ def run_verify(
 
     scattering, sign_report = scattering_checks()
     sections = {
-        "special_functions": retol(special_function_checks(opts)),
+        "special_functions": retol(special_function_checks()),
         "scattering": retol(scattering),
-        "factor_identities": retol(factor_identity_checks(opts)),
+        "factor_identities": retol(factor_identity_checks()),
         "orders": retol(order_checks()),
         "length_spectrum": retol(spectrum_checks()),
-        "euler_product": retol(euler_checks(opts)),
+        "euler_product": retol(euler_checks()),
         "constants": retol(constants_checks()),
     }
     all_checks = [c for section in sections.values() for c in section]
     failed = [c for c in all_checks if not c.passed]
     return {
         "points_version": POINTS_VERSION,
-        "options": {
-            "gamma2_cutoff": opts.gamma2_cutoff,
-            "rel_tol": opts.rel_tol,
-            "euler_max_trace": opts.euler_max_trace,
-        },
         "tolerance_override": tolerance,
         "sections": {name: [asdict(c) for c in checks] for name, checks in sections.items()},
         "phi_leading_sign_report": sign_report,

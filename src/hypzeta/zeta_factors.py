@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DomainWarning, PoleError, SingularFactorError
 from .scattering import ScatteringModel
-from .special_functions import (
-    DEFAULT_OPTIONS,
-    EvalOptions,
-    log_barnes_gamma2,
-    log_gamma,
-)
+from .special_functions import log_barnes_gamma2, log_gamma
 from .surface import Signature, constants
 
 __all__ = [
@@ -65,18 +60,18 @@ def _chi(sig: Signature) -> float:
     return float(sig.normalized_area())
 
 
-def z_infty(sig: Signature, s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> FactorValue:
+def z_infty(sig: Signature, s: complex) -> FactorValue:
     """Archimedean factor ((2 pi)^s G2(s)^2 / Gamma(s)) ^ (area / 2 pi)."""
     s = complex(s)
     log_base = (
         s * math.log(2.0 * math.pi)
-        + 2.0 * log_barnes_gamma2(s, opts)
+        + 2.0 * log_barnes_gamma2(s)
         - log_gamma(s)
     )
     return FactorValue.from_log(_chi(sig) * log_base)
 
 
-def z_ell(sig: Signature, s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> FactorValue:
+def z_ell(sig: Signature, s: complex) -> FactorValue:
     """Cone-point factor: prod_j prod_k Gamma((s+k)/m_j)^((2k+1-m_j)/m_j).
 
     The empty product (no cone points) is 1. Raises PoleError naming the
@@ -103,7 +98,6 @@ def det_laplacian(
     sc: ScatteringModel,
     s: complex,
     Z_value: complex,
-    opts: EvalOptions = DEFAULT_OPTIONS,
 ) -> complex:
     """Determinant of the shifted Laplacian, assembled from closed-form factors.
 
@@ -121,8 +115,8 @@ def det_laplacian(
     c = constants(sig, sc)
     half = s - 0.5
     log_rest = (
-        z_infty(sig, s, opts).log_value
-        + z_ell(sig, s, opts).log_value
+        z_infty(sig, s).log_value
+        + z_ell(sig, s).log_value
         - sig.n * log_gamma(s + 0.5)
         + c.B * half * half
         + c.C * half
@@ -146,12 +140,7 @@ def _log_sine_block(sig: Signature, s: complex) -> complex:
     return total
 
 
-def kappa(
-    sig: Signature,
-    sc: ScatteringModel,
-    s: complex,
-    opts: EvalOptions = DEFAULT_OPTIONS,
-) -> FactorValue:
+def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
     """Functional-equation multiplier kappa with Z(1-s) = kappa(s) Z(s).
 
     Assembled in log space from the exact sign (-1)^(A/2), the cusp
@@ -174,8 +163,8 @@ def kappa(
     try:
         gamma2_block = (
             (2.0 * s - 1.0) * math.log(2.0 * math.pi)
-            + 2.0 * log_barnes_gamma2(s, opts)
-            - 2.0 * log_barnes_gamma2(1.0 - s, opts)
+            + 2.0 * log_barnes_gamma2(s)
+            - 2.0 * log_barnes_gamma2(1.0 - s)
             + log_gamma(1.0 - s)
             - log_gamma(s)
         )

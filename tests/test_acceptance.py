@@ -25,7 +25,6 @@ from hypzeta.length_spectrum import (
 )
 from hypzeta.scattering import builtin_model, modular_model, phi_leading_at_zero, trivial_model
 from hypzeta.special_functions import (
-    DEFAULT_OPTIONS,
     gauss_multiplication_defect,
     log_barnes_gamma2,
     log_gamma,
@@ -211,7 +210,7 @@ def test_criterion_08_length_spectrum():
 def test_criterion_09_euler_product():
     start = time.perf_counter()
     spectrum = enumerate_spectrum(40)
-    z = selberg_Z(spectrum, 2.0, DEFAULT_OPTIONS)
+    z = selberg_Z(spectrum, 2.0)
     # Mercator triple-sum oracle at 1e-12 inner tail
     total = 0.0
     for shell in spectrum.shells:
@@ -228,8 +227,8 @@ def test_criterion_09_euler_product():
             total -= shell.count * inner
     oracle = math.exp(total)
     ok = abs(z.value - oracle) <= 1e-8
-    quotient = ruelle_R(spectrum, 2.0, DEFAULT_OPTIONS)
-    direct = ruelle_R(spectrum, 2.0, DEFAULT_OPTIONS, method="direct")
+    quotient = ruelle_R(spectrum, 2.0)
+    direct = ruelle_R(spectrum, 2.0, method="direct")
     ok &= abs(quotient.value - direct.value) <= (
         quotient.abs_error_estimate + direct.abs_error_estimate
     )
@@ -237,10 +236,10 @@ def test_criterion_09_euler_product():
     for re in (1.5, 2.0, 3.0):
         for im in (0.0, 1.0, 5.0):
             s = complex(re, im)
-            estimates = [selberg_Z(sp, s, DEFAULT_OPTIONS).abs_error_estimate for sp in spectra]
+            estimates = [selberg_Z(sp, s).abs_error_estimate for sp in spectra]
             ok &= estimates[0] > estimates[1] > estimates[2]
-            q = ruelle_R(spectra[1], s, DEFAULT_OPTIONS)
-            d = ruelle_R(spectra[1], s, DEFAULT_OPTIONS, method="direct")
+            q = ruelle_R(spectra[1], s)
+            d = ruelle_R(spectra[1], s, method="direct")
             ok &= abs(q.value - d.value) <= q.abs_error_estimate + d.abs_error_estimate
     elapsed = time.perf_counter() - start
     ok &= elapsed < 30.0

@@ -3,7 +3,9 @@
 import io
 import json
 import math
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +59,16 @@ class TestExitCodes:
             ["kappa", "--signature", "0,1,2:3", "--group", "modular", "--s", "2,0"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["det-laplacian", "--signature", "2,0,", "--group", "trivial",
+         "--s", "3,15", "--z-value", "1,0"],
+        ["kappa", "--signature", "0,1,2:3", "--s", "0.3,280"],
+    ])
+    def test_overflow_is_numerical_error(self, argv):
+        code, out, err = invoke(argv + ["--json"])
+        assert code == 2 and "numerical failure" in err
+        assert json.loads(out)["error"]["kind"] == "OverflowError"
 
 
 class TestNonFiniteInput:
@@ -213,25 +225,31 @@ class TestVerifyCommand:
 
 
 class TestOptionsPlumbing:
-    def test_config_file_sets_default_max_trace(self, tmp_path):
-        cfg = tmp_path / "opts.cfg"
-        cfg.write_text("euler_max_trace = 25\nrel_tol = 1e-9\n# comment\n")
-        code, report, _ = invoke_json(["zeta", "--s", "2,0", "--config", str(cfg)])
-        assert code == 0 and report["inputs"]["max_trace"] == 25
+    def test_default_max_trace(self):
+        code, report, _ = invoke_json(["zeta", "--s", "2,0"])
+        assert code == 0 and report["inputs"]["max_trace"] == 40
 
-    def test_flag_overrides_config(self, tmp_path):
-        cfg = tmp_path / "opts.cfg"
-        cfg.write_text("euler_max_trace = 25\n")
-        code, report, _ = invoke_json(
-            ["zeta", "--s", "2,0", "--config", str(cfg), "--max-trace", "30"]
-        )
-        assert code == 0 and report["inputs"]["max_trace"] == 30
+    @pytest.mark.parametrize("argv", [
+        ["zeta", "--s", "2,0"],
+        ["ruelle", "--s", "2,0"],
+        ["det-laplacian", "--signature", "0,1,2:3", "--s", "2,0"],
+        ["spectrum"],
+    ], ids=["zeta", "ruelle", "det-laplacian", "spectrum"])
+    def test_max_trace_below_three_is_usage_error(self, argv):
+        code, out, err = invoke(argv + ["--max-trace", "2"])
+        assert code == 1 and "at least 3" in err and out == ""
 
-    def test_unknown_config_key_is_usage_error(self, tmp_path):
-        cfg = tmp_path / "opts.cfg"
-        cfg.write_text("frobnicate = 3\n")
-        code, _, err = invoke(["zeta", "--s", "2,0", "--config", str(cfg)])
-        assert code == 1 and "frobnicate" in err
+    @pytest.mark.parametrize("argv", [
+        ["orders", "--signature", "0,1,2:3", "--from", "-1", "--to", "1", "--rel-tol", "1"],
+        ["kappa", "--signature", "0,1,2:3", "--s", "0.3,0.2", "--gamma2-cutoff", "64"],
+        ["zeta", "--s", "2,0", "--config", "CONFIG"],
+    ], ids=["orders-rel-tol", "kappa-gamma2-cutoff", "zeta-config"])
+    def test_retired_flags_are_usage_errors(self, argv, tmp_path):
+        config = tmp_path / "opts.cfg"
+        config.write_text("euler_max_trace = 25\n")
+        argv = [str(config) if a == "CONFIG" else a for a in argv]
+        code, out, err = invoke(argv)
+        assert code == 1 and "unrecognized arguments" in err and out == ""
 
     def test_bad_option_value_is_usage_error(self):
         code, _, _ = invoke(["zeta", "--s", "2,0", "--rel-tol", "-1"])
@@ -289,3 +307,31 @@ class TestRuelleCommand:
         code, report, _ = invoke_json(["ruelle", "--s", "1.05,0", "--max-trace", "20"])
         assert code == 0
         assert any("1%" in note for note in report["notes"])
+
+
+class TestKappaLargeImaginaryPart:
+    def test_involution_at_im_150(self):
+        values = []
+        for s in ("0.3,150", "0.7,-150"):
+            code, report, _ = invoke_json(["kappa", "--signature", "0,1,2:3", "--s", s])
+            assert code == 0
+            value = result_of(report, "kappa")
+            values.append(complex(value["re"], value["im"]))
+        assert abs(abs(values[0] * values[1]) - 1.0) < 1e-10
+
+
+def _readme_cli_lines():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("hypzeta ")]
+
+
+class TestReadmeExamples:
+    def test_block_is_found(self):
+        assert len(_readme_cli_lines()) >= 10
+
+    @pytest.mark.parametrize("line", _readme_cli_lines())
+    def test_example_runs(self, line, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = invoke(shlex.split(line)[1:])
+        assert code == 0, err

@@ -8,7 +8,6 @@ import pytest
 from hypzeta.errors import DomainError, EmptySpectrumError
 from hypzeta.euler_product import ruelle_R, selberg_Z
 from hypzeta.length_spectrum import LengthSpectrum, enumerate_spectrum
-from hypzeta.special_functions import EvalOptions
 
 
 def double_sum_oracle(spectrum, s, tail=1e-18):
@@ -207,8 +206,6 @@ class TestRuelleR:
     def test_direct_uses_no_k_terms(self, sp40):
         assert ruelle_R(sp40, 2.0, method="direct").k_cutoff_used == 0
 
-    def test_quotient_respects_options(self, sp40):
-        loose = ruelle_R(sp40, 2.0, EvalOptions(rel_tol=1e-6))
-        tight = ruelle_R(sp40, 2.0, EvalOptions(rel_tol=1e-12))
-        assert tight.k_cutoff_used >= loose.k_cutoff_used
-        assert abs(loose.value - tight.value) < 1e-7
+    def test_method_is_keyword_only(self, sp40):
+        with pytest.raises(TypeError):
+            ruelle_R(sp40, 2.0, "direct")

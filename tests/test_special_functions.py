@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from hypzeta.errors import ConvergenceError, PoleError
+from hypzeta import special_functions
 from hypzeta.special_functions import (
-    EvalOptions,
     ZETA_PRIME_MINUS_ONE,
     digamma,
     gauss_multiplication_defect,
@@ -124,6 +124,13 @@ class TestRiemannZeta:
         ref = complex(mp.zeta(s))
         assert abs(riemann_zeta(s) - ref) <= 1e-12 * abs(ref)
 
+    def test_large_imaginary_part_against_mpmath(self):
+        # the Borwein coefficients leave float range near |Im s| = 278
+        for re in (0.5, 0.6, 1.5, 2.5, 4.0):
+            for im in (251.0, 280.0, 500.0, -1000.0, 3000.0):
+                ref = complex(mp.zeta(mp.mpc(re, im)))
+                assert abs(riemann_zeta(complex(re, im)) - ref) <= 1e-11 * max(1.0, abs(ref))
+
     def test_near_eta_degenerate_points(self):
         # zeros of 1 - 2^(1-s) off the real axis must not hurt accuracy
         for s in (complex(1.0, 9.0647), complex(0.99, 18.129), complex(1.01, -9.06)):
@@ -193,10 +200,30 @@ class TestBarnesGamma2:
             ref = complex(1 / mp.barnesg(mp.mpc(complex(s).real, complex(s).imag)))
             assert abs(ours - ref) <= 1e-11 * abs(ref)
 
-    def test_convergence_error_for_small_cutoff(self):
-        opts = EvalOptions(gamma2_cutoff=64)
+    @pytest.mark.parametrize("s", [500.0, complex(0.3, 200.0), complex(1.3, 1000.0)])
+    def test_large_arguments_against_mpmath_log(self, s):
+        ref = complex(-mp.log(mp.barnesg(mp.mpc(complex(s).real, complex(s).imag))))
+        diff = log_barnes_gamma2(s) - ref
+        diff -= 2j * math.pi * round(diff.imag / (2.0 * math.pi))
+        assert abs(diff) <= 1e-12 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("t, cutoff", [
+        (complex(0.0, 120.0), 10_000),
+        (complex(-120.0, 0.0), 10_000),
+        (complex(-0.7, 150.0), 20_000),
+        (complex(499.0, 0.0), 80_000),
+        (complex(0.3, 1000.0), 160_000),
+    ])
+    def test_cutoff_follows_the_argument(self, t, cutoff):
+        assert special_functions._g2_cutoff(t) == cutoff
+
+    def test_convergence_error_beyond_ceiling(self, monkeypatch):
+        def no_product(*args, **kwargs):
+            raise AssertionError("the product was evaluated")
+
+        monkeypatch.setattr(special_functions.np, "arange", no_product)
         with pytest.raises(ConvergenceError):
-            log_barnes_gamma2(9.5 + 3.0j, opts)
+            log_barnes_gamma2(complex(0.3, 5000.0))
 
 
 class TestGaussMultiplication:
@@ -216,22 +243,3 @@ class TestGaussMultiplication:
     def test_defect_small_on_grid(self, m):
         for s in (0.3 + 0.7j, 1.0 + 0j, 2.5 - 1.2j, 0.9 + 3.0j, 1.7 - 0.4j):
             assert gauss_multiplication_defect(s, m) < 1e-10
-
-
-class TestEvalOptions:
-    def test_defaults_valid(self):
-        opts = EvalOptions()
-        assert opts.gamma2_cutoff >= 64 and opts.rel_tol > 0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rel_tol": 0.0},
-            {"rel_tol": -1e-9},
-            {"gamma2_cutoff": 32},
-            {"euler_max_trace": 2},
-        ],
-    )
-    def test_rejections(self, kwargs):
-        with pytest.raises(ValueError):
-            EvalOptions(**kwargs)
