@@ -21,10 +21,18 @@ from datetime import datetime, timezone
 
 from . import euler_product, length_spectrum, verify, zeta_factors
 from .errors import HypzetaError
-from .scattering import BUILTIN_MODEL_LABELS, builtin_model, phi_leading_at_zero
+from .scattering import (
+    BUILTIN_MODEL_LABELS,
+    ScatteringModel,
+    builtin_model,
+    phi_leading_at_zero,
+)
 from .surface import Signature, area, constants, order_R, order_Z, parse_signature
 
 __all__ = ["run", "main"]
+
+
+_DEFAULT_MAX_TRACE = 40
 
 
 class UsageError(Exception):
@@ -79,8 +87,9 @@ def _print_human(report: Report, stream=None):
         failed = [c for c in report.checks if not c["passed"]]
         print(f"  checks: {len(report.checks) - len(failed)}/{len(report.checks)} passed", file=stream)
         for c in failed:
+            at = "" if c["s"] is None else f" at s={c['s']}"
             print(
-                f"    FAIL {c['name']}: lhs={c['lhs']} rhs={c['rhs']} "
+                f"    FAIL {c['name']}{at}: lhs={c['lhs']} rhs={c['rhs']} "
                 f"|diff|={c['abs_diff']} tol={c['tolerance']}",
                 file=stream,
             )
@@ -127,6 +136,13 @@ def _model_for(args, sig: Signature):
     return model
 
 
+def _surface_report(args) -> tuple[Signature, ScatteringModel, Report]:
+    """Signature, resolved model and a Report naming both, for args.command."""
+    sig = parse_signature(args.signature)
+    model = _model_for(args, sig)
+    return sig, model, Report(args.command, {"signature": sig.label(), "group": model.label})
+
+
 def _spectrum_for(args, report: Report):
     cache = args.cache
     if cache:
@@ -169,15 +185,11 @@ def _cmd_surface_info(args) -> tuple[Report, int]:
 
 
 def _cmd_orders(args) -> tuple[Report, int]:
-    sig = parse_signature(args.signature)
-    model = _model_for(args, sig)
+    sig, model, report = _surface_report(args)
     lo, hi = args.from_point, args.to_point
     if lo > hi:
         raise UsageError("--from must not exceed --to")
-    report = Report(
-        "orders",
-        {"signature": sig.label(), "group": model.label, "from": lo, "to": hi},
-    )
+    report.inputs.update({"from": lo, "to": hi})
     table = []
     for point in range(lo, hi + 1):
         row = {"point": point, "order_R": order_R(sig, model.n0, point)}
@@ -195,30 +207,31 @@ def _cmd_orders(args) -> tuple[Report, int]:
 
 
 def _cmd_kappa(args) -> tuple[Report, int]:
-    sig = parse_signature(args.signature)
-    model = _model_for(args, sig)
+    sig, model, report = _surface_report(args)
     s = _parse_complex(args.s)
     value = zeta_factors.kappa(sig, model, s)
-    report = Report(
-        "kappa", {"signature": sig.label(), "group": model.label, "s": s}
-    )
+    report.inputs["s"] = s
     report.add("kappa", value.value)
     report.add("log_kappa", value.log_value)
     return report, 0
 
 
 def _cmd_det_laplacian(args) -> tuple[Report, int]:
-    sig = parse_signature(args.signature)
-    model = _model_for(args, sig)
+    sig, model, report = _surface_report(args)
     s = _parse_complex(args.s)
-    report = Report(
-        "det-laplacian", {"signature": sig.label(), "group": model.label, "s": s}
-    )
+    report.inputs["s"] = s
     if args.z_value is not None:
+        if args.max_trace is not None or args.cache is not None:
+            raise UsageError(
+                "--z-value replaces the Euler product; it takes neither "
+                "--max-trace nor --cache"
+            )
         z_value = _parse_complex(args.z_value)
         report.inputs["z_value"] = z_value
         report.inputs["z_source"] = "probe"
     else:
+        if args.max_trace is None:
+            args.max_trace = _DEFAULT_MAX_TRACE
         spectrum = _spectrum_for(args, report)
         truncated = euler_product.selberg_Z(spectrum, s)
         z_value = truncated.value
@@ -235,12 +248,8 @@ def _cmd_det_laplacian(args) -> tuple[Report, int]:
 
 
 def _cmd_ruelle_leading(args) -> tuple[Report, int]:
-    sig = parse_signature(args.signature)
-    model = _model_for(args, sig)
+    sig, model, report = _surface_report(args)
     order, coeff = zeta_factors.ruelle_leading_at_zero(sig, model)
-    report = Report(
-        "ruelle-leading", {"signature": sig.label(), "group": model.label}
-    )
     report.add("order", order)
     report.add("coefficient", coeff)
     report.add("abs_coefficient", abs(coeff))
@@ -258,12 +267,8 @@ def _cmd_ruelle_leading(args) -> tuple[Report, int]:
 
 
 def _cmd_constants(args) -> tuple[Report, int]:
-    sig = parse_signature(args.signature)
-    model = _model_for(args, sig)
+    sig, model, report = _surface_report(args)
     c = constants(sig, model)
-    report = Report(
-        "constants", {"signature": sig.label(), "group": model.label}
-    )
     for name in ("area", "A", "B", "C", "D", "log_E"):
         report.add(name, getattr(c, name))
     report.add("E", math.exp(c.log_E))
@@ -291,11 +296,12 @@ def _print_spectrum_csv(report: Report):
         print(f"{row['trace']},{row['count']},{row['length']!r},{row['norm']!r}")
 
 
-def _cmd_euler(args, which: str) -> tuple[Report, int]:
+def _cmd_euler(args) -> tuple[Report, int]:
+    """`zeta` and `ruelle`: the truncated Euler product named by args.command."""
     s = _parse_complex(args.s)
-    report = Report(which, {"s": s, "max_trace": args.max_trace})
+    report = Report(args.command, {"s": s, "max_trace": args.max_trace})
     spectrum = _spectrum_for(args, report)
-    if which == "zeta":
+    if args.command == "zeta":
         truncated = euler_product.selberg_Z(spectrum, s)
     else:
         report.inputs["method"] = args.method
@@ -345,8 +351,9 @@ def _add_common(sp, surface=False, s=False, euler=False):
     if s:
         sp.add_argument("--s", required=True, help="evaluation point as RE,IM")
     if euler:
-        sp.add_argument("--max-trace", type=_max_trace, default=40, dest="max_trace",
-                        help="length-spectrum completeness bound (default 40)")
+        sp.add_argument("--max-trace", type=_max_trace, default=_DEFAULT_MAX_TRACE,
+                        dest="max_trace",
+                        help=f"length-spectrum completeness bound (default {_DEFAULT_MAX_TRACE})")
         sp.add_argument("--cache", help="CSV spectrum cache path")
 
 
@@ -376,8 +383,10 @@ def build_parser() -> _Parser:
     det = sub.add_parser("det-laplacian", help="closed-form determinant value")
     _add_common(det, surface=True, s=True, euler=True)
     det.add_argument("--z-value", dest="z_value",
-                     help="probe value for Z(s) as RE,IM (skips the Euler product)")
-    det.set_defaults(handler=_cmd_det_laplacian)
+                     help="probe value for Z(s) as RE,IM (replaces the Euler product; "
+                          "not with --max-trace or --cache)")
+    # max_trace None marks --max-trace as not given, which --z-value requires
+    det.set_defaults(handler=_cmd_det_laplacian, max_trace=None)
 
     leading = sub.add_parser("ruelle-leading", help="order and leading coefficient at 0")
     _add_common(leading, surface=True)
@@ -395,12 +404,12 @@ def build_parser() -> _Parser:
 
     zeta_p = sub.add_parser("zeta", help="truncated Selberg product (Re s > 1)")
     _add_common(zeta_p, s=True, euler=True)
-    zeta_p.set_defaults(handler=lambda args: _cmd_euler(args, "zeta"))
+    zeta_p.set_defaults(handler=_cmd_euler)
 
     ruelle_p = sub.add_parser("ruelle", help="truncated Ruelle product (Re s > 1)")
     _add_common(ruelle_p, s=True, euler=True)
     ruelle_p.add_argument("--method", choices=("quotient", "direct"), default="quotient")
-    ruelle_p.set_defaults(handler=lambda args: _cmd_euler(args, "ruelle"))
+    ruelle_p.set_defaults(handler=_cmd_euler)
 
     verify_p = sub.add_parser("verify", help="run the full identity suite")
     _add_common(verify_p)
@@ -411,6 +420,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _fail(argv, exc: Exception, code: int, label: str, kind: str) -> int:
+    """Report a failed run on stderr, and as a JSON error under --json."""
+    print(f"{label}: {exc}", file=sys.stderr)
+    if argv is not None and "--json" in argv:
+        print(json.dumps({"error": {"kind": kind, "message": str(exc)}}))
+    return code
+
+
 def run(argv=None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
@@ -418,17 +435,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         report, code = args.handler(args)
     except (UsageError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        if argv is not None and "--json" in argv:
-            print(json.dumps({"error": {"kind": "usage", "message": str(exc)}}))
-        return 1
+        return _fail(argv, exc, 1, "usage error", "usage")
     except (HypzetaError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        if argv is not None and "--json" in argv:
-            print(json.dumps({
-                "error": {"kind": type(exc).__name__, "message": str(exc)}
-            }))
-        return 2
+        return _fail(argv, exc, 2, "numerical failure", type(exc).__name__)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     elif report.command == "spectrum":

@@ -57,10 +57,15 @@ class ScatteringModel:
             raise ValueError(f"A={self.A} must be even")
         if not 0 <= self.A <= 2 * self.n:
             raise ValueError(f"A={self.A} outside [0, 2n]")
-        if self.n >= 1 and (-1.0) ** (self.A // 2) != self.phi_half:
+        if self.n >= 1 and self.parity != self.phi_half:
             raise ValueError("sign (-1)^(A/2) inconsistent with phi(1/2)")
         if self.phi_tilde_0 == 0:
             raise ValueError("leading coefficient of phi at 0 cannot vanish")
+
+    @property
+    def parity(self) -> int:
+        """The exact parity sign (-1)^(A/2) of the closed-form factors."""
+        return -1 if (self.A // 2) % 2 else 1
 
 
 def _neville_to_zero(xs, ys):

@@ -1,12 +1,13 @@
 """Complex special functions underlying the zeta machinery.
 
 Provides principal-branch log-gamma and digamma (delegated to scipy),
-an analytically continued Riemann zeta, the double gamma function
-G2 satisfying G2(s) = Gamma(s) * G2(s+1), the constant zeta'(-1), and a
-self-test defect for the Gauss multiplication formula.
+the Riemann zeta function (one Euler-Maclaurin series on Re s >= 1/2,
+continued to Re s < 1/2 by the reflection formula), the double gamma
+function G2 satisfying G2(s) = Gamma(s) * G2(s+1), the constant
+zeta'(-1), and a self-test defect for the Gauss multiplication formula.
 
 Truncations are sized from the argument, never set by the caller: the
-zeta series length grows with |Im s|, and the double-gamma product
+zeta sum length grows with |Im s|, and the double-gamma product
 length doubles from 10,000 terms until its remainder bound meets 1e-11,
 up to a ceiling of 160,000 terms (about |s - 1| <= 1,060 after the
 recursion shift); beyond it G2 raises ConvergenceError.
@@ -24,7 +25,7 @@ import math
 import numpy as np
 import scipy.special as sps
 
-from .errors import ConvergenceError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
     "EULER_GAMMA",
@@ -83,17 +84,9 @@ def digamma(s: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Riemann zeta: alternating-series (eta) acceleration on Re s >= 1/2, the
-# reflection formula on Re s < 1/2, and an Euler-Maclaurin evaluation near
-# s = 1, near the removable zeros of the eta prefactor 1 - 2^(1-s), and for
-# |Im s| beyond the Borwein range.
+# Riemann zeta: an Euler-Maclaurin sum on Re s >= 1/2 and the reflection
+# formula on Re s < 1/2.
 # ---------------------------------------------------------------------------
-
-_BORWEIN_CACHE: dict[int, tuple[float, ...]] = {}
-
-# The Borwein series length grows with |Im s|, and its coefficients pass
-# float range from |Im s| ~ 278 on; above this bound Euler-Maclaurin runs.
-_BORWEIN_MAX_IM = 250.0
 
 # Bernoulli numbers B_2, B_4, ..., B_28 as exact fractions.
 _BERNOULLI = tuple(
@@ -104,36 +97,6 @@ _BERNOULLI = tuple(
         (-236364091, 2730), (8553103, 6), (-23749461029, 870),
     ]
 )
-
-
-def _borwein_coefficients(n: int) -> tuple[float, ...]:
-    """Exact integer build of d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!)."""
-    coeffs = _BORWEIN_CACHE.get(n)
-    if coeffs is None:
-        out = []
-        t = 1  # term i=0: n * (n-1)!/(n! 0!) = 1
-        d = t
-        out.append(float(d))
-        for i in range(1, n + 1):
-            t = t * 4 * (n + i - 1) * (n - i + 1) // ((2 * i) * (2 * i - 1))
-            d += t
-            out.append(float(d))
-        coeffs = tuple(out)
-        _BORWEIN_CACHE[n] = coeffs
-    return coeffs
-
-
-def _zeta_eta_accelerated(s: complex) -> complex:
-    t = abs(s.imag)
-    n = max(28, int(1.5 * (12 + 0.91 * t)) + 6)
-    d = _borwein_coefficients(n)
-    dn = d[n]
-    acc = 0.0 + 0.0j
-    sign = 1.0
-    for k in range(n):
-        acc += sign * (d[k] - dn) * cmath.exp(-s * math.log(k + 1))
-        sign = -sign
-    return -acc / (dn * (1.0 - 2.0 ** (1.0 - s)))
 
 
 def _zeta_euler_maclaurin(s: complex, terms: int = 50, order: int = 12) -> complex:
@@ -156,36 +119,37 @@ def _zeta_euler_maclaurin(s: complex, terms: int = 50, order: int = 12) -> compl
 def riemann_zeta(s: complex) -> complex:
     """Analytically continued Riemann zeta function.
 
-    Accurate on the strip Re s in [-3, 4], |Im s| <= 20, and to ~1e-12 of
-    max(1, |zeta|) for Re s >= 1/2 and |Im s| <= 3,000;
-    raises PoleError at s = 1. Returns exactly 0 at the trivial zeros
-    s = -2, -4, ..., where the reflection formula would multiply a rounded
-    sin(pi s / 2) by a huge gamma factor.
+    Sums Euler-Maclaurin on Re s >= 1/2, with 12 Bernoulli correction
+    terms and max(50, |Im s| + 20) direct terms, and reflects through
+    zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s) on
+    Re s < 1/2. Accurate to ~1e-12 of max(1, |zeta|) for Re s >= 1/2 and
+    |Im s| <= 3,000, and on the strip Re s in [-3, 4], |Im s| <= 20.
+    Raises PoleError at s = 1, and DomainError where a reflection factor
+    leaves double range (Re s < 1/2 with |Im s| beyond ~450). Returns
+    exactly 0 at the trivial zeros s = -2, -4, ..., where the reflection
+    formula would multiply a rounded sin(pi s / 2) by a huge gamma factor.
     """
     s = complex(s)
     if abs(s - 1.0) < _POLE_TOL:
         raise PoleError("riemann_zeta pole at s=1")
-    if s.real < 0.5:
-        if abs(s) < _POLE_TOL:
-            return complex(-0.5)
-        if s.real < -1.0 and _is_nonpositive_integer(s) and round(s.real) % 2 == 0:
-            return 0j
-        reflected = riemann_zeta(1.0 - s)
+    if s.real >= 0.5:
+        return _ensure_finite(_zeta_euler_maclaurin(s), "riemann_zeta")
+    if abs(s) < _POLE_TOL:
+        return complex(-0.5)
+    if s.real < -1.0 and _is_nonpositive_integer(s) and round(s.real) % 2 == 0:
+        return 0j
+    reflected = riemann_zeta(1.0 - s)
+    try:
         factor = (
             cmath.exp(s * math.log(2.0) + (s - 1.0) * math.log(math.pi))
             * cmath.sin(math.pi * s / 2.0)
             * cmath.exp(log_gamma(1.0 - s))
         )
-        return _ensure_finite(factor * reflected, "riemann_zeta")
-    # Near the pole, and near the zeros of 1 - 2^(1-s) off the real axis,
-    # the eta acceleration degenerates; Euler-Maclaurin isolates the pole.
-    if (
-        abs(s - 1.0) < 0.5
-        or abs(1.0 - 2.0 ** (1.0 - s)) < 0.1
-        or abs(s.imag) > _BORWEIN_MAX_IM
-    ):
-        return _ensure_finite(_zeta_euler_maclaurin(s), "riemann_zeta")
-    return _ensure_finite(_zeta_eta_accelerated(s), "riemann_zeta")
+    except OverflowError:
+        raise DomainError(
+            f"riemann_zeta reflection factor leaves double range at s={s}"
+        ) from None
+    return _ensure_finite(factor * reflected, "riemann_zeta")
 
 
 def zeta_prime_minus_one() -> float:

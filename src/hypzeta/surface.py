@@ -23,6 +23,7 @@ __all__ = [
     "SurfaceConstants",
     "parse_signature",
     "area",
+    "check_cusp_count",
     "constants",
     "order_Z",
     "order_R",
@@ -111,15 +112,20 @@ def _elliptic_log_sum(sig: Signature) -> float:
     return sum((m * m - 1) / (6.0 * m) * math.log(m) for m in sig.orders)
 
 
+def check_cusp_count(sig: Signature, sc) -> None:
+    """Raise MismatchError unless the scattering model sc has sig.n cusps."""
+    if sc.n != sig.n:
+        raise MismatchError(
+            f"scattering model has {sc.n} cusps but signature {sig.label()} has {sig.n}"
+        )
+
+
 def constants(sig: Signature, sc) -> SurfaceConstants:
     """All determinant-formula constants for a surface with scattering data sc.
 
     Requires sc.n == sig.n; A is taken from the scattering model.
     """
-    if sc.n != sig.n:
-        raise MismatchError(
-            f"scattering model has {sc.n} cusps but signature {sig.label()} has {sig.n}"
-        )
+    check_cusp_count(sig, sc)
     chi = float(sig.normalized_area())  # |X| / (2 pi)
     log_2pi = math.log(2.0 * math.pi)
     ell = _elliptic_log_sum(sig)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from . import euler_product, length_spectrum, zeta_factors
 from .scattering import (
@@ -105,7 +105,11 @@ COMPACT_R_ORDERS = {
 
 @dataclass(frozen=True)
 class Check:
-    """One verified identity instance with both sides on record."""
+    """One verified identity instance with both sides on record.
+
+    `s` is the sample point of a worst-of-grid check, the point whose
+    lhs and rhs are recorded; None for checks without one.
+    """
 
     name: str
     lhs: complex
@@ -113,6 +117,7 @@ class Check:
     abs_diff: float
     tolerance: float
     passed: bool
+    s: complex | None = None
 
 
 def _check(name: str, lhs, rhs, tolerance: float) -> Check:
@@ -135,6 +140,13 @@ def _rel_check(name: str, lhs, rhs, tolerance: float) -> Check:
         name=name, lhs=lhs, rhs=rhs, abs_diff=diff,
         tolerance=tolerance, passed=bool(diff <= tolerance),
     )
+
+
+def _worst(samples) -> Check:
+    """The check with the largest abs_diff among (s, Check) pairs, the
+    first of equals, with its sample point recorded as `s`."""
+    s, worst = max(samples, key=lambda pair: pair[1].abs_diff)
+    return replace(worst, s=complex(s))
 
 
 def signature_corpus(count: int = 30) -> list[Signature]:
@@ -172,44 +184,38 @@ def special_function_checks(tol: float = 1e-10) -> list[Check]:
         if abs(s.imag) < 0.05 and abs(s.real - round(s.real)) < 0.05:
             s += 0.11 + 0.13j
         pts.append(s)
-    worst = None
-    for s in pts:
-        lhs = cmath.exp(log_gamma(s) + log_gamma(1.0 - s))
-        rhs = math.pi / cmath.sin(math.pi * s)
-        c = _rel_check("gamma reflection", lhs, rhs, tol)
-        if worst is None or c.abs_diff > worst.abs_diff:
-            worst = c
-    checks.append(worst)
+    checks.append(_worst(
+        (s, _rel_check("gamma reflection",
+                       cmath.exp(log_gamma(s) + log_gamma(1.0 - s)),
+                       math.pi / cmath.sin(math.pi * s), tol))
+        for s in pts
+    ))
     # Gauss multiplication defect for m in {2,3,5,7}
     for m in (2, 3, 5, 7):
-        worst_defect = 0.0
-        for s in (0.3 + 0.7j, 1.0, 2.5 - 1.2j, 0.9 + 3.0j, 1.7 - 0.4j):
-            worst_defect = max(worst_defect, gauss_multiplication_defect(s, m))
-        checks.append(_check(f"gauss multiplication m={m}", worst_defect, 0.0, tol))
+        checks.append(_worst(
+            (s, _check(f"gauss multiplication m={m}",
+                       gauss_multiplication_defect(s, m), 0.0, tol))
+            for s in (0.3 + 0.7j, 1.0, 2.5 - 1.2j, 0.9 + 3.0j, 1.7 - 0.4j)
+        ))
     # double-gamma recursion on the grid 0.5 <= Re s <= 5, |Im s| <= 5
-    worst = None
-    for i in range(6):
-        for j in range(5):
-            s = complex(0.5 + 0.9 * i, -5.0 + 2.5 * j)
-            lhs = cmath.exp(log_barnes_gamma2(s))
-            rhs = cmath.exp(log_gamma(s)) * cmath.exp(log_barnes_gamma2(s + 1.0))
-            c = _rel_check("double-gamma recursion", lhs, rhs, tol)
-            if worst is None or c.abs_diff > worst.abs_diff:
-                worst = c
-    checks.append(worst)
+    checks.append(_worst(
+        (s, _rel_check("double-gamma recursion",
+                       cmath.exp(log_barnes_gamma2(s)),
+                       cmath.exp(log_gamma(s)) * cmath.exp(log_barnes_gamma2(s + 1.0)),
+                       tol))
+        for s in (complex(0.5 + 0.9 * i, -5.0 + 2.5 * j) for i in range(6) for j in range(5))
+    ))
     # zeta spot values
     checks.append(_check("zeta(-1) = -1/12", riemann_zeta(-1.0), -1.0 / 12.0, 1e-12))
     checks.append(_check("zeta(0) = -1/2", riemann_zeta(0.0), -0.5, 1e-12))
     checks.append(_check("zeta(2) = pi^2/6", riemann_zeta(2.0), math.pi ** 2 / 6.0, 1e-12))
     # digamma against a central difference of log_gamma
     h = 1e-4
-    worst = None
-    for s in (0.7 + 0.3j, 2.4 - 1.1j, 5.0, 1.5 + 4.0j):
-        fd = (log_gamma(s + h) - log_gamma(s - h)) / (2.0 * h)
-        c = _check("digamma vs finite difference", digamma(s), fd, 1e-6)
-        if worst is None or c.abs_diff > worst.abs_diff:
-            worst = c
-    checks.append(worst)
+    checks.append(_worst(
+        (s, _check("digamma vs finite difference", digamma(s),
+                   (log_gamma(s + h) - log_gamma(s - h)) / (2.0 * h), 1e-6))
+        for s in (0.7 + 0.3j, 2.4 - 1.1j, 5.0, 1.5 + 4.0j)
+    ))
     return checks
 
 
@@ -218,27 +224,28 @@ def scattering_checks(tol: float = 1e-9) -> tuple[list[Check], dict]:
     model = modular_model()
     checks.append(_check("modular phi(1/2) = -1", model.phi(0.5), -1.0, 1e-10))
     # phi(s) phi(1-s) = 1 on a 50-point grid away from poles
-    worst = None
+    pts = []
     for i in range(50):
         re = 0.08 + 0.84 * ((i * 13) % 50) / 49.0
         im = -5.0 + 10.0 * ((i * 29) % 50) / 49.0
         s = complex(round(re, 6), round(im, 6))
         if abs(s - 0.5) < 0.05 or abs(s.imag) < 0.05:
             s += 0.07 + 0.09j
-        c = _check("phi(s) phi(1-s) = 1", model.phi(s) * model.phi(1.0 - s), 1.0, tol)
-        if worst is None or c.abs_diff > worst.abs_diff:
-            worst = c
-    checks.append(worst)
+        pts.append(s)
+    checks.append(_worst(
+        (s, _check("phi(s) phi(1-s) = 1", model.phi(s) * model.phi(1.0 - s), 1.0, tol))
+        for s in pts
+    ))
     # symmetry of the logarithmic derivative via finite differences
     h = 1e-5
-    worst = None
-    for s in (0.3 + 0.4j, 0.7 - 1.2j, 0.41 + 2.0j):
-        def logderiv(z):
-            return (cmath.log(model.phi(z + h)) - cmath.log(model.phi(z - h))) / (2.0 * h)
-        c = _check("phi'/phi symmetry under s -> 1-s", logderiv(s), logderiv(1.0 - s), 1e-6)
-        if worst is None or c.abs_diff > worst.abs_diff:
-            worst = c
-    checks.append(worst)
+
+    def logderiv(z):
+        return (cmath.log(model.phi(z + h)) - cmath.log(model.phi(z - h))) / (2.0 * h)
+
+    checks.append(_worst(
+        (s, _check("phi'/phi symmetry under s -> 1-s", logderiv(s), logderiv(1.0 - s), 1e-6))
+        for s in (0.3 + 0.4j, 0.7 - 1.2j, 0.41 + 2.0j)
+    ))
     # numerically fitted order and coefficient at 0
     n0, coeff = phi_leading_at_zero(model)
     checks.append(_check("modular n0 from slope fit", n0, model.n0, 0))
@@ -260,55 +267,49 @@ def scattering_checks(tol: float = 1e-9) -> tuple[list[Check], dict]:
     return checks, sign_report
 
 
-def _sine_ratio_log(sig: Signature, s: complex) -> complex:
-    total = 0.0 + 0.0j
+def _factor_identities_at(sig: Signature, sc: ScatteringModel, s: complex,
+                          tol: float) -> list[Check]:
+    """The factor identities of one signature at one sample point, sorted by name."""
+    chi = float(sig.normalized_area())
+    ze = zeta_factors.z_ell(sig, s).log_value
+    ze1m = zeta_factors.z_ell(sig, 1.0 - s).log_value
+    ze1p = zeta_factors.z_ell(sig, s + 1.0).log_value
+    zem = zeta_factors.z_ell(sig, -s).log_value
+    zi = zeta_factors.z_infty(sig, s).log_value
+    zi1m = zeta_factors.z_infty(sig, 1.0 - s).log_value
+    zi1p = zeta_factors.z_infty(sig, s + 1.0).log_value
+    zim = zeta_factors.z_infty(sig, -s).log_value
+    rhs_log = 0.0 + 0.0j
     for m in sig.orders:
-        for k in range(m):
-            total += (m - 2 * k - 1) / m * cmath.log(cmath.sin(math.pi * (s + k) / m))
-    return total
+        rhs_log += (
+            2.0 / m * cmath.log(cmath.sin(math.pi * s))
+            - (m - 1) / m * cmath.log(-4.0 + 0.0j)
+            - 2.0 * cmath.log(cmath.sin(math.pi * s / m))
+        )
+    kap = zeta_factors.kappa(sig, sc, s).value
+    kap1m = zeta_factors.kappa(sig, sc, 1.0 - s).value
+    kap1p = zeta_factors.kappa(sig, sc, s + 1.0).value
+    sides = {
+        "cone-factor ratio vs sine product":
+            (cmath.exp(ze - ze1m), cmath.exp(zeta_factors._log_sine_block(sig, s))),
+        "archimedean four-point identity":
+            (cmath.exp(zi1p - zi + zi1m - zim),
+             cmath.exp(chi * cmath.log(-4.0 * cmath.sin(math.pi * s) ** 2))),
+        "cone-factor four-point identity":
+            (cmath.exp(ze1p - ze + ze1m - zem), cmath.exp(rhs_log)),
+        "kappa(s) kappa(1-s) = 1": (kap * kap1m, 1.0),
+        "Ruelle functional-equation consistency":
+            (kap1p / kap, zeta_factors.ruelle_fe_rhs(sig, sc, s)),
+    }
+    return [_rel_check(f"{key} [{sig.label()}]", lhs, rhs, tol)
+            for key, (lhs, rhs) in sorted(sides.items())]
 
 
 def factor_identity_checks(tol: float = 1e-9) -> list[Check]:
     checks = []
     for sig, sc in identity_pairs():
-        chi = float(sig.normalized_area())
-        worst = {}
-
-        def note(key, lhs, rhs, tolerance=tol):
-            c = _rel_check(f"{key} [{sig.label()}]", lhs, rhs, tolerance)
-            if key not in worst or c.abs_diff > worst[key].abs_diff:
-                worst[key] = c
-
-        for s in CUT_SAFE_POINTS:
-            ze = zeta_factors.z_ell(sig, s).log_value
-            ze1m = zeta_factors.z_ell(sig, 1.0 - s).log_value
-            ze1p = zeta_factors.z_ell(sig, s + 1.0).log_value
-            zem = zeta_factors.z_ell(sig, -s).log_value
-            note("cone-factor ratio vs sine product",
-                 cmath.exp(ze - ze1m), cmath.exp(_sine_ratio_log(sig, s)))
-            zi = zeta_factors.z_infty(sig, s).log_value
-            zi1m = zeta_factors.z_infty(sig, 1.0 - s).log_value
-            zi1p = zeta_factors.z_infty(sig, s + 1.0).log_value
-            zim = zeta_factors.z_infty(sig, -s).log_value
-            note("archimedean four-point identity",
-                 cmath.exp(zi1p - zi + zi1m - zim),
-                 cmath.exp(chi * cmath.log(-4.0 * cmath.sin(math.pi * s) ** 2)))
-            rhs_log = 0.0 + 0.0j
-            for m in sig.orders:
-                rhs_log += (
-                    2.0 / m * cmath.log(cmath.sin(math.pi * s))
-                    - (m - 1) / m * cmath.log(-4.0 + 0.0j)
-                    - 2.0 * cmath.log(cmath.sin(math.pi * s / m))
-                )
-            note("cone-factor four-point identity",
-                 cmath.exp(ze1p - ze + ze1m - zem), cmath.exp(rhs_log))
-            kap = zeta_factors.kappa(sig, sc, s).value
-            kap1m = zeta_factors.kappa(sig, sc, 1.0 - s).value
-            kap1p = zeta_factors.kappa(sig, sc, s + 1.0).value
-            note("kappa(s) kappa(1-s) = 1", kap * kap1m, 1.0)
-            note("Ruelle functional-equation consistency",
-                 kap1p / kap, zeta_factors.ruelle_fe_rhs(sig, sc, s))
-        checks.extend(worst[key] for key in sorted(worst))
+        rows = [_factor_identities_at(sig, sc, s, tol) for s in CUT_SAFE_POINTS]
+        checks.extend(_worst(zip(CUT_SAFE_POINTS, column)) for column in zip(*rows))
         # magnitude of the leading coefficient against the functional equation
         order, coeff = zeta_factors.ruelle_leading_at_zero(sig, sc)
         d = order
@@ -455,28 +456,23 @@ def run_verify(tolerance: float | None = None) -> dict:
     integer checks, recorded with tolerance 0, are kept exact).
     """
 
-    def retol(checks: list[Check]) -> list[Check]:
+    def retol(c: Check) -> Check:
         if tolerance is None:
-            return checks
-        return [
-            Check(
-                name=c.name, lhs=c.lhs, rhs=c.rhs, abs_diff=c.abs_diff,
-                tolerance=(0.0 if c.tolerance == 0 else tolerance),
-                passed=bool(c.abs_diff <= (0.0 if c.tolerance == 0 else tolerance)),
-            )
-            for c in checks
-        ]
+            return c
+        tol = 0.0 if c.tolerance == 0 else tolerance
+        return replace(c, tolerance=tol, passed=bool(c.abs_diff <= tol))
 
     scattering, sign_report = scattering_checks()
     sections = {
-        "special_functions": retol(special_function_checks()),
-        "scattering": retol(scattering),
-        "factor_identities": retol(factor_identity_checks()),
-        "orders": retol(order_checks()),
-        "length_spectrum": retol(spectrum_checks()),
-        "euler_product": retol(euler_checks()),
-        "constants": retol(constants_checks()),
+        "special_functions": special_function_checks(),
+        "scattering": scattering,
+        "factor_identities": factor_identity_checks(),
+        "orders": order_checks(),
+        "length_spectrum": spectrum_checks(),
+        "euler_product": euler_checks(),
+        "constants": constants_checks(),
     }
+    sections = {name: [retol(c) for c in checks] for name, checks in sections.items()}
     all_checks = [c for section in sections.values() for c in section]
     failed = [c for c in all_checks if not c.passed]
     return {

@@ -6,6 +6,8 @@ assembled determinant of the shifted Laplacian, the functional-equation
 multiplier kappa with Z(1-s) = kappa(s) Z(s), the right side of the
 Ruelle functional equation R(s) R(-s), and the constants c1, c0 relating
 det'(Laplacian) to Z'(1) and to the renormalized value of Z at 0.
+Each function that takes a scattering model raises MismatchError when
+its cusp count differs from the signature's.
 
 Products of fractional powers are combined as sums of
 exponent * PrincipalLog(base); parity signs such as (-1)^(A/2) are exact
@@ -21,10 +23,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainWarning, PoleError, SingularFactorError
+from .errors import DomainError, DomainWarning, PoleError, SingularFactorError
 from .scattering import ScatteringModel
 from .special_functions import log_barnes_gamma2, log_gamma
-from .surface import Signature, constants
+from .surface import Signature, check_cusp_count, constants
 
 __all__ = [
     "FactorValue",
@@ -39,16 +41,27 @@ __all__ = [
 ]
 
 
+def _exp(log_value: complex) -> complex:
+    """cmath.exp, raising DomainError where the value leaves double range."""
+    try:
+        return cmath.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"exp({log_value}) leaves double range") from None
+
+
 @dataclass(frozen=True)
 class FactorValue:
-    """A factor carried in log space, exponentiated on demand."""
+    """A factor carried in log space together with its value.
+
+    from_log raises DomainError where the value leaves double range.
+    """
 
     log_value: complex
     value: complex
 
     @classmethod
     def from_log(cls, log_value: complex, sign: int = 1) -> "FactorValue":
-        value = cmath.exp(log_value)
+        value = _exp(log_value)
         if sign == -1:
             value = -value
             log_value = log_value + 1j * math.pi
@@ -104,7 +117,8 @@ def det_laplacian(
     The Selberg zeta value Z(s) is supplied by the caller (for example
     from the truncated Euler product, trustworthy for Re s > 1). When
     Re s <= 1 a DomainWarning is emitted because no desk-scale evaluation
-    of Z is available there.
+    of Z is available there. Raises DomainError where the determinant
+    leaves double range.
     """
     s = complex(s)
     if s.real <= 1.0:
@@ -122,7 +136,10 @@ def det_laplacian(
         + c.C * half
         + c.D
     )
-    return (2.0 * s - 1.0) ** (c.A // 2) * cmath.exp(log_rest) * complex(Z_value)
+    value = (2.0 * s - 1.0) ** (c.A // 2) * _exp(log_rest) * complex(Z_value)
+    if not cmath.isfinite(value):
+        raise DomainError(f"det_laplacian leaves double range at s={s}")
+    return value
 
 
 def _near_integer(z: complex, tol: float = 1e-12) -> bool:
@@ -149,9 +166,6 @@ def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
     whichever factor is singular at s.
     """
     s = complex(s)
-    if sc.n != sig.n:
-        raise SingularFactorError("scattering determinant",
-                                  "cusp count disagrees with the signature")
     c = constants(sig, sc)
     sine_block = _log_sine_block(sig, s)
     try:
@@ -181,8 +195,7 @@ def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
         + cusp_block
         + sine_block
     )
-    sign = -1 if (c.A // 2) % 2 else 1
-    return FactorValue.from_log(log_total, sign=sign)
+    return FactorValue.from_log(log_total, sign=sc.parity)
 
 
 def ruelle_fe_rhs(
@@ -197,6 +210,7 @@ def ruelle_fe_rhs(
     All exponents are integers, so no branch choices arise.
     """
     s = complex(s)
+    check_cusp_count(sig, sc)
     if sig.n >= 1 and (abs(s - 0.5) < 1e-12 or abs(s + 0.5) < 1e-12):
         raise PoleError("Ruelle functional equation is singular at s = 1/2 and s = -1/2")
     euler = 2 * sig.g - 2 + sig.n
@@ -222,13 +236,10 @@ def ruelle_leading_at_zero(sig: Signature, sc: ScatteringModel) -> tuple[int, fl
     coeff = (-1)^(A/2 + 1) (2 pi)^(2g-2+n) / phi_tilde_0 * prod_j m_j,
     using the model's stored leading coefficient of phi.
     """
-    if sc.n != sig.n:
-        raise SingularFactorError("scattering determinant",
-                                  "cusp count disagrees with the signature")
+    check_cusp_count(sig, sc)
     euler = 2 * sig.g - 2 + sig.n
     order = euler - sc.n0
-    sign = -1.0 if (sc.A // 2) % 2 == 0 else 1.0
-    coeff = sign * (2.0 * math.pi) ** euler / sc.phi_tilde_0
+    coeff = -sc.parity * (2.0 * math.pi) ** euler / sc.phi_tilde_0
     for m in sig.orders:
         coeff *= m
     return order, coeff
@@ -262,5 +273,4 @@ def c0(sig: Signature, sc: ScatteringModel) -> float:
         log_total -= (m - 1) / m * math.log(m)
         for k in range(1, m):
             log_total += (2 * k + 1 - m) / m * math.lgamma(k / m)
-    sign = -1.0 if (c.A // 2) % 2 == 0 else 1.0
-    return sign * sc.phi_tilde_0 * math.exp(log_total)
+    return -sc.parity * sc.phi_tilde_0 * math.exp(log_total)

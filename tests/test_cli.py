@@ -68,7 +68,7 @@ class TestExitCodes:
     def test_overflow_is_numerical_error(self, argv):
         code, out, err = invoke(argv + ["--json"])
         assert code == 2 and "numerical failure" in err
-        assert json.loads(out)["error"]["kind"] == "OverflowError"
+        assert json.loads(out)["error"]["kind"] == "DomainError"
 
 
 class TestNonFiniteInput:
@@ -223,6 +223,15 @@ class TestVerifyCommand:
         assert code == 3
         assert result_of(report, "failed_checks") > 0
 
+    def test_fail_line_names_the_sample_point(self):
+        code, out, _ = invoke(["verify", "--tolerance", "1e-18"])
+        assert code == 3
+        fail_lines = [line for line in out.splitlines() if "FAIL " in line]
+        assert any("FAIL special_functions: gamma reflection at s=(" in line
+                   for line in fail_lines)
+        assert any("FAIL scattering: modular |phi~(0)| = pi/3: " in line
+                   for line in fail_lines)
+
 
 class TestOptionsPlumbing:
     def test_default_max_trace(self):
@@ -275,6 +284,20 @@ class TestDetLaplacian:
         assert code == 0
         assert report["inputs"]["z_source"] == "probe"
         assert any("untrusted" in note for note in report["notes"])
+
+    @pytest.mark.parametrize("extra", [
+        ["--max-trace", "500"],
+        ["--max-trace", "40"],
+        ["--cache", "zz.csv"],
+    ], ids=["max-trace", "max-trace-default-value", "cache"])
+    def test_probe_refuses_euler_flags(self, extra, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(
+            ["det-laplacian", "--signature", "0,1,2:3", "--s", "2,0",
+             "--z-value", "1,0"] + extra
+        )
+        assert code == 1 and "--z-value" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSurfaceInfo:

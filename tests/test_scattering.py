@@ -105,6 +105,7 @@ class TestModelValidation:
         model = modular_model()
         assert model.A == 2 and model.phi_half == -1.0
         assert (-1.0) ** (model.A // 2) == model.phi_half
+        assert model.parity == -1 and trivial_model().parity == 1
 
     def test_odd_A_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hypzeta.errors import ConvergenceError, PoleError
+from hypzeta.errors import ConvergenceError, DomainError, PoleError
 from hypzeta import special_functions
 from hypzeta.special_functions import (
     ZETA_PRIME_MINUS_ONE,
@@ -125,7 +125,6 @@ class TestRiemannZeta:
         assert abs(riemann_zeta(s) - ref) <= 1e-12 * abs(ref)
 
     def test_large_imaginary_part_against_mpmath(self):
-        # the Borwein coefficients leave float range near |Im s| = 278
         for re in (0.5, 0.6, 1.5, 2.5, 4.0):
             for im in (251.0, 280.0, 500.0, -1000.0, 3000.0):
                 ref = complex(mp.zeta(mp.mpc(re, im)))
@@ -136,6 +135,25 @@ class TestRiemannZeta:
         for s in (complex(1.0, 9.0647), complex(0.99, 18.129), complex(1.01, -9.06)):
             ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
             assert abs(riemann_zeta(s) - ref) <= 1e-12 * abs(ref)
+
+    def test_right_half_plane_against_mpmath(self):
+        # Re s in [0.5, 9], |Im s| <= 250 away from s = 1, including points
+        # within 0.1 of the zeros 1 + 2 pi i k / log 2 of 1 - 2^(1-s)
+        points = [complex(re, im) for re in np.linspace(0.5, 9.0, 10)
+                  for im in np.linspace(-250.0, 250.0, 21)]
+        for k in (-27, -5, -1, 1, 2, 13, 27):
+            zero = 1.0 + 2j * math.pi * k / math.log(2.0)
+            points += [zero + d for d in (0.0, 0.09, -0.09, -0.06j, 0.05 + 0.05j)]
+        points += [0.6 + 0.0j, 0.95 + 0.0j, 1.05 + 0.05j]
+        for s in points:
+            ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+            assert abs(riemann_zeta(s) - ref) <= 1e-12 * max(1.0, abs(ref)), s
+
+    def test_reflection_overflow_is_domain_error(self):
+        # sin(pi s / 2) and Gamma(1 - s) each leave double range near |Im s| = 450
+        for s in (complex(-0.4, -560.0), complex(0.3, 1000.0)):
+            with pytest.raises(DomainError):
+                riemann_zeta(s)
 
 
 class TestZetaPrimeMinusOne:

@@ -7,7 +7,13 @@ import warnings
 import mpmath as mp
 import pytest
 
-from hypzeta.errors import DomainWarning, PoleError, SingularFactorError
+from hypzeta.errors import (
+    DomainError,
+    DomainWarning,
+    MismatchError,
+    PoleError,
+    SingularFactorError,
+)
 from hypzeta.euler_product import selberg_Z
 from hypzeta.length_spectrum import enumerate_spectrum
 from hypzeta.scattering import ScatteringModel, modular_model, trivial_model
@@ -174,7 +180,7 @@ class TestKappa:
             kappa(MODULAR, modular_model(), 2.0)
 
     def test_cusp_mismatch(self):
-        with pytest.raises(SingularFactorError):
+        with pytest.raises(MismatchError):
             kappa(MODULAR, trivial_model(), 0.3 + 0.2j)
 
 
@@ -207,6 +213,33 @@ class TestRuelleFERhs:
             lhs = kappa(sig, sc, s + 1.0).value / kappa(sig, sc, s).value
             rhs = ruelle_fe_rhs(sig, sc, s)
             assert abs(lhs - rhs) < 1e-9 * abs(rhs)
+
+
+class TestCuspCount:
+    @pytest.mark.parametrize("call", [
+        lambda sig, sc: ruelle_fe_rhs(sig, sc, 0.25),
+        lambda sig, sc: ruelle_leading_at_zero(sig, sc),
+        lambda sig, sc: c0(sig, sc),
+        lambda sig, sc: det_laplacian(sig, sc, 2.0, 1.0),
+    ], ids=["ruelle_fe_rhs", "ruelle_leading_at_zero", "c0", "det_laplacian"])
+    def test_mismatch_is_one_error(self, call):
+        with pytest.raises(MismatchError, match="0 cusps but signature"):
+            call(MODULAR, trivial_model())
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("call", [
+        lambda: z_infty(COMPACT, 3.0 + 40.0j),
+        lambda: kappa(MODULAR, modular_model(), 0.3 + 280.0j),
+        lambda: det_laplacian(COMPACT, trivial_model(), 3.0 + 15.0j, 1.0),
+        # finite factors whose product overflows to nan
+        lambda: det_laplacian(Signature(2, 1), modular_model(), -3.0 + 14.0825j, 1.0),
+    ], ids=["z_infty", "kappa", "det_laplacian-exp", "det_laplacian-nan"])
+    def test_domain_error(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DomainWarning)
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestRuelleLeading:
