@@ -7,9 +7,11 @@ is cut adaptively from the smallest norm; the missing trace shells are
 extrapolated geometrically from the last included shells and inflated by
 a safety factor of 10 - an honest estimate, not a proven bound.
 
-Both products, and the tail fit, are evaluated over numpy arrays of the
-trace shells (shell x k for the Selberg product), one shell per distinct
-trace weighted by its class count.
+Both products, and the tail fit, read the spectrum's columnar table
+(`LengthSpectrum.columns`: one column per distinct trace, weighted by
+its class count) and run over numpy arrays, shell x k for the Selberg
+product. Every result carries its relative error estimate split into
+the k-tail and the trace-tail parts.
 """
 
 from __future__ import annotations
@@ -33,16 +35,23 @@ _REL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TruncatedValue:
-    """Truncated product value with its absolute error estimate."""
+    """Truncated product value with its absolute error estimate.
+
+    `k_tail_error` and `trace_tail_error` are the relative parts of the
+    estimate: the terms cut at k > k_cutoff_used and the shells beyond
+    max_trace_used; abs_error_estimate = |value| * (their sum).
+    """
 
     value: complex
     abs_error_estimate: float
     max_trace_used: int
     k_cutoff_used: int
+    k_tail_error: float
+    trace_tail_error: float
 
 
 def _require_usable(spectrum: LengthSpectrum, s: complex) -> None:
-    if not spectrum.shells:
+    if not spectrum.columns.shape[1]:
         raise EmptySpectrumError("length spectrum has no classes")
     if not cmath.isfinite(s):
         raise DomainError(f"Euler product needs a finite s (got s = {s})")
@@ -50,12 +59,6 @@ def _require_usable(spectrum: LengthSpectrum, s: complex) -> None:
         raise DomainError(
             f"Euler product converges only for Re s > 1 (got Re s = {s.real})"
         )
-
-
-def _columns(spectrum: LengthSpectrum) -> np.ndarray:
-    """Trace, count, norm and length of every shell, as four float rows."""
-    table = [(sh.trace, sh.count, sh.norm, sh.length) for sh in spectrum.shells]
-    return np.array(table, dtype=float).T
 
 
 def _trace_tail_estimate(traces: np.ndarray, sums: np.ndarray, max_trace: int) -> float:
@@ -87,7 +90,7 @@ def _trace_tail_estimate(traces: np.ndarray, sums: np.ndarray, max_trace: int) -
 
 
 def _k_cutoff(spectrum: LengthSpectrum, sigma: float) -> int:
-    p_min = spectrum.shells[0].norm
+    p_min = float(spectrum.columns[2, 0])
     count = spectrum.class_count
     k = _MIN_K_CUTOFF
     while count * p_min ** (-(sigma + k + 1)) >= _REL_TOL / 10.0 and k < 10_000:
@@ -109,23 +112,25 @@ def selberg_Z(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
     _require_usable(spectrum, s)
     sigma = s.real
     cutoff = _k_cutoff(spectrum, sigma)
-    trace, count, norm, length = _columns(spectrum)
+    trace, count, norm, length = spectrum.columns
     phase = np.exp(-1j * s.imag * length)
     x = np.exp(-np.outer(length, sigma + np.arange(cutoff + 1))) * phase[:, None]
     log_z = complex(count @ np.log(1.0 - x).sum(axis=1))
-    p_min = spectrum.shells[0].norm
+    p_min = float(norm[0])
     k_tail = (
         spectrum.class_count
         * p_min ** (-(sigma + cutoff + 1))
         / (1.0 - 1.0 / p_min)
     )
-    log_error = k_tail + _trace_tail_estimate(trace, count * norm ** (-sigma), spectrum.max_trace)
+    trace_tail = _trace_tail_estimate(trace, count * norm ** (-sigma), spectrum.max_trace)
     value = cmath.exp(log_z)
     return TruncatedValue(
         value=value,
-        abs_error_estimate=abs(value) * log_error,
+        abs_error_estimate=abs(value) * (k_tail + trace_tail),
         max_trace_used=spectrum.max_trace,
         k_cutoff_used=cutoff,
+        k_tail_error=k_tail,
+        trace_tail_error=trace_tail,
     )
 
 
@@ -133,15 +138,17 @@ def _ruelle_direct(
     spectrum: LengthSpectrum,
     s: complex,
 ) -> TruncatedValue:
-    trace, count, norm, length = _columns(spectrum)
+    trace, count, norm, length = spectrum.columns
     log_r = complex(count @ np.log(1.0 - np.exp(-s * length)))
     value = cmath.exp(log_r)
-    log_error = _trace_tail_estimate(trace, count * norm ** (-s.real), spectrum.max_trace)
+    trace_tail = _trace_tail_estimate(trace, count * norm ** (-s.real), spectrum.max_trace)
     return TruncatedValue(
         value=value,
-        abs_error_estimate=abs(value) * log_error,
+        abs_error_estimate=abs(value) * trace_tail,
         max_trace_used=spectrum.max_trace,
         k_cutoff_used=0,
+        k_tail_error=0.0,
+        trace_tail_error=trace_tail,
     )
 
 
@@ -168,9 +175,13 @@ def ruelle_R(
     zb = selberg_Z(spectrum, s + 1.0)
     value = za.value / zb.value
     rel = za.abs_error_estimate / abs(za.value) + zb.abs_error_estimate / abs(zb.value)
+    # rel is the sum of the four parts below, up to the rounding of
+    # dividing each estimate by its value
     return TruncatedValue(
         value=value,
         abs_error_estimate=abs(value) * rel,
         max_trace_used=spectrum.max_trace,
         k_cutoff_used=za.k_cutoff_used,
+        k_tail_error=za.k_tail_error + zb.k_tail_error,
+        trace_tail_error=za.trace_tail_error + zb.trace_tail_error,
     )

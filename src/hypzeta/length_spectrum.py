@@ -10,21 +10,30 @@ the trace, which never decreases when a word is extended; the claimed
 minimum trace ell+1 at word length ell is enforced as a tested invariant.
 
 The walk carries each word as an integer bitmask rather than a string
-and counts the classes of each trace as it finds them, so the trace
-shells the Euler products use come straight out of the walk.
-`LengthSpectrum.classes`, one `GeodesicClass` per word in (trace, word)
-order, is built from the bitmasks on first access.
+and counts the classes of each trace as it finds them. A spectrum is
+stored as one columnar table: trace, count, norm and length of every
+trace shell as float64 rows in ascending trace order, which the Euler
+products read directly. The walk fills it from its per-trace counts,
+and `read_cache` parses a cache file's body into it in one numpy pass,
+refusing (as a miss) any row `write_cache` would not have written.
+`LengthSpectrum.shells` (`TraceShell` objects) and `.classes` (one
+`GeodesicClass` per word, in (trace, word) order, from the bitmasks) are
+built on first access.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     CapacityError,
@@ -50,6 +59,10 @@ __all__ = [
 GENERATOR_CONVENTION = "L=[[1,1],[0,1]],R=[[1,0],[1,1]]"
 CACHE_VERSION = "1"
 MODULAR_GROUP_LABEL = "modular"
+_CACHE_HEADER = ("trace", "count", "length", "norm")
+# relative distance of a cached length from 2 arccosh(trace / 2), and of a
+# cached norm from its exponential, that read_cache accepts
+_ROW_RTOL = 1e-12
 
 
 def _word_matrix(word: str) -> tuple[int, int, int, int]:
@@ -106,35 +119,75 @@ class TraceShell:
     length: float
 
 
-@dataclass(frozen=True)
 class LengthSpectrum:
     """Complete multiset of primitive classes with trace <= max_trace.
 
-    The shell table carries the data the Euler products use. `word_masks`
-    maps each trace to the bitmasks of its canonical words (see
-    `enumerate_spectrum`); it is None when the spectrum was restored from
-    a trace-level cache, and so is `classes`.
+    Stored as one table, `columns`: a read-only 4 x n float64 array whose
+    rows are the trace, class count, norm and length of each trace shell,
+    in ascending trace order. The Euler products read it directly.
+    `shells` is the same table as `TraceShell` objects, built on first
+    access. `word_masks` maps each trace to the bitmasks of its canonical
+    words (see `enumerate_spectrum`); it is None when the spectrum was
+    restored from a trace-level cache, and so is `classes`.
     """
 
-    shells: tuple[TraceShell, ...]
-    max_trace: int
-    group_label: str = MODULAR_GROUP_LABEL
-    word_masks: dict[int, list[int]] | None = field(default=None, repr=False, compare=False)
+    def __init__(self, shells: Iterable[TraceShell], max_trace: int,
+                 group_label: str = MODULAR_GROUP_LABEL) -> None:
+        shells = tuple(shells)
+        table = np.array([(sh.trace, sh.count, sh.norm, sh.length) for sh in shells], dtype=float)
+        self._store(table.reshape(-1, 4).T, max_trace, group_label, None)
+        self.__dict__["shells"] = shells
+
+    @classmethod
+    def from_columns(cls, columns: np.ndarray, max_trace: int,
+                     group_label: str = MODULAR_GROUP_LABEL,
+                     word_masks: dict[int, list[int]] | None = None) -> LengthSpectrum:
+        """The spectrum whose table is `columns` (trace, count, norm, length rows)."""
+        spectrum = cls.__new__(cls)
+        spectrum._store(columns, max_trace, group_label, word_masks)
+        return spectrum
+
+    def _store(self, columns, max_trace, group_label, word_masks) -> None:
+        columns = np.array(columns, dtype=float)
+        columns.flags.writeable = False
+        self.columns = columns
+        self.max_trace = max_trace
+        self.group_label = group_label
+        self.word_masks = word_masks
+
+    def __repr__(self) -> str:
+        return (f"LengthSpectrum(max_trace={self.max_trace}, group_label={self.group_label!r}, "
+                f"shells={self.columns.shape[1]})")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LengthSpectrum):
+            return NotImplemented
+        return ((self.max_trace, self.group_label) == (other.max_trace, other.group_label)
+                and np.array_equal(self.columns, other.columns))
+
+    @cached_property
+    def shells(self) -> tuple[TraceShell, ...]:
+        """One `TraceShell` per column of the table, in ascending trace order."""
+        return tuple(
+            TraceShell(int(trace), int(count), norm, length)
+            for trace, count, norm, length in self.columns.T.tolist()
+        )
 
     @cached_property
     def _counts(self) -> dict[int, int]:
-        return {shell.trace: shell.count for shell in self.shells}
+        trace, count = self.columns[:2].astype(int).tolist()
+        return dict(zip(trace, count))
 
     def mult(self, trace: int) -> int:
         return self._counts.get(trace, 0)
 
     @cached_property
     def class_count(self) -> int:
-        return sum(self._counts.values())
+        return int(self.columns[1].sum())
 
     @property
     def min_length(self) -> float:
-        return self.shells[0].length if self.shells else math.inf
+        return float(self.columns[3, 0]) if self.columns.shape[1] else math.inf
 
     @cached_property
     def classes(self) -> tuple[GeodesicClass, ...] | None:
@@ -143,9 +196,9 @@ class LengthSpectrum:
             return None
         letters = str.maketrans("01", "LR")
         out = []
-        for shell in self.shells:
-            words = sorted(bin(mask)[3:].translate(letters) for mask in self.word_masks[shell.trace])
-            out.extend(GeodesicClass(word, shell.trace, shell.norm, shell.length) for word in words)
+        for trace, _, norm, length in self.columns.T.tolist():
+            words = sorted(bin(mask)[3:].translate(letters) for mask in self.word_masks[int(trace)])
+            out.extend(GeodesicClass(word, int(trace), norm, length) for word in words)
         return tuple(out)
 
 
@@ -251,15 +304,9 @@ def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSp
                 b, d = a + b, c + d
             else:
                 break
-    shells = []
-    for trace in sorted(by_trace):
-        norm, length = _norm_and_length(trace)
-        shells.append(TraceShell(trace, len(by_trace[trace]), norm, length))
-    return LengthSpectrum(
-        shells=tuple(shells),
-        max_trace=max_trace,
-        group_label=MODULAR_GROUP_LABEL,
-        word_masks=dict(by_trace),
+    rows = [(trace, len(by_trace[trace]), *_norm_and_length(trace)) for trace in sorted(by_trace)]
+    return LengthSpectrum.from_columns(
+        np.array(rows, dtype=float).T, max_trace, MODULAR_GROUP_LABEL, dict(by_trace)
     )
 
 
@@ -272,26 +319,57 @@ def write_cache(spectrum: LengthSpectrum, path: str | Path) -> None:
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["trace", "count", "length", "norm"])
-        for shell in spectrum.shells:
-            writer.writerow(
-                [shell.trace, shell.count, repr(shell.length), repr(shell.norm)]
-            )
-    meta = {
-        "group": spectrum.group_label,
-        "max_trace": spectrum.max_trace,
+        writer.writerow(_CACHE_HEADER)
+        for trace, count, norm, length in spectrum.columns.T.tolist():
+            writer.writerow([int(trace), int(count), repr(length), repr(norm)])
+    with _meta_path(path).open("w") as fh:
+        json.dump(_cache_meta(spectrum.group_label, spectrum.max_trace), fh,
+                  indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _cache_meta(group_label: str, max_trace: int) -> dict:
+    return {
+        "group": group_label,
+        "max_trace": max_trace,
         "generator_convention": GENERATOR_CONVENTION,
         "version": CACHE_VERSION,
     }
-    with _meta_path(path).open("w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+
+def _parse_rows(body: str, max_trace: int) -> np.ndarray | None:
+    """The table (trace, count, norm, length rows) of a cache body, or None
+    unless every line is a row as `write_cache` writes it: four finite
+    fields; an integral count of at least 1; an integral trace from 3 to
+    max_trace, above the previous row's; the length and the norm of that
+    trace."""
+    if not body.strip():
+        return None
+    try:
+        # comments=None: a '#' is a malformed field, not a comment
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # a short, long or unparsable row
+        return None
+    # loadtxt skips blank lines, so a blank line shows as a missing row
+    lines = body.count("\n") + (not body.endswith("\n"))
+    if rows.shape != (lines, 4) or not np.isfinite(rows).all():
+        return None
+    trace, count, length, norm = rows.T
+    if not (np.array_equal(rows[:, :2], np.round(rows[:, :2]))
+            and count.min() >= 1 and trace[0] >= 3 and trace[-1] <= max_trace
+            and (np.diff(trace) > 0).all()):
+        return None
+    expected = 2.0 * np.arccosh(trace / 2.0)
+    if ((np.abs(length - expected) > _ROW_RTOL * expected).any()
+            or (np.abs(norm * np.exp(-expected) - 1.0) > _ROW_RTOL).any()):
+        return None
+    return np.array([trace, count, norm, length])
 
 
 def read_cache(path: str | Path, max_trace: int,
                group_label: str = MODULAR_GROUP_LABEL) -> LengthSpectrum | None:
-    """Load a cached spectrum; None unless the metadata matches exactly
-    and every row parses."""
+    """Load a cached spectrum; None (a miss) unless the metadata matches
+    exactly and every row passes `_parse_rows`."""
     path = Path(path)
     meta_file = _meta_path(path)
     if not path.exists() or not meta_file.exists():
@@ -301,28 +379,15 @@ def read_cache(path: str | Path, max_trace: int,
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    expected = {
-        "group": group_label,
-        "max_trace": max_trace,
-        "generator_convention": GENERATOR_CONVENTION,
-        "version": CACHE_VERSION,
-    }
-    if meta != expected:
+    if meta != _cache_meta(group_label, max_trace):
         return None
-    with path.open(newline="") as fh:
-        rows = csv.reader(fh)
-        if next(rows, None) != ["trace", "count", "length", "norm"]:
-            return None
-        try:
-            shells = [
-                TraceShell(int(trace), int(count), float(norm), float(length))
-                for trace, count, length, norm in rows
-            ]
-        except ValueError:  # a short, long or unparsable row
-            return None
-    shells.sort(key=lambda shell: shell.trace)
-    return LengthSpectrum(
-        shells=tuple(shells),
-        max_trace=max_trace,
-        group_label=group_label,
-    )
+    try:
+        header, _, body = path.read_text().partition("\n")
+    except (OSError, UnicodeDecodeError):
+        return None
+    if header != ",".join(_CACHE_HEADER):
+        return None
+    columns = _parse_rows(body, max_trace)
+    if columns is None:
+        return None
+    return LengthSpectrum.from_columns(columns, max_trace, group_label)

@@ -2,9 +2,10 @@
 
 Provides principal-branch log-gamma and digamma (delegated to scipy),
 the Riemann zeta function (one Euler-Maclaurin series on Re s >= 1/2,
-continued to Re s < 1/2 by the reflection formula), the double gamma
-function G2 satisfying G2(s) = Gamma(s) * G2(s+1), the constant
-zeta'(-1), and a self-test defect for the Gauss multiplication formula.
+continued to Re s < 1/2 by the reflection formula, whose factor is
+summed in log space), the double gamma function G2 satisfying
+G2(s) = Gamma(s) * G2(s+1), the constant zeta'(-1), and a self-test
+defect for the Gauss multiplication formula.
 
 Truncations are sized from the argument, never set by the caller: the
 zeta sum length grows with |Im s|, and the double-gamma product
@@ -116,18 +117,35 @@ def _zeta_euler_maclaurin(s: complex, terms: int = 50, order: int = 12) -> compl
     return total
 
 
+def _log_sin(z: complex) -> complex:
+    """log sin z modulo 2 pi i, finite wherever sin z is nonzero.
+
+    For |Im z| > 1 it uses sin z = (+-i/2) e^(-+iz) (1 - e^(+-2iz)), upper
+    signs for Im z > 0, so no factor of size e^|Im z| is formed.
+    """
+    if abs(z.imag) <= 1.0:
+        return cmath.log(cmath.sin(z))
+    sign = 1.0 if z.imag > 0 else -1.0
+    return -sign * 1j * z + cmath.log(sign * 0.5j) + cmath.log(1.0 - cmath.exp(sign * 2j * z))
+
+
 def riemann_zeta(s: complex) -> complex:
     """Analytically continued Riemann zeta function.
 
     Sums Euler-Maclaurin on Re s >= 1/2, with 12 Bernoulli correction
     terms and max(50, |Im s| + 20) direct terms, and reflects through
     zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s) on
-    Re s < 1/2. Accurate to ~1e-12 of max(1, |zeta|) for Re s >= 1/2 and
-    |Im s| <= 3,000, and on the strip Re s in [-3, 4], |Im s| <= 20.
-    Raises PoleError at s = 1, and DomainError where a reflection factor
-    leaves double range (Re s < 1/2 with |Im s| beyond ~450). Returns
-    exactly 0 at the trivial zeros s = -2, -4, ..., where the reflection
-    formula would multiply a rounded sin(pi s / 2) by a huge gamma factor.
+    Re s < 1/2, with the reflection factor formed as one sum of logs and
+    exponentiated once (sin(pi s / 2) and Gamma(1-s) each leave double
+    range from |Im s| ~ 450 on, their product does not). Accurate to
+    ~1e-12 of max(1, |zeta|) on the strip Re s in [-3, 4], |Im s| <= 20,
+    and for Re s >= 1/2 with |Im s| <= 250; to ~1e-11 for Re s in [-3, 4]
+    and |Im s| <= 3,000, where the phases |Im s| log k of the sum and
+    |Im s| log |Im s| of the factor are rounded in double precision.
+    Raises PoleError at s = 1, and DomainError where the result itself
+    leaves double range. Returns exactly 0 at the trivial zeros
+    s = -2, -4, ..., where the reflection formula would multiply a
+    rounded sin(pi s / 2) by a huge gamma factor.
     """
     s = complex(s)
     if abs(s - 1.0) < _POLE_TOL:
@@ -139,17 +157,17 @@ def riemann_zeta(s: complex) -> complex:
     if s.real < -1.0 and _is_nonpositive_integer(s) and round(s.real) % 2 == 0:
         return 0j
     reflected = riemann_zeta(1.0 - s)
+    log_factor = (
+        s * math.log(2.0) + (s - 1.0) * math.log(math.pi)
+        + _log_sin(math.pi * s / 2.0) + log_gamma(1.0 - s)
+    )
     try:
-        factor = (
-            cmath.exp(s * math.log(2.0) + (s - 1.0) * math.log(math.pi))
-            * cmath.sin(math.pi * s / 2.0)
-            * cmath.exp(log_gamma(1.0 - s))
-        )
+        value = cmath.exp(log_factor) * reflected
+        if cmath.isfinite(value):
+            return value
     except OverflowError:
-        raise DomainError(
-            f"riemann_zeta reflection factor leaves double range at s={s}"
-        ) from None
-    return _ensure_finite(factor * reflected, "riemann_zeta")
+        pass
+    raise DomainError(f"riemann_zeta leaves double range at s={s}")
 
 
 def zeta_prime_minus_one() -> float:

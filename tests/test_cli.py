@@ -63,7 +63,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["det-laplacian", "--signature", "2,0,", "--group", "trivial",
          "--s", "3,15", "--z-value", "1,0"],
-        ["kappa", "--signature", "0,1,2:3", "--s", "0.3,280"],
+        # |kappa| = e^749 here; at 0.3,280 on 0,1,2:3 it is finite (see below)
+        ["kappa", "--signature", "2,1,", "--s", "0.7,200"],
     ])
     def test_overflow_is_numerical_error(self, argv):
         code, out, err = invoke(argv + ["--json"])
@@ -170,6 +171,34 @@ class TestSpectrum:
         code, report, _ = invoke_json(["zeta", "--s", "2,0", "--max-trace", "10",
                                        "--cache", str(cache)])
         assert code == 0 and report["inputs"]["cache_status"] == "miss"
+
+    @pytest.mark.parametrize("row", ["4,2,nan,nan", "4,-7,2.633915793849633,13.928203230275509"])
+    def test_garbage_row_is_a_miss_and_rewritten(self, tmp_path, row):
+        # both rows once gave exit 0 with a NaN or a wrong Z(2)
+        cache = tmp_path / "spec.csv"
+        argv = ["zeta", "--s", "2,0", "--max-trace", "30", "--cache", str(cache)]
+        _, clean, _ = invoke_json(argv)
+        written = cache.read_text()
+        rows = written.splitlines()
+        cache.write_text("\n".join(rows[:2] + [row] + rows[3:]) + "\n")
+        code, report, _ = invoke_json(argv)
+        assert code == 0 and report["inputs"]["cache_status"] == "miss"
+        assert result_of(report, "value") == result_of(clean, "value")
+        assert cache.read_text() == written
+
+    def test_hit_builds_no_trace_shell(self, tmp_path, monkeypatch):
+        from hypzeta.length_spectrum import TraceShell
+
+        argv = ["zeta", "--s", "2,0", "--max-trace", "60", "--cache", str(tmp_path / "s.csv")]
+        _, miss, _ = invoke_json(argv)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a TraceShell was built")
+
+        monkeypatch.setattr(TraceShell, "__init__", refuse)
+        code, hit, _ = invoke_json(argv)
+        assert code == 0 and hit["inputs"]["cache_status"] == "hit"
+        assert hit["results"] == miss["results"]
 
     def test_stale_cache_reenumerated(self, tmp_path):
         cache = str(tmp_path / "spec.csv")
@@ -341,6 +370,29 @@ class TestKappaLargeImaginaryPart:
             value = result_of(report, "kappa")
             values.append(complex(value["re"], value["im"]))
         assert abs(abs(values[0] * values[1]) - 1.0) < 1e-10
+
+    def test_involution_at_im_280(self):
+        # zeta's reflection factor once overflowed here (exit 2)
+        values = []
+        for s in ("0.3,280", "0.7,-280"):
+            code, report, _ = invoke_json(["kappa", "--signature", "0,1,2:3", "--s", s])
+            assert code == 0
+            value = result_of(report, "kappa")
+            values.append(complex(value["re"], value["im"]))
+        assert abs(abs(values[0] * values[1]) - 1.0) < 1e-10
+
+
+class TestErrorSplit:
+    @pytest.mark.parametrize("argv", [["zeta"], ["ruelle"], ["ruelle", "--method", "direct"]])
+    def test_parts_reported(self, argv):
+        code, report, _ = invoke_json(argv + ["--s", "2,0", "--max-trace", "30"])
+        assert code == 0
+        parts = result_of(report, "k_tail_error") + result_of(report, "trace_tail_error")
+        value = result_of(report, "value")
+        total = result_of(report, "abs_error_estimate")
+        assert abs(abs(complex(value["re"], value["im"])) * parts - total) <= 1e-12 * total
+        if "direct" in argv:
+            assert result_of(report, "k_tail_error") == 0.0
 
 
 def _readme_cli_lines():

@@ -7,7 +7,7 @@ import pytest
 
 from hypzeta.errors import DomainError, EmptySpectrumError
 from hypzeta.euler_product import ruelle_R, selberg_Z
-from hypzeta.length_spectrum import LengthSpectrum, enumerate_spectrum
+from hypzeta.length_spectrum import LengthSpectrum, enumerate_spectrum, read_cache, write_cache
 
 
 def double_sum_oracle(spectrum, s, tail=1e-18):
@@ -162,6 +162,40 @@ class TestAgainstScalarLoops:
         ours = ruelle_R(spectrum, 2.0, method="direct")
         expected = 10.0 * last.count * last.norm ** -2.0 * 5
         assert abs(ours.abs_error_estimate - abs(ours.value) * expected) <= 1e-14
+
+
+class TestCachedSpectrum:
+    @pytest.mark.parametrize("max_trace", [40, 200, 800])
+    def test_hit_and_miss_bit_identical(self, max_trace, tmp_path):
+        enumerated = enumerate_spectrum(max_trace)
+        write_cache(enumerated, tmp_path / "spec.csv")
+        cached = read_cache(tmp_path / "spec.csv", max_trace)
+        for s in VECTOR_POINTS:
+            assert selberg_Z(cached, s) == selberg_Z(enumerated, s)
+            for method in ("quotient", "direct"):
+                assert ruelle_R(cached, s, method=method) == ruelle_R(enumerated, s, method=method)
+
+
+class TestErrorSplit:
+    @pytest.mark.parametrize("s", [1.05, 2.0, complex(3.0, 5.0)])
+    @pytest.mark.parametrize("method", ["quotient", "direct"])
+    def test_parts_sum_to_estimate(self, sp40, s, method):
+        out = ruelle_R(sp40, s, method=method)
+        parts = abs(out.value) * (out.k_tail_error + out.trace_tail_error)
+        assert abs(parts - out.abs_error_estimate) <= 1e-12 * out.abs_error_estimate
+        assert out.trace_tail_error > 0.0
+        if method == "direct":
+            assert out.k_tail_error == 0.0
+        else:
+            za, zb = selberg_Z(sp40, s), selberg_Z(sp40, complex(s) + 1.0)
+            assert out.k_tail_error == za.k_tail_error + zb.k_tail_error
+            assert out.trace_tail_error == za.trace_tail_error + zb.trace_tail_error
+
+    @pytest.mark.parametrize("s", [1.05, 2.0, complex(3.0, 5.0)])
+    def test_selberg_parts(self, sp40, s):
+        out = selberg_Z(sp40, s)
+        assert out.abs_error_estimate == abs(out.value) * (out.k_tail_error + out.trace_tail_error)
+        assert 0.0 < out.k_tail_error < out.trace_tail_error
 
 
 class TestNonFinite:

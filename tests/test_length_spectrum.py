@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -289,7 +290,16 @@ class TestCache:
         path.write_text("\n".join(body) + "\n")
         assert read_cache(path, 10) is None
 
-    @pytest.mark.parametrize("row", ["4,2,2.6", "4,2,2.6,13.9,1", "4,two,2.6,13.9"])
+    # each replaces the trace-4 row (4,2,2.633915793849633,13.928203230275509)
+    @pytest.mark.parametrize("row", [
+        "4,2,2.6", "4,2,2.6,13.9,1", "4,two,2.6,13.9",
+        "4,2,nan,nan", "4,2,inf,13.928203230275509", "4,2,2.633915793849633,-inf",
+        "4.5,2,2.633915793849633,13.928203230275509", "4,2.5,2.633915793849633,13.928203230275509",
+        "4,0,2.633915793849633,13.928203230275509", "4,-7,2.633915793849633,13.928203230275509",
+        "2,1,0.0,1.0", "3,1,1.9248473002384139,6.854101966249685",
+        "4,2,2.6,13.928203230275509", "4,2,2.633915793849633,13.9", "4,2,2.633915793849633,13.928203230275509 # note",
+        "",
+    ])
     def test_malformed_row_rejected(self, tmp_path, row):
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
@@ -298,11 +308,99 @@ class TestCache:
         path.write_text("\n".join(body) + "\n")
         assert read_cache(path, 10) is None
 
+    def test_trace_below_three_rejected(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        write_cache(enumerate_spectrum(10), path)
+        body = path.read_text().splitlines()
+        body[1] = "2,1,0.0,1.0"  # the first row; ascending order still holds
+        path.write_text("\n".join(body) + "\n")
+        assert read_cache(path, 10) is None
+
+    def test_trace_above_max_trace_rejected(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        write_cache(enumerate_spectrum(10), path)
+        length, norm = 2.0 * math.acosh(5.5), ((11.0 + math.sqrt(117.0)) / 2.0) ** 2
+        with path.open("a") as fh:
+            fh.write(f"11,6,{length!r},{norm!r}\n")
+        assert read_cache(path, 10) is None
+
+    def test_last_digit_of_length_and_norm_tolerated(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        write_cache(enumerate_spectrum(10), path)
+        body = path.read_text().splitlines()
+        body[2] = "4,2,2.6339157938496334,13.92820323027551"
+        path.write_text("\n".join(body) + "\n")
+        assert read_cache(path, 10).mult(4) == 2
+
+    def test_undecodable_body_rejected(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        write_cache(enumerate_spectrum(10), path)
+        path.write_bytes(path.read_bytes() + b"4,2,\xff\xfe\n")
+        assert read_cache(path, 10) is None
+
+    def test_empty_body_rejected(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        write_cache(enumerate_spectrum(10), path)
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        assert read_cache(path, 10) is None
+
     def test_generator_convention_recorded(self, tmp_path):
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
         meta = path.with_name(path.name + ".meta.json").read_text()
         assert GENERATOR_CONVENTION in meta
+
+
+@pytest.fixture(scope="module")
+def enumerated_800():
+    return enumerate_spectrum(800)
+
+
+@pytest.fixture(scope="module")
+def cached_800(enumerated_800, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cache") / "spec.csv"
+    write_cache(enumerated_800, path)
+    return read_cache(path, 800)
+
+
+class TestColumnarTable:
+    def test_cached_shells_match_enumerated(self, enumerated_800, cached_800):
+        assert cached_800.shells == enumerated_800.shells
+        assert np.array_equal(cached_800.columns, enumerated_800.columns)
+        assert cached_800 == enumerated_800
+
+    def test_accessors_agree(self, enumerated_800, cached_800):
+        for spectrum in (enumerated_800, cached_800):
+            assert spectrum.class_count == 52_091
+            assert spectrum.min_length == 2.0 * math.acosh(1.5)
+        for trace in range(1, 803):
+            assert cached_800.mult(trace) == enumerated_800.mult(trace)
+
+    def test_columns_are_the_shells(self, enumerated_800):
+        trace, count, norm, length = enumerated_800.columns
+        shells = enumerated_800.shells
+        assert trace.tolist() == [sh.trace for sh in shells]
+        assert count.tolist() == [sh.count for sh in shells]
+        assert norm.tolist() == [sh.norm for sh in shells]
+        assert length.tolist() == [sh.length for sh in shells]
+        assert (np.diff(trace) > 0).all()
+
+    def test_shells_built_on_first_access(self):
+        spectrum = enumerate_spectrum(20)
+        assert "shells" not in vars(spectrum)
+        assert spectrum.shells is spectrum.shells
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            enumerate_spectrum(10).columns[1, 0] = 5.0
+
+    def test_constructed_from_shells(self):
+        enumerated = enumerate_spectrum(30)
+        rebuilt = LengthSpectrum(shells=enumerated.shells, max_trace=30)
+        assert rebuilt.shells is enumerated.shells
+        assert np.array_equal(rebuilt.columns, enumerated.columns)
+        assert rebuilt == enumerated
+        assert rebuilt.classes is None
 
 
 class TestSpectrumContainer:

@@ -150,10 +150,20 @@ class TestRiemannZeta:
             assert abs(riemann_zeta(s) - ref) <= 1e-12 * max(1.0, abs(ref)), s
 
     def test_reflection_overflow_is_domain_error(self):
-        # sin(pi s / 2) and Gamma(1 - s) each leave double range near |Im s| = 450
-        for s in (complex(-0.4, -560.0), complex(0.3, 1000.0)):
+        # |zeta| is e^928 and e^1018 here (mpmath)
+        for s in (complex(-150.0, 3000.0), complex(-200.0, -1000.0)):
             with pytest.raises(DomainError):
                 riemann_zeta(s)
+
+    def test_reflection_at_large_imaginary_part_against_mpmath(self):
+        # Re s < 1/2, 450 < |Im s| <= 3,000: sin(pi s / 2) and Gamma(1 - s)
+        # each leave double range, their product does not. The bound is the
+        # Euler-Maclaurin one at these |Im s| (see above): zeta(1 - s) alone
+        # is off by up to ~6e-12 near |Im s| = 2,500.
+        for re in (-3.0, -2.5, -1.5, -0.4, 0.0, 0.3, 0.49):
+            for im in (451.0, -460.0, -560.0, 700.0, -1000.0, 2000.0, -3000.0):
+                ref = complex(mp.zeta(mp.mpc(re, im)))
+                assert abs(riemann_zeta(complex(re, im)) - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
 class TestZetaPrimeMinusOne:

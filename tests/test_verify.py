@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 from hypzeta import verify
@@ -17,8 +18,10 @@ from hypzeta.special_functions import (
 PHI = modular_model().phi
 
 
-def _phi_logderiv(z, h=1e-5):
-    return (cmath.log(PHI(z + h)) - cmath.log(PHI(z - h))) / (2.0 * h)
+def _phi_logderiv(z, h=1e-3):
+    def step(d):
+        return cmath.log(PHI(z + d)) - cmath.log(PHI(z - d))
+    return (8.0 * step(h) - step(2.0 * h)) / (12.0 * h)
 
 
 # both sides of each special-function and scattering identity at one point
@@ -61,6 +64,27 @@ def test_worst_of_grid_sides_reproduce_at_reported_point(report):
     for check in sampled:
         lhs, rhs = _sides_at(check["name"], check["s"])
         assert (complex(lhs), complex(rhs)) == (check["lhs"], check["rhs"]), check["name"]
+
+
+def _mp_phi_logderiv(z):
+    """d/ds log phi(s) for phi(s) = sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) zeta(2s))."""
+    with mp.workdps(30):
+        return complex(mp.psi(0, z - 0.5) - mp.psi(0, z)
+                       + 2 * mp.zeta(2 * z - 1, derivative=1) / mp.zeta(2 * z - 1)
+                       - 2 * mp.zeta(2 * z, derivative=1) / mp.zeta(2 * z))
+
+
+def test_phi_logderiv_sides_against_mpmath():
+    checks, _ = verify.scattering_checks()
+    (check,) = [c for c in checks if c.name == "phi'/phi symmetry under s -> 1-s"]
+    assert check.tolerance == 1e-9
+    s = mp.mpc(check.s.real, check.s.imag)
+    for ours, ref in ((check.lhs, _mp_phi_logderiv(s)), (check.rhs, _mp_phi_logderiv(1 - s))):
+        assert abs(ours - ref) <= 1e-10
+    # every sample point, not only the reported worst one
+    for z in (0.3 + 0.4j, 0.7 - 1.2j, 0.41 + 2.0j):
+        for w in (z, 1.0 - z):
+            assert abs(_phi_logderiv(w) - _mp_phi_logderiv(mp.mpc(w.real, w.imag))) <= 1e-10
 
 
 def test_other_checks_carry_no_point(report):

@@ -230,7 +230,8 @@ class TestCuspCount:
 class TestOverflow:
     @pytest.mark.parametrize("call", [
         lambda: z_infty(COMPACT, 3.0 + 40.0j),
-        lambda: kappa(MODULAR, modular_model(), 0.3 + 280.0j),
+        # |kappa| = e^749; kappa(MODULAR, ..., 0.3 + 280j) is finite (below)
+        lambda: kappa(Signature(2, 1), modular_model(), 0.7 + 200.0j),
         lambda: det_laplacian(COMPACT, trivial_model(), 3.0 + 15.0j, 1.0),
         # finite factors whose product overflows to nan
         lambda: det_laplacian(Signature(2, 1), modular_model(), -3.0 + 14.0825j, 1.0),
@@ -240,6 +241,12 @@ class TestOverflow:
             warnings.simplefilter("ignore", DomainWarning)
             with pytest.raises(DomainError):
                 call()
+
+    def test_kappa_finite_past_zeta_reflection_overflow(self):
+        # sin(pi s / 2) and Gamma(1 - s) in zeta's reflection each overflow here
+        sc = modular_model()
+        product = kappa(MODULAR, sc, 0.3 + 280.0j).value * kappa(MODULAR, sc, 0.7 - 280.0j).value
+        assert abs(abs(product) - 1.0) < 1e-10
 
 
 class TestRuelleLeading:
