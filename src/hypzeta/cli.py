@@ -21,12 +21,7 @@ from datetime import datetime, timezone
 
 from . import euler_product, length_spectrum, verify, zeta_factors
 from .errors import HypzetaError
-from .scattering import (
-    BUILTIN_MODEL_LABELS,
-    ScatteringModel,
-    builtin_model,
-    phi_leading_at_zero,
-)
+from .scattering import BUILTIN_MODEL_LABELS, ScatteringModel, builtin_model
 from .surface import Signature, area, constants, order_R, order_Z, parse_signature
 
 __all__ = ["run", "main"]
@@ -253,16 +248,6 @@ def _cmd_ruelle_leading(args) -> tuple[Report, int]:
     report.add("order", order)
     report.add("coefficient", coeff)
     report.add("abs_coefficient", abs(coeff))
-    if model.label == "modular":
-        fitted_n0, fitted = phi_leading_at_zero(model)
-        report.add("phi_leading_fitted", fitted)
-        report.add("phi_leading_stored", model.phi_tilde_0)
-        if math.copysign(1.0, fitted) != math.copysign(1.0, model.phi_tilde_0):
-            report.notes.append(
-                "sign discrepancy: direct expansion of phi at 0 gives "
-                f"{fitted:.12g}, the stored convention is {model.phi_tilde_0:.12g}; "
-                "magnitudes agree and the reported coefficient uses the stored sign"
-            )
     return report, 0
 
 
@@ -330,12 +315,8 @@ def _cmd_verify(args) -> tuple[Report, int]:
     )
     for name, checks in outcome["sections"].items():
         report.checks.extend({**c, "name": f"{name}: {c['name']}"} for c in checks)
-    sign = outcome["phi_leading_sign_report"]
-    report.add("phi_leading_sign_report", sign)
     report.add("total_checks", outcome["total_checks"])
     report.add("failed_checks", outcome["failed_checks"])
-    if not sign["signs_agree"]:
-        report.notes.append(sign["note"])
     return report, (0 if outcome["passed"] else 3)
 
 

@@ -124,16 +124,14 @@ def modular_phi(s: complex) -> complex:
 def modular_model() -> ScatteringModel:
     """Determinant data for the modular surface (signature (0;1;2,3)).
 
-    The stored leading coefficient at 0 is +pi/3, the sign consistent with
-    the positive limit 9/pi^2 of s^2 R(s); direct series expansion of phi
-    at 0 gives -pi/3 instead. The verify suite evaluates and reports both
-    rather than silently preferring one.
+    The stored leading coefficient at 0 is the Taylor coefficient
+    sqrt(pi) Gamma(-1/2) zeta(-1) / zeta(0) = -pi/3.
     """
     return ScatteringModel(
         n=1,
         phi=modular_phi,
         n0=1,
-        phi_tilde_0=math.pi / 3.0,
+        phi_tilde_0=-math.pi / 3.0,
         phi_half=-1.0,
         A=2,
         label="modular",
@@ -171,7 +169,7 @@ def phi_leading_at_zero(model: ScatteringModel) -> tuple[int, float]:
     1e-2, 1e-3, 1e-4; the coefficient from even-part Richardson
     extrapolation of phi(s)/s^order on the same radii. Raises FitError if
     the slope does not lock onto an integer within 0.01, or if the result
-    contradicts the model's stored n0 / |phi_tilde_0|.
+    contradicts the model's stored n0 / phi_tilde_0.
     """
     radii = (1e-2, 1e-3, 1e-4)
     plus = [model.phi(complex(r, 0.0)) for r in radii]
@@ -193,8 +191,6 @@ def phi_leading_at_zero(model: ScatteringModel) -> tuple[int, float]:
     coeff = coeff_c.real
     if order != model.n0:
         raise FitError(f"fitted order {order} contradicts stored n0={model.n0}")
-    if abs(abs(coeff) - abs(model.phi_tilde_0)) > 1e-6 * max(1.0, abs(coeff)):
-        raise FitError(
-            f"fitted |coefficient| {abs(coeff)} contradicts stored {abs(model.phi_tilde_0)}"
-        )
+    if abs(coeff - model.phi_tilde_0) > 1e-6 * max(1.0, abs(coeff)):
+        raise FitError(f"fitted coefficient {coeff} contradicts stored {model.phi_tilde_0}")
     return order, coeff

@@ -118,15 +118,17 @@ def _zeta_euler_maclaurin(s: complex, terms: int = 50, order: int = 12) -> compl
 
 
 def _log_sin(z: complex) -> complex:
-    """log sin z modulo 2 pi i, finite wherever sin z is nonzero.
+    """Principal branch of log sin z, finite wherever sin z is nonzero.
 
     For |Im z| > 1 it uses sin z = (+-i/2) e^(-+iz) (1 - e^(+-2iz)), upper
-    signs for Im z > 0, so no factor of size e^|Im z| is formed.
+    signs for Im z > 0, so no factor of size e^|Im z| is formed, and
+    reduces the imaginary part of the sum into (-pi, pi].
     """
     if abs(z.imag) <= 1.0:
         return cmath.log(cmath.sin(z))
     sign = 1.0 if z.imag > 0 else -1.0
-    return -sign * 1j * z + cmath.log(sign * 0.5j) + cmath.log(1.0 - cmath.exp(sign * 2j * z))
+    value = -sign * 1j * z + cmath.log(sign * 0.5j) + cmath.log(1.0 - cmath.exp(sign * 2j * z))
+    return value - 2j * math.pi * math.ceil((value.imag - math.pi) / (2.0 * math.pi))
 
 
 def riemann_zeta(s: complex) -> complex:

@@ -6,11 +6,9 @@ failure is reproducible from the report alone. The sample points for
 branch-sensitive identities are versioned data: they were screened so
 that principal-branch evaluation of both sides agrees there.
 
-Also reproduces the modular-surface constants (scattering value at 1/2,
-order and magnitude of the leading coefficient at 0, Ruelle leading
-behavior) and reports the sign of the leading coefficient of phi at 0
-from direct expansion next to the stored convention, instead of silently
-preferring either.
+Also reproduces the modular-surface constants: the scattering value at
+1/2, the order and signed leading coefficient of phi at 0, and the
+signed Ruelle leading coefficient at 0.
 """
 
 from __future__ import annotations
@@ -219,7 +217,7 @@ def special_function_checks(tol: float = 1e-10) -> list[Check]:
     return checks
 
 
-def scattering_checks(tol: float = 1e-9) -> tuple[list[Check], dict]:
+def scattering_checks(tol: float = 1e-9) -> list[Check]:
     checks = []
     model = modular_model()
     checks.append(_check("modular phi(1/2) = -1", model.phi(0.5), -1.0, 1e-10))
@@ -252,22 +250,11 @@ def scattering_checks(tol: float = 1e-9) -> tuple[list[Check], dict]:
     # numerically fitted order and coefficient at 0
     n0, coeff = phi_leading_at_zero(model)
     checks.append(_check("modular n0 from slope fit", n0, model.n0, 0))
-    checks.append(_check("modular |phi~(0)| = pi/3", abs(coeff), math.pi / 3.0, tol))
+    checks.append(_check("modular phi~(0) = stored phi_tilde_0", coeff, model.phi_tilde_0, tol))
     checks.append(_check("n0 <= n (modular)", float(n0 <= model.n), 1.0, 0))
     trivial_n0, trivial_coeff = phi_leading_at_zero(trivial_model())
     checks.append(_check("trivial model leading (0, 1)", complex(trivial_n0, trivial_coeff), complex(0, 1.0), 1e-12))
-    sign_report = {
-        "stored_phi_tilde_0": model.phi_tilde_0,
-        "computed_phi_tilde_0": coeff,
-        "signs_agree": bool(math.copysign(1.0, coeff) == math.copysign(1.0, model.phi_tilde_0)),
-        "note": (
-            "direct series expansion of the modular phi at 0 gives the "
-            "opposite sign to the stored convention; magnitudes agree. "
-            "The stored +pi/3 follows the positive-limit convention for "
-            "s^2 R(s) -> 9/pi^2."
-        ),
-    }
-    return checks, sign_report
+    return checks
 
 
 def _factor_identities_at(sig: Signature, sc: ScatteringModel, s: complex,
@@ -313,6 +300,8 @@ def factor_identity_checks(tol: float = 1e-9) -> list[Check]:
     for sig, sc in identity_pairs():
         rows = [_factor_identities_at(sig, sc, s, tol) for s in CUT_SAFE_POINTS]
         checks.extend(_worst(zip(CUT_SAFE_POINTS, column)) for column in zip(*rows))
+        checks.append(_check(f"kappa(1/2) = phi(1/2) [{sig.label()}]",
+                             zeta_factors.kappa(sig, sc, 0.5).value, sc.phi(0.5), tol))
         # magnitude of the leading coefficient against the functional equation
         order, coeff = zeta_factors.ruelle_leading_at_zero(sig, sc)
         d = order
@@ -435,8 +424,7 @@ def constants_checks(tol: float = 1e-10) -> list[Check]:
                     (Signature(2, 0), trivial_model())]:
         c1_val = zeta_factors.c1(sig, sc)
         c0_val = zeta_factors.c0(sig, sc)
-        sign = -1.0 if (sc.A // 2) % 2 == 0 else 1.0
-        relation = c1_val * sign * (2.0 * math.pi) ** (2 - 2 * sig.g - sig.n) * sc.phi_tilde_0
+        relation = -c1_val * (2.0 * math.pi) ** (2 - 2 * sig.g - sig.n) * sc.phi_tilde_0
         for m in sig.orders:
             relation /= m
         checks.append(_rel_check(f"c0 against c1 relation [{sig.label()}]", c0_val, relation, tol))
@@ -447,8 +435,7 @@ def constants_checks(tol: float = 1e-10) -> list[Check]:
     modular = Signature(0, 1, (2, 3))
     order, coeff = zeta_factors.ruelle_leading_at_zero(modular, modular_model())
     checks.append(_check("modular Ruelle order at 0", order, -2, 0))
-    checks.append(_check("modular |Ruelle leading| = 9/pi^2",
-                         abs(coeff), 9.0 / math.pi ** 2, 1e-10))
+    checks.append(_check("modular Ruelle leading = +9/pi^2", coeff, 9.0 / math.pi ** 2, 1e-10))
     return checks
 
 
@@ -465,10 +452,9 @@ def run_verify(tolerance: float | None = None) -> dict:
         tol = 0.0 if c.tolerance == 0 else tolerance
         return replace(c, tolerance=tol, passed=bool(c.abs_diff <= tol))
 
-    scattering, sign_report = scattering_checks()
     sections = {
         "special_functions": special_function_checks(),
-        "scattering": scattering,
+        "scattering": scattering_checks(),
         "factor_identities": factor_identity_checks(),
         "orders": order_checks(),
         "length_spectrum": spectrum_checks(),
@@ -482,7 +468,6 @@ def run_verify(tolerance: float | None = None) -> dict:
         "points_version": POINTS_VERSION,
         "tolerance_override": tolerance,
         "sections": {name: [asdict(c) for c in checks] for name, checks in sections.items()},
-        "phi_leading_sign_report": sign_report,
         "total_checks": len(all_checks),
         "failed_checks": len(failed),
         "passed": not failed,

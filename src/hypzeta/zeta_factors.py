@@ -10,10 +10,9 @@ Each function that takes a scattering model raises MismatchError when
 its cusp count differs from the signature's.
 
 Products of fractional powers are combined as sums of
-exponent * PrincipalLog(base); parity signs such as (-1)^(A/2) are exact
-integer signs, never complex exponentials. Identity checks that are
-sensitive to branch cuts should use the pinned cut-safe sample points
-shipped with the verify suite.
+exponent * PrincipalLog(base). Identity checks that are sensitive to
+branch cuts should use the pinned cut-safe sample points shipped with
+the verify suite.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, DomainWarning, PoleError, SingularFactorError
 from .scattering import ScatteringModel
-from .special_functions import log_barnes_gamma2, log_gamma
+from .special_functions import _log_sin, log_barnes_gamma2, log_gamma
 from .surface import Signature, check_cusp_count, constants
 
 __all__ = [
@@ -60,12 +59,8 @@ class FactorValue:
     value: complex
 
     @classmethod
-    def from_log(cls, log_value: complex, sign: int = 1) -> "FactorValue":
-        value = _exp(log_value)
-        if sign == -1:
-            value = -value
-            log_value = log_value + 1j * math.pi
-        return cls(log_value=complex(log_value), value=value)
+    def from_log(cls, log_value: complex) -> "FactorValue":
+        return cls(log_value=complex(log_value), value=_exp(log_value))
 
 
 def _chi(sig: Signature) -> float:
@@ -153,16 +148,17 @@ def _log_sine_block(sig: Signature, s: complex) -> complex:
             arg = (s + k) / m
             if _near_integer(arg):
                 raise SingularFactorError(f"sine factor (j={j}, k={k})")
-            total += (m - 2 * k - 1) / m * cmath.log(cmath.sin(math.pi * arg))
+            total += (m - 2 * k - 1) / m * _log_sin(math.pi * arg)
     return total
 
 
 def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
     """Functional-equation multiplier kappa with Z(1-s) = kappa(s) Z(s).
 
-    Assembled in log space from the exact sign (-1)^(A/2), the cusp
-    exponential, phi(s), the double-gamma block, the cusp gamma ratio,
-    and the cone-point sine product. Raises SingularFactorError naming
+    Assembled in log space from the cusp exponential, phi(s), the
+    double-gamma block, the cusp gamma ratio, and the cone-point sine
+    product. At s = 1/2 every factor but phi is 1, so
+    kappa(1/2) = phi(1/2) = (-1)^(A/2). Raises SingularFactorError naming
     whichever factor is singular at s.
     """
     s = complex(s)
@@ -195,7 +191,7 @@ def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
         + cusp_block
         + sine_block
     )
-    return FactorValue.from_log(log_total, sign=sc.parity)
+    return FactorValue.from_log(log_total)
 
 
 def ruelle_fe_rhs(
@@ -207,7 +203,10 @@ def ruelle_fe_rhs(
 
     (phi(s) phi(-s))^(-1) (4 sin^2 pi s)^(2g-2+n) / (4 s^2 - 1)^n
     * prod_j (sin pi s / sin(pi s / m_j))^2.
-    All exponents are integers, so no branch choices arise.
+    All exponents are integers, so no branch choices arise, and the
+    factors are summed as logs and exponentiated once: the sines alone
+    leave double range from |Im s| ~ 226 on. Raises DomainError where the
+    value itself does.
     """
     s = complex(s)
     check_cusp_count(sig, sc)
@@ -219,27 +218,34 @@ def ruelle_fe_rhs(
     for m in sig.orders:
         if _near_integer(s / m):
             raise PoleError(f"sin(pi s / {m}) vanishes at s={s}")
-    sin_pis = cmath.sin(math.pi * s)
     phi_product = sc.phi(s) * sc.phi(-s)
-    value = (4.0 * sin_pis * sin_pis) ** euler / phi_product
-    value /= (4.0 * s * s - 1.0) ** sig.n
+    if phi_product == 0:
+        raise PoleError(f"phi(s) phi(-s) vanishes at s={s}")
+    if s == 0:  # the checks above leave no cone points and 2g-2+n >= 1
+        return 0j
+    log_sin_pis = _log_sin(math.pi * s)
+    log_value = euler * (math.log(4.0) + 2.0 * log_sin_pis) - cmath.log(phi_product)
+    if sig.n:  # s = +-1/2, where 4s^2 - 1 = 0, was refused above when n >= 1
+        log_value -= sig.n * cmath.log(4.0 * s * s - 1.0)
     for m in sig.orders:
-        ratio = sin_pis / cmath.sin(math.pi * s / m)
-        value *= ratio * ratio
-    return value
+        log_value += 2.0 * (log_sin_pis - _log_sin(math.pi * s / m))
+    return _exp(log_value)
 
 
 def ruelle_leading_at_zero(sig: Signature, sc: ScatteringModel) -> tuple[int, float]:
     """Order and leading coefficient of the Ruelle zeta function at s = 0.
 
     order = 2g - 2 + n - n0 and
-    coeff = (-1)^(A/2 + 1) (2 pi)^(2g-2+n) / phi_tilde_0 * prod_j m_j,
-    using the model's stored leading coefficient of phi.
+    coeff = -(2 pi)^(2g-2+n) / phi_tilde_0 * prod_j m_j,
+    using the model's stored leading coefficient of phi. This is the
+    paper's printed (-1)^(A/2 + 1) prefactor times (-1)^(A/2); for the
+    modular surface, phi_tilde_0 = -pi/3 gives +9/pi^2, the limit of
+    s^2 R(s) that the transfer-operator oracle in tests confirms.
     """
     check_cusp_count(sig, sc)
     euler = 2 * sig.g - 2 + sig.n
     order = euler - sc.n0
-    coeff = -sc.parity * (2.0 * math.pi) ** euler / sc.phi_tilde_0
+    coeff = -(2.0 * math.pi) ** euler / sc.phi_tilde_0
     for m in sig.orders:
         coeff *= m
     return order, coeff
@@ -273,4 +279,4 @@ def c0(sig: Signature, sc: ScatteringModel) -> float:
         log_total -= (m - 1) / m * math.log(m)
         for k in range(1, m):
             log_total += (2 * k + 1 - m) / m * math.lgamma(k / m)
-    return -sc.parity * sc.phi_tilde_0 * math.exp(log_total)
+    return -sc.phi_tilde_0 * math.exp(log_total)

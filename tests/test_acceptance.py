@@ -134,7 +134,7 @@ def test_criterion_06_modular_reproduction():
     ok = abs(model.phi(0.5) + 1.0) <= 1e-10
     n0, coeff = phi_leading_at_zero(model)
     ok &= n0 == 1
-    ok &= abs(abs(coeff) - math.pi / 3.0) <= 1e-9
+    ok &= abs(coeff + math.pi / 3.0) <= 1e-9
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         code = cli_run(["ruelle-leading", "--signature", "0,1,2:3",
@@ -143,9 +143,8 @@ def test_criterion_06_modular_reproduction():
     report = json.loads(buffer.getvalue())
     results = {item["name"]: item["value"] for item in report["results"]}
     ok &= results["order"] == -2
-    ok &= abs(results["abs_coefficient"] - 9.0 / math.pi ** 2) <= 1e-10
-    ok &= any("sign" in note for note in report["notes"])
-    announce(6, "modular reproduction incl. sign report", ok)
+    ok &= abs(results["coefficient"] - 9.0 / math.pi ** 2) <= 1e-10
+    announce(6, "modular reproduction, signed", ok)
 
 
 def test_criterion_07_order_tables():
@@ -250,11 +249,10 @@ def test_criterion_10_constants():
     ok = True
     for sig, sc in [(Signature(0, 1, (2, 3)), modular_model()),
                     (Signature(2, 0), trivial_model())]:
-        sign = -1.0 if (sc.A // 2) % 2 == 0 else 1.0
-        relation = c1(sig, sc) * sign * (2.0 * math.pi) ** (2 - 2 * sig.g - sig.n) * sc.phi_tilde_0
+        relation = -c1(sig, sc) * (2.0 * math.pi) ** (2 - 2 * sig.g - sig.n) * sc.phi_tilde_0
         for m in sig.orders:
             relation /= m
         ok &= abs(c0(sig, sc) - relation) <= 1e-10 * abs(relation)
     for label in ("modular", "trivial"):
         ok &= builtin_model(label).A % 2 == 0
-    announce(10, "constants c0/c1 and parity", ok)
+    announce(10, "constants c0/c1 and A", ok)

@@ -139,10 +139,11 @@ class TestRuelleLeading:
         )
         assert code == 0
         assert result_of(report, "order") == -2
+        assert abs(result_of(report, "coefficient") - 9.0 / math.pi ** 2) < 1e-10
         assert abs(result_of(report, "abs_coefficient") - 9.0 / math.pi ** 2) < 1e-10
-        assert any("sign discrepancy" in note for note in report["notes"])
-        fitted = result_of(report, "phi_leading_fitted")
-        assert fitted < 0 and abs(abs(fitted) - math.pi / 3.0) < 1e-9
+        assert report["notes"] == []
+        assert {item["name"] for item in report["results"]} == {
+            "order", "coefficient", "abs_coefficient"}
 
 
 class TestSpectrum:
@@ -243,9 +244,16 @@ class TestVerifyCommand:
         code, report, _ = invoke_json(["verify"])
         assert code == 0
         assert result_of(report, "failed_checks") == 0
-        sign = result_of(report, "phi_leading_sign_report")
-        assert sign["signs_agree"] is False
-        assert abs(abs(sign["computed_phi_tilde_0"]) - sign["stored_phi_tilde_0"]) < 1e-9
+        assert {item["name"] for item in report["results"]} == {"total_checks", "failed_checks"}
+        assert report["notes"] == []
+        signed = {c["name"] for c in report["checks"]}
+        assert {
+            "scattering: modular phi~(0) = stored phi_tilde_0",
+            "constants: modular Ruelle leading = +9/pi^2",
+            "factor_identities: kappa(1/2) = phi(1/2) [(0;1;2,3)]",
+            "factor_identities: kappa(1/2) = phi(1/2) [(0;0;2,3,7)]",
+            "factor_identities: kappa(1/2) = phi(1/2) [(1;1;2)]",
+        } <= signed
 
     def test_fails_with_absurd_tolerance(self):
         code, report, err = invoke_json(["verify", "--tolerance", "1e-18"])
@@ -258,7 +266,7 @@ class TestVerifyCommand:
         fail_lines = [line for line in out.splitlines() if "FAIL " in line]
         assert any("FAIL special_functions: gamma reflection at s=(" in line
                    for line in fail_lines)
-        assert any("FAIL scattering: modular |phi~(0)| = pi/3: " in line
+        assert any("FAIL scattering: modular phi~(0) = stored phi_tilde_0: " in line
                    for line in fail_lines)
 
 
@@ -380,6 +388,24 @@ class TestKappaLargeImaginaryPart:
             value = result_of(report, "kappa")
             values.append(complex(value["re"], value["im"]))
         assert abs(abs(values[0] * values[1]) - 1.0) < 1e-10
+
+
+class TestKappaSign:
+    def test_half_is_minus_one(self):
+        code, report, _ = invoke_json(["kappa", "--signature", "0,1,2:3", "--s", "0.5,0"])
+        assert code == 0
+        value = result_of(report, "kappa")
+        assert abs(complex(value["re"], value["im"]) + 1.0) < 1e-9
+
+    def test_involution_at_im_1000(self):
+        # the cone-point sines once overflowed here (exit 2, kind OverflowError)
+        values = []
+        for s in ("0.3,1000", "0.7,-1000"):
+            code, report, _ = invoke_json(["kappa", "--signature", "0,1,2:3", "--s", s])
+            assert code == 0
+            value = result_of(report, "kappa")
+            values.append(complex(value["re"], value["im"]))
+        assert abs(values[0] * values[1] - 1.0) < 1e-10
 
 
 class TestErrorSplit:

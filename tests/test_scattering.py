@@ -72,9 +72,17 @@ class TestLeadingAtZero:
         assert coeff < 0
         assert abs(coeff - taylor) < 1e-9
 
-    def test_stored_value_keeps_positive_convention(self):
+    def test_stored_value_is_the_taylor_coefficient(self):
         model = modular_model()
-        assert model.phi_tilde_0 == pytest.approx(math.pi / 3.0, abs=0)
+        assert model.phi_tilde_0 == pytest.approx(-math.pi / 3.0, abs=0)
+
+    def test_fit_error_on_wrong_sign(self):
+        wrong = ScatteringModel(
+            n=1, phi=modular_phi, n0=1, phi_tilde_0=math.pi / 3.0,
+            phi_half=-1.0, A=2, label="wrong sign",
+        )
+        with pytest.raises(FitError, match="contradicts stored"):
+            phi_leading_at_zero(wrong)
 
     def test_trivial_model(self):
         n0, coeff = phi_leading_at_zero(trivial_model())

@@ -75,7 +75,7 @@ def _mp_phi_logderiv(z):
 
 
 def test_phi_logderiv_sides_against_mpmath():
-    checks, _ = verify.scattering_checks()
+    checks = verify.scattering_checks()
     (check,) = [c for c in checks if c.name == "phi'/phi symmetry under s -> 1-s"]
     assert check.tolerance == 1e-9
     s = mp.mpc(check.s.real, check.s.imag)

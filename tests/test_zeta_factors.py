@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import warnings
 
 import mpmath as mp
@@ -17,11 +18,12 @@ from hypzeta.errors import (
 from hypzeta.euler_product import selberg_Z
 from hypzeta.length_spectrum import enumerate_spectrum
 from hypzeta.scattering import ScatteringModel, modular_model, trivial_model
-from hypzeta.special_functions import ZETA_PRIME_MINUS_ONE
+from hypzeta.special_functions import ZETA_PRIME_MINUS_ONE, _log_sin
 from hypzeta.surface import Signature, constants
 from hypzeta.verify import CUT_SAFE_POINTS
 from hypzeta.zeta_factors import (
     FactorValue,
+    _log_sine_block,
     c0,
     c1,
     det_laplacian,
@@ -42,10 +44,13 @@ TRIANGLE = Signature(0, 0, (2, 3, 7))
 Z_INFTY_MODULAR_HALF = 1.2538764966951171
 Z_ELL_MODULAR_1 = 0.38940724938314019
 Z_ELL_MODULAR_2 = 0.71322923912504639
-KAPPA_MODULAR_POINT = complex(-0.026978254325571506, 0.26308863744157597)
+KAPPA_MODULAR_POINT = complex(0.026978254325571506, -0.26308863744157597)
 RUELLE_RHS_MODULAR_QUARTER = 232.41201474197110
 C1_MODULAR = 0.79833954928352248
 C0_MODULAR = 0.87547728101914982
+C1_COMPACT = 1.9663764658289105
+C0_COMPACT = -0.049808897751055556
+RUELLE_LEADING_MODULAR = 0.9118906527810402
 DET_COMPACT_PROBE_AT_2 = 1.4218326305607178
 
 
@@ -155,7 +160,18 @@ class TestDetLaplacian:
 
 class TestKappa:
     def test_modular_at_half(self):
-        assert abs(kappa(MODULAR, modular_model(), 0.5).value - 1.0) < 1e-10
+        # Z changes sign at its simple pole 1/2 (see test_mayer_oracle.py)
+        assert abs(kappa(MODULAR, modular_model(), 0.5).value + 1.0) < 1e-10
+
+    @pytest.mark.parametrize("sig, sc, expected", [
+        (MODULAR, modular_model(), -1.0),
+        (Signature(1, 1, (2,)), modular_model(), -1.0),
+        (TRIANGLE, trivial_model(), 1.0),
+    ], ids=["(0;1;2,3)", "(1;1;2)", "(0;0;2,3,7)"])
+    def test_half_is_phi_half(self, sig, sc, expected):
+        value = kappa(sig, sc, 0.5).value
+        assert abs(value - sc.phi(0.5)) < 1e-12
+        assert abs(value - expected) < 1e-10
 
     def test_compact_at_half(self):
         assert abs(kappa(COMPACT, trivial_model(), 0.5).value - 1.0) < 1e-12
@@ -182,6 +198,37 @@ class TestKappa:
     def test_cusp_mismatch(self):
         with pytest.raises(MismatchError):
             kappa(MODULAR, trivial_model(), 0.3 + 0.2j)
+
+    def test_involution_past_sine_overflow(self):
+        # sin(pi (s+k)/m) of the cone-point block leaves double range here
+        sc = modular_model()
+        for s in (0.3 + 1000.0j, 0.3 - 700.0j, 0.45 + 460.0j):
+            product = kappa(MODULAR, sc, s).value * kappa(MODULAR, sc, 1.0 - s).value
+            assert abs(product - 1.0) < 1e-11
+
+
+class TestSineBlockBranch:
+    def test_log_sin_is_principal(self):
+        rng = random.Random(20261018)
+        for _ in range(5000):
+            z = complex(rng.uniform(-20.0, 20.0), rng.uniform(-300.0, 300.0))
+            ref = cmath.log(cmath.sin(z))
+            assert abs(_log_sin(z) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    def test_log_sin_past_double_range(self):
+        # sin z itself overflows a double here; mpmath does not
+        for z in (-13.0 + 900.0j, 7.5 - 2000.0j, 2.0 - 1e4j, 0.1 + 750.0j):
+            ref = complex(mp.log(mp.sin(mp.mpc(z.real, z.imag))))
+            assert abs(_log_sin(z) - ref) <= 1e-14 * abs(ref)
+
+    def test_log_kappa_branch_unchanged(self):
+        # the block is the sum of principal logs; its branch shows in log_kappa
+        for s in CUT_SAFE_POINTS:
+            ref = sum(
+                (m - 2 * k - 1) / m * cmath.log(cmath.sin(math.pi * (s + k) / m))
+                for m in MODULAR.orders for k in range(m)
+            )
+            assert abs(_log_sine_block(MODULAR, s) - ref) < 1e-13
 
 
 class TestRuelleFERhs:
@@ -213,6 +260,22 @@ class TestRuelleFERhs:
             lhs = kappa(sig, sc, s + 1.0).value / kappa(sig, sc, s).value
             rhs = ruelle_fe_rhs(sig, sc, s)
             assert abs(lhs - rhs) < 1e-9 * abs(rhs)
+
+    def test_consistency_with_kappa_past_sine_overflow(self):
+        # cmath.sin(pi s) leaves double range from |Im s| ~ 226 on
+        sig, sc = MODULAR, modular_model()
+        for s in (0.3 + 400.0j, 0.3 - 500.0j, 0.5 - 460.0j, -0.3 + 650.0j, -0.1 - 650.0j):
+            lhs = kappa(sig, sc, s + 1.0).value / kappa(sig, sc, s).value
+            rhs = ruelle_fe_rhs(sig, sc, s)
+            assert abs(lhs - rhs) < 1e-9 * abs(rhs)
+
+    def test_overflow_is_domain_error(self):
+        with pytest.raises(DomainError):
+            ruelle_fe_rhs(MODULAR, modular_model(), 0.3 + 1000.0j)
+
+    def test_compact_at_zero(self):
+        # R(s) R(-s) has a zero of order 4 at 0 on a genus-2 surface
+        assert ruelle_fe_rhs(COMPACT, trivial_model(), 0.0) == 0
 
 
 class TestCuspCount:
@@ -254,6 +317,7 @@ class TestRuelleLeading:
         order, coeff = ruelle_leading_at_zero(MODULAR, modular_model())
         assert order == -2
         assert abs(coeff - 9.0 / math.pi ** 2) < 1e-12
+        assert abs(coeff - RUELLE_LEADING_MODULAR) < 1e-13
 
     def test_compact(self):
         order, coeff = ruelle_leading_at_zero(COMPACT, trivial_model())
@@ -302,12 +366,15 @@ class TestConstantsC:
     def test_c0_modular_pinned(self):
         assert abs(c0(MODULAR, modular_model()) - C0_MODULAR) < 1e-13
 
+    def test_compact_pinned(self):
+        assert abs(c1(COMPACT, trivial_model()) - C1_COMPACT) < 1e-13
+        assert abs(c0(COMPACT, trivial_model()) - C0_COMPACT) < 1e-13
+
     def test_c0_c1_relation_everywhere(self):
         for sig, sc in [(MODULAR, modular_model()), (COMPACT, trivial_model()),
                         (TRIANGLE, trivial_model())]:
-            sign = -1.0 if (sc.A // 2) % 2 == 0 else 1.0
             relation = (
-                c1(sig, sc) * sign
+                -c1(sig, sc)
                 * (2.0 * math.pi) ** (2 - 2 * sig.g - sig.n) * sc.phi_tilde_0
             )
             for m in sig.orders:
@@ -318,9 +385,4 @@ class TestConstantsC:
 class TestFactorValue:
     def test_exp_consistency(self):
         fv = FactorValue.from_log(2.5 - 0.7j)
-        assert cmath.isclose(cmath.exp(fv.log_value), fv.value, rel_tol=1e-14)
-
-    def test_negative_sign_exact(self):
-        fv = FactorValue.from_log(0.0, sign=-1)
-        assert fv.value == -1.0 + 0.0j
         assert cmath.isclose(cmath.exp(fv.log_value), fv.value, rel_tol=1e-14)
