@@ -14,6 +14,7 @@ import cmath
 import functools
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -35,6 +36,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token that starts -<digit> or -.<digit>, such as -0.7,0.5, is a
+        # value; argparse's own negative-number pattern has no comma in it
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # argparse exits with 2 by default; we use 1
         raise UsageError(message)
 

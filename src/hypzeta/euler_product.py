@@ -3,11 +3,11 @@
 Evaluates the Selberg zeta function Z(s) = prod_P prod_k (1 - p^(-s-k))
 and the Ruelle zeta function R(s) = Z(s)/Z(s+1) = prod_P (1 - p^(-s))
 for Re s > 1, with explicit truncation-error estimates. The inner k-sum
-is cut adaptively from the smallest norm; the missing trace shells are
-extrapolated geometrically from the last included shells and inflated by
-a safety factor of 10 - an honest estimate, not a proven bound.
+is cut where its geometric bound in the smallest norm drops below a
+fixed target; the missing trace shells are estimated from the prime
+geodesic theorem and doubled - an honest estimate, not a proven bound.
 
-Both products, and the tail fit, read the spectrum's columnar table
+Both products read the spectrum's columnar table
 (`LengthSpectrum.columns`: one column per distinct trace, weighted by
 its class count) and run over numpy arrays, shell x k for the Selberg
 product. Every result carries its relative error estimate split into
@@ -21,13 +21,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import exp1
 
 from .errors import DomainError, EmptySpectrumError
 from .length_spectrum import LengthSpectrum
 
 __all__ = ["TruncatedValue", "selberg_Z", "ruelle_R"]
 
-_TAIL_SAFETY = 10.0
+_TAIL_SAFETY = 2.0
 _MIN_K_CUTOFF = 10
 # relative target of the adaptive k-cutoff; the k-tail is cut at a tenth of it
 _REL_TOL = 1e-10
@@ -61,41 +62,26 @@ def _require_usable(spectrum: LengthSpectrum, s: complex) -> None:
         )
 
 
-def _trace_tail_estimate(traces: np.ndarray, sums: np.ndarray, max_trace: int) -> float:
-    """Extrapolation of the missing shell sums beyond max_trace.
+def _trace_tail_estimate(sigma: float, max_trace: int) -> float:
+    """Relative error from the classes beyond max_trace.
 
-    Shell sums count(t) * p(t)^(-sigma) decay like a power of the trace
-    but with strong per-trace multiplicity noise, so the decay exponent
-    is fitted by least squares over the trailing half of the shells and
-    the projected tail (integral of the fitted power law) is inflated by
-    the safety factor. A near-flat fit means the tail is effectively
-    unbounded and the estimate says so.
+    By the prime geodesic theorem (Selberg; Iwaniec 1984 for PSL(2,Z)) the
+    classes of norm at most x number li(x) asymptotically, so the missing terms |log(1 - p^(-s))| ~ p^(-sigma)
+    sum to the integral of x^(-sigma) / log x from N(T) on, which is
+    E1((sigma - 1) log N(T)) with N(T) the norm at trace T. expm1 turns
+    that error of the log into one of the value, and the safety factor
+    covers the sub-leading terms of the theorem.
     """
-    if len(sums) < 6:
-        return _TAIL_SAFETY * float(sums[-1]) * len(sums)
-    # anchor the fit window at a fixed lower trace so appending shells
-    # perturbs the fit only slightly (keeps the estimate monotone in T)
-    start = min(int(np.argmax(traces >= 10)), len(sums) - 6)
-    xs = np.log(traces[start:])
-    ys = np.log(np.maximum(sums[start:], 1e-300))
-    x_bar = xs.mean()
-    y_bar = ys.mean()
-    slope = float(np.sum((xs - x_bar) * (ys - y_bar)) / np.sum((xs - x_bar) ** 2))
-    decay = -slope
-    if decay <= 1.05:
-        return math.inf
-    log_c = y_bar - slope * x_bar
-    tail = math.exp(log_c) * (max_trace + 0.5) ** (1.0 - decay) / (decay - 1.0)
-    return _TAIL_SAFETY * tail
+    log_norm = 2.0 * math.acosh(max_trace / 2.0)
+    return _TAIL_SAFETY * math.expm1(float(exp1((sigma - 1.0) * log_norm)))
 
 
 def _k_cutoff(spectrum: LengthSpectrum, sigma: float) -> int:
+    """Smallest k >= _MIN_K_CUTOFF with count * p_min^(-(sigma + k + 1)) below
+    a tenth of _REL_TOL."""
     p_min = float(spectrum.columns[2, 0])
-    count = spectrum.class_count
-    k = _MIN_K_CUTOFF
-    while count * p_min ** (-(sigma + k + 1)) >= _REL_TOL / 10.0 and k < 10_000:
-        k += 1
-    return k
+    exponent = math.log(10.0 * spectrum.class_count / _REL_TOL) / math.log(p_min)
+    return max(_MIN_K_CUTOFF, math.floor(exponent - sigma - 1.0) + 1)
 
 
 def selberg_Z(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
@@ -105,14 +91,14 @@ def selberg_Z(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
     classes and k up to an adaptive cutoff, taken over a (shell x k)
     array with |p^(-s-k)| = p^(-sigma-k) and the phase p^(-i Im s) shared
     along each row. The error estimate combines
-    the k-tail (geometric in the smallest norm) with the extrapolated
+    the k-tail (geometric in the smallest norm) with the prime-geodesic
     trace tail.
     """
     s = complex(s)
     _require_usable(spectrum, s)
     sigma = s.real
     cutoff = _k_cutoff(spectrum, sigma)
-    trace, count, norm, length = spectrum.columns
+    _, count, norm, length = spectrum.columns
     phase = np.exp(-1j * s.imag * length)
     x = np.exp(-np.outer(length, sigma + np.arange(cutoff + 1))) * phase[:, None]
     log_z = complex(count @ np.log(1.0 - x).sum(axis=1))
@@ -122,7 +108,7 @@ def selberg_Z(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
         * p_min ** (-(sigma + cutoff + 1))
         / (1.0 - 1.0 / p_min)
     )
-    trace_tail = _trace_tail_estimate(trace, count * norm ** (-sigma), spectrum.max_trace)
+    trace_tail = _trace_tail_estimate(sigma, spectrum.max_trace)
     value = cmath.exp(log_z)
     return TruncatedValue(
         value=value,
@@ -134,14 +120,11 @@ def selberg_Z(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
     )
 
 
-def _ruelle_direct(
-    spectrum: LengthSpectrum,
-    s: complex,
-) -> TruncatedValue:
-    trace, count, norm, length = spectrum.columns
+def _ruelle_direct(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
+    _, count, _, length = spectrum.columns
     log_r = complex(count @ np.log(1.0 - np.exp(-s * length)))
     value = cmath.exp(log_r)
-    trace_tail = _trace_tail_estimate(trace, count * norm ** (-s.real), spectrum.max_trace)
+    trace_tail = _trace_tail_estimate(s.real, spectrum.max_trace)
     return TruncatedValue(
         value=value,
         abs_error_estimate=abs(value) * trace_tail,

@@ -79,13 +79,6 @@ def _neville_to_zero(xs, ys):
     return vals[0]
 
 
-def _richardson_limit(f, center: complex, h0: float = 1e-3, points: int = 4) -> complex:
-    """Limit of f at `center` from evaluations at center + h0 / 2^i."""
-    xs = [h0 / 2.0 ** i for i in range(points)]
-    ys = [f(center + x) for x in xs]
-    return _neville_to_zero(xs, ys)
-
-
 def _modular_phi_direct(s: complex) -> complex:
     num = riemann_zeta(2.0 * s - 1.0)
     den = riemann_zeta(2.0 * s)
@@ -93,6 +86,20 @@ def _modular_phi_direct(s: complex) -> complex:
         raise PoleError(f"scattering determinant pole at zeta zero, s={s}")
     gamma_ratio = cmath.exp(log_gamma(s - 0.5) - log_gamma(s))
     return math.sqrt(math.pi) * gamma_ratio * num / den
+
+
+def _modular_phi_removable(j: int) -> complex:
+    """phi at s = 1/2 - j, where Gamma(s - 1/2) has a pole.
+
+    The pole of zeta(2s) cancels it at j = 0, where phi is -1, and the zero
+    zeta(-2j) for j >= 1, where ((2j)!/j!)^2 zeta(2j+1) / ((-16 pi^2)^j
+    zeta(1-2j)) = j C(2j, j) 4^(-j) zeta(2j+1) / zeta(2j) by zeta's
+    functional equation.
+    """
+    if j == 0:
+        return complex(-1.0)
+    ratio = riemann_zeta(2 * j + 1).real / riemann_zeta(2 * j).real
+    return complex(j * math.comb(2 * j, j) / 4 ** j * ratio)
 
 
 def _near(s: complex, target: float, tol: float = _SING_TOL) -> bool:
@@ -104,20 +111,16 @@ def modular_phi(s: complex) -> complex:
 
     phi(s) = sqrt(pi) * Gamma(s - 1/2)/Gamma(s) * zeta(2s - 1)/zeta(2s).
     The removable singularities at s = 1/2 - j (gamma pole cancelled by a
-    zeta factor) are evaluated by a four-point Richardson limit; s = 1 is
-    a genuine pole.
+    zeta factor) take their exact limit; s = 1 is a genuine pole.
     """
     s = complex(s)
     if _near(s, 1.0):
         raise PoleError("modular scattering determinant has a pole at s=1")
-    removable = False
     if abs(s.imag) < _SING_TOL:
-        x = s.real
+        j = round(0.5 - s.real)
         # gamma-factor poles at s = 1/2 - j and the zeta(2s) pole at s = 1/2
-        if x <= 0.5 + _SING_TOL and abs((0.5 - x) - round(0.5 - x)) < _SING_TOL:
-            removable = True
-    if removable:
-        return _richardson_limit(_modular_phi_direct, complex(round(s.real * 2) / 2.0, 0.0))
+        if j >= 0 and _near(s.real, 0.5 - j):
+            return _modular_phi_removable(j)
     return _modular_phi_direct(s)
 
 

@@ -337,6 +337,30 @@ class TestDetLaplacian:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestNegativeRealPart:
+    """A value token such as -0.7,0.5 is read as a value, not as an option."""
+
+    def test_kappa(self):
+        code, report, err = invoke_json(["kappa", "--signature", "0,1,2:3", "--s", "-0.7,0.5"])
+        assert code == 0, err
+        _, joined, _ = invoke_json(["kappa", "--signature", "0,1,2:3", "--s=-0.7,0.5"])
+        assert report["results"] == joined["results"]
+        _, mirror, _ = invoke_json(["kappa", "--signature", "0,1,2:3", "--s", "1.7,-0.5"])
+        a, b = result_of(report, "kappa"), result_of(mirror, "kappa")
+        assert abs(complex(a["re"], a["im"]) * complex(b["re"], b["im"]) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("s", ["-0.7,0.5", "-.7,0.5"])
+    def test_det_laplacian_probe(self, s):
+        argv = ["det-laplacian", "--signature", "0,1,2:3", "--s", s, "--z-value", "-1,0"]
+        code, report, err = invoke_json(argv)
+        assert code == 0, err
+        assert report["inputs"]["s"] == {"re": -0.7, "im": 0.5}
+        assert report["inputs"]["z_value"] == {"re": -1.0, "im": 0.0}
+        _, joined, _ = invoke_json(["det-laplacian", "--signature", "0,1,2:3",
+                                    "--s=-0.7,0.5", "--z-value=-1,0"])
+        assert report["results"] == joined["results"]
+
+
 class TestSurfaceInfo:
     def test_defaults_model_from_cusp_count(self):
         code, report, _ = invoke_json(["surface", "info", "--signature", "0,1,2:3"])
@@ -419,6 +443,22 @@ class TestErrorSplit:
         assert abs(abs(complex(value["re"], value["im"])) * parts - total) <= 1e-12 * total
         if "direct" in argv:
             assert result_of(report, "k_tail_error") == 0.0
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("max_trace", ["3", "12", "40"])
+    @pytest.mark.parametrize("re", ["1.0001", "1.001", "1.02"])
+    @pytest.mark.parametrize("command", ["zeta", "ruelle"])
+    def test_near_the_boundary(self, command, re, max_trace):
+        # a non-finite estimate would print as Infinity, which is not JSON
+        code, out, err = invoke([command, "--s", f"{re},0", "--max-trace", max_trace, "--json"])
+        assert code == 0, err
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert math.isfinite(result_of(report, "abs_error_estimate"))
 
 
 def _readme_cli_lines():

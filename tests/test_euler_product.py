@@ -3,10 +3,11 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 from hypzeta.errors import DomainError, EmptySpectrumError
-from hypzeta.euler_product import ruelle_R, selberg_Z
+from hypzeta.euler_product import _k_cutoff, ruelle_R, selberg_Z
 from hypzeta.length_spectrum import LengthSpectrum, enumerate_spectrum, read_cache, write_cache
 
 
@@ -30,23 +31,21 @@ def double_sum_oracle(spectrum, s, tail=1e-18):
     return cmath.exp(total)
 
 
-def scalar_tail_estimate(spectrum, sigma):
-    """Trace-tail estimate as a plain loop: the least-squares power-law fit
-    of count * p^(-sigma) over the shells from trace 10 on, integrated past
-    max_trace and inflated tenfold."""
-    shells = spectrum.shells
-    sums = [sh.count * sh.norm ** (-sigma) for sh in shells]
-    start = next((i for i, sh in enumerate(shells) if sh.trace >= 10), 0)
-    start = min(start, len(sums) - 6)
-    xs = [math.log(sh.trace) for sh in shells[start:]]
-    ys = [math.log(max(g, 1e-300)) for g in sums[start:]]
-    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = (sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
-             / sum((x - x_bar) ** 2 for x in xs))
-    if -slope <= 1.05:
-        return math.inf
-    scale = math.exp(y_bar - slope * x_bar)
-    return 10.0 * scale * (spectrum.max_trace + 0.5) ** (1.0 + slope) / (-slope - 1.0)
+def mp_tail_estimate(spectrum, sigma):
+    """Trace-tail estimate in mpmath: twice expm1(E1((sigma - 1) log N(T))),
+    N(T) the norm at the trace bound T."""
+    log_norm = 2 * mp.acosh(mp.mpf(spectrum.max_trace) / 2)
+    return float(2 * mp.expm1(mp.e1((sigma - 1) * log_norm)))
+
+
+def loop_k_cutoff(spectrum, sigma):
+    """The k-cutoff as the loop that defined it: raise k from 10 until the
+    k-tail bound count * p_min^(-(sigma + k + 1)) drops below 1e-11."""
+    p_min = spectrum.shells[0].norm
+    k = 10
+    while spectrum.class_count * p_min ** (-(sigma + k + 1)) >= 1e-11:
+        k += 1
+    return k
 
 
 def scalar_selberg(spectrum, s, cutoff):
@@ -60,7 +59,7 @@ def scalar_selberg(spectrum, s, cutoff):
     p_min = spectrum.shells[0].norm
     k_tail = spectrum.class_count * p_min ** (-(s.real + cutoff + 1)) / (1.0 - 1.0 / p_min)
     value = cmath.exp(log_z)
-    return value, abs(value) * (k_tail + scalar_tail_estimate(spectrum, s.real))
+    return value, abs(value) * (k_tail + mp_tail_estimate(spectrum, s.real))
 
 
 def scalar_ruelle(spectrum, s):
@@ -69,7 +68,7 @@ def scalar_ruelle(spectrum, s):
     for shell in spectrum.shells:
         log_r += shell.count * cmath.log(1.0 - cmath.exp(-s * shell.length))
     value = cmath.exp(log_r)
-    return value, abs(value) * scalar_tail_estimate(spectrum, s.real)
+    return value, abs(value) * mp_tail_estimate(spectrum, s.real)
 
 
 VECTOR_POINTS = (1.05, complex(1.5, 1.0), 2.0, complex(3.0, 5.0))
@@ -153,15 +152,14 @@ class TestAgainstScalarLoops:
         assert abs(ours.value - value) <= 1e-13 * abs(value)
         assert abs(ours.abs_error_estimate - error) <= 1e-12 * error
 
-    def test_short_spectrum_tail(self):
-        # fewer than six shells: the estimate is ten times the last shell sum
-        # per shell, not a fit
-        spectrum = enumerate_spectrum(7)
-        assert len(spectrum.shells) == 5
-        last = spectrum.shells[-1]
-        ours = ruelle_R(spectrum, 2.0, method="direct")
-        expected = 10.0 * last.count * last.norm ** -2.0 * 5
-        assert abs(ours.abs_error_estimate - abs(ours.value) * expected) <= 1e-14
+
+class TestKCutoff:
+    @pytest.mark.parametrize("max_trace", [3, 7, 12, 40, 200])
+    def test_closed_form_is_the_loop(self, max_trace):
+        spectrum = enumerate_spectrum(max_trace)
+        sigmas = [1.0 + 1e-12, 1.0001] + [1.0 + i / 100.0 for i in range(1, 4001)]
+        assert [_k_cutoff(spectrum, sigma) for sigma in sigmas] == [
+            loop_k_cutoff(spectrum, sigma) for sigma in sigmas]
 
 
 class TestCachedSpectrum:

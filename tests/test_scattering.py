@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 from hypzeta.errors import FitError, PoleError
@@ -38,6 +39,15 @@ class TestModularPhi:
         for s in (-0.5, -1.5, -2.5):
             value = modular_phi(s)
             assert abs(value * modular_phi(1.0 - s) - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("j", range(6))
+    def test_removable_point_against_mpmath(self, j):
+        # the quotient at 40 digits, 1e-25 right of the removable point
+        with mp.workdps(40):
+            s = mp.mpf(1) / 2 - j + mp.mpf(10) ** -25
+            limit = (mp.sqrt(mp.pi) * mp.gamma(s - mp.mpf(1) / 2) / mp.gamma(s)
+                     * mp.zeta(2 * s - 1) / mp.zeta(2 * s))
+            assert abs(modular_phi(0.5 - j) - complex(limit)) <= 1e-13 * abs(limit)
 
     def test_functional_equation_grid(self):
         for i in range(50):
