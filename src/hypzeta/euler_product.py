@@ -25,6 +25,7 @@ from scipy.special import exp1
 
 from .errors import DomainError, EmptySpectrumError
 from .length_spectrum import LengthSpectrum
+from .special_functions import _finite_complex
 
 __all__ = ["TruncatedValue", "selberg_Z", "ruelle_R"]
 
@@ -51,15 +52,16 @@ class TruncatedValue:
     trace_tail_error: float
 
 
-def _require_usable(spectrum: LengthSpectrum, s: complex) -> None:
+def _require_usable(spectrum: LengthSpectrum, s) -> complex:
+    """s as a complex number, checked to lie where the product converges."""
     if not spectrum.columns.shape[1]:
         raise EmptySpectrumError("length spectrum has no classes")
-    if not cmath.isfinite(s):
-        raise DomainError(f"Euler product needs a finite s (got s = {s})")
+    s = _finite_complex(s)
     if s.real <= 1.0:
         raise DomainError(
             f"Euler product converges only for Re s > 1 (got Re s = {s.real})"
         )
+    return s
 
 
 def _trace_tail_estimate(sigma: float, max_trace: int) -> float:
@@ -94,8 +96,7 @@ def selberg_Z(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
     the k-tail (geometric in the smallest norm) with the prime-geodesic
     trace tail.
     """
-    s = complex(s)
-    _require_usable(spectrum, s)
+    s = _require_usable(spectrum, s)
     sigma = s.real
     cutoff = _k_cutoff(spectrum, sigma)
     _, count, norm, length = spectrum.columns
@@ -148,8 +149,7 @@ def ruelle_R(
     product over classes. The two paths agree within the combined error
     estimates on the convergence region.
     """
-    s = complex(s)
-    _require_usable(spectrum, s)
+    s = _require_usable(spectrum, s)
     if method == "direct":
         return _ruelle_direct(spectrum, s)
     if method != "quotient":

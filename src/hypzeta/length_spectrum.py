@@ -5,9 +5,11 @@ aperiodic cyclic words over the parabolic generators
 L = [[1,1],[0,1]] and R = [[1,0],[1,1]] that use both letters; the class
 invariant is the trace of the word's matrix product. Words are kept in
 canonical form (lexicographically minimal rotation, i.e. the Lyndon
-representative). Enumeration walks the prenecklace tree and prunes on
-the trace, which never decreases when a word is extended; the claimed
-minimum trace ell+1 at word length ell is enforced as a tested invariant.
+representative). Enumeration walks the prenecklace tree and cuts a prefix
+[[a,b],[c,d]] once a+b+d, its trace with R appended, exceeds the bound.
+The cut is exact: a class below a prefix is recorded at that trace of a
+longer prefix, and no letter lowers it. The minimum trace ell+1 at word
+length ell is enforced as a tested invariant.
 
 The walk carries each word as an integer bitmask rather than a string
 and counts the classes of each trace as it finds them. A spectrum is
@@ -251,12 +253,13 @@ def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSp
     """All primitive classes with trace <= max_trace, exactly once each.
 
     Walks the prenecklace tree over {L, R} recording Lyndon words (the
-    canonical rotations) and pruning any prefix whose trace already
-    exceeds max_trace; extending a word never lowers the trace. A word
-    w_0 ... w_(t-1) is the integer 2^t + sum of 2^(t-1-i) over the
-    positions i holding R: after the leading 1, its binary digits spell
-    the word with L = 0 and R = 1. Raises CapacityError when more than
-    max_classes classes appear.
+    canonical rotations). A prefix [[a,b],[c,d]] is cut once a + b + d,
+    its trace with R appended, exceeds max_trace; the cut is exact, since
+    every class below it is recorded at that trace of a longer prefix and
+    neither letter lowers it. A word w_0 ... w_(t-1) is the integer
+    2^t + sum of 2^(t-1-i) over the positions i holding R: after the
+    leading 1, its binary digits spell the word with L = 0 and R = 1.
+    Raises CapacityError when more than max_classes classes appear.
     """
     if max_trace < 3:
         raise ValueError("max_trace must be at least 3")
@@ -273,37 +276,27 @@ def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSp
         raise _capacity_error(max_classes, max_trace)
     while stack:
         mask, period, a, b, c, d = stack.pop()
-        # Follow one child in place and stack the other; a word that uses both
-        # letters has length below its trace, so the trace bound ends the walk.
-        while True:
+        # Follow one child in place and stack the other, up to the cut above.
+        while a + b + d <= max_trace:
             if (mask >> (period - 1)) & 1:
                 # the periodic letter is R: the only child appends R
-                if a + b + d > max_trace:
-                    break
                 mask = mask << 1 | 1
                 a, c = a + b, c + d
                 continue
             # the periodic letter is L: the child R resets the period (a new
-            # Lyndon word), the child L keeps it
-            trace = a + b + d
-            if trace <= max_trace:
-                child = mask << 1 | 1
-                by_trace[trace].append(child)
-                found += 1
-                if found > max_classes:
-                    raise _capacity_error(max_classes, max_trace)
-                if a + c + d <= max_trace:
-                    stack.append((child, child.bit_length() - 1, a + b, b, c + d, d))
-                    mask <<= 1
-                    b, d = a + b, c + d
-                else:
-                    mask, period = child, child.bit_length() - 1
-                    a, c = a + b, c + d
-            elif a + c + d <= max_trace:
+            # Lyndon word), the child L keeps it and is followed unless cut
+            child = mask << 1 | 1
+            by_trace[a + b + d].append(child)
+            found += 1
+            if found > max_classes:
+                raise _capacity_error(max_classes, max_trace)
+            if 2 * a + b + c + d <= max_trace:
+                stack.append((child, child.bit_length() - 1, a + b, b, c + d, d))
                 mask <<= 1
                 b, d = a + b, c + d
             else:
-                break
+                mask, period = child, child.bit_length() - 1
+                a, c = a + b, c + d
     rows = [(trace, len(by_trace[trace]), *_norm_and_length(trace)) for trace in sorted(by_trace)]
     return LengthSpectrum.from_columns(
         np.array(rows, dtype=float).T, max_trace, MODULAR_GROUP_LABEL, dict(by_trace)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import FitError, PoleError
-from .special_functions import log_gamma, riemann_zeta
+from .special_functions import _finite_complex, log_gamma, riemann_zeta
 
 __all__ = [
     "ScatteringModel",
@@ -113,7 +113,7 @@ def modular_phi(s: complex) -> complex:
     The removable singularities at s = 1/2 - j (gamma pole cancelled by a
     zeta factor) take their exact limit; s = 1 is a genuine pole.
     """
-    s = complex(s)
+    s = _finite_complex(s)
     if _near(s, 1.0):
         raise PoleError("modular scattering determinant has a pole at s=1")
     if abs(s.imag) < _SING_TOL:

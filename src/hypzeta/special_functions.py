@@ -14,8 +14,8 @@ up to a ceiling of 160,000 terms (about |s - 1| <= 1,060 after the
 recursion shift); beyond it G2 raises ConvergenceError.
 
 All routines work in IEEE binary64; tolerances quoted in docstrings are
-for that precision. Functions are pure and raise instead of returning
-non-finite values.
+for that precision. Functions are pure, refuse a non-finite argument
+with DomainError, and raise instead of returning non-finite values.
 """
 
 from __future__ import annotations
@@ -56,6 +56,14 @@ def _is_nonpositive_integer(s: complex, tol: float = _POLE_TOL) -> bool:
     )
 
 
+def _finite_complex(s) -> complex:
+    """complex(s), raising DomainError unless both of its parts are finite."""
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"s must be finite (got s = {s})")
+    return s
+
+
 def _ensure_finite(value: complex, what: str) -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ConvergenceError(f"{what} produced a non-finite value")
@@ -67,7 +75,7 @@ def log_gamma(s: complex) -> complex:
 
     Raises PoleError at the poles s = 0, -1, -2, ...
     """
-    s = complex(s)
+    s = _finite_complex(s)
     if _is_nonpositive_integer(s):
         raise PoleError(f"log_gamma pole at s={s}")
     return _ensure_finite(complex(sps.loggamma(s)), "log_gamma")
@@ -78,7 +86,7 @@ def digamma(s: complex) -> complex:
 
     Raises PoleError at the poles s = 0, -1, -2, ...
     """
-    s = complex(s)
+    s = _finite_complex(s)
     if _is_nonpositive_integer(s):
         raise PoleError(f"digamma pole at s={s}")
     return _ensure_finite(complex(sps.digamma(s)), "digamma")
@@ -149,7 +157,7 @@ def riemann_zeta(s: complex) -> complex:
     s = -2, -4, ..., where the reflection formula would multiply a
     rounded sin(pi s / 2) by a huge gamma factor.
     """
-    s = complex(s)
+    s = _finite_complex(s)
     if abs(s - 1.0) < _POLE_TOL:
         raise PoleError("riemann_zeta pole at s=1")
     if s.real >= 0.5:
@@ -259,7 +267,7 @@ def log_barnes_gamma2(s: complex) -> complex:
     ConvergenceError, before evaluating anything, where 160,000 terms do
     not suffice (|s - 1| beyond about 1,060 after the shift).
     """
-    s = complex(s)
+    s = _finite_complex(s)
     if _is_nonpositive_integer(s):
         raise PoleError(f"double gamma pole at s={s}")
     shift = 0.0 + 0.0j

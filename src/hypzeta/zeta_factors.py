@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, DomainWarning, PoleError, SingularFactorError
 from .scattering import ScatteringModel
-from .special_functions import _log_sin, log_barnes_gamma2, log_gamma
+from .special_functions import _finite_complex, _log_sin, log_barnes_gamma2, log_gamma
 from .surface import Signature, check_cusp_count, constants
 
 __all__ = [
@@ -41,18 +41,23 @@ __all__ = [
 
 
 def _exp(log_value: complex) -> complex:
-    """cmath.exp, raising DomainError where the value leaves double range."""
+    """cmath.exp, raising DomainError where the value leaves double range:
+    where it overflows, and where it underflows to 0."""
     try:
-        return cmath.exp(log_value)
+        value = cmath.exp(log_value)
     except OverflowError:
-        raise DomainError(f"exp({log_value}) leaves double range") from None
+        raise DomainError(f"exp({log_value}) overflows a double") from None
+    if value == 0:
+        raise DomainError(f"exp({log_value}) underflows to 0")
+    return value
 
 
 @dataclass(frozen=True)
 class FactorValue:
     """A factor carried in log space together with its value.
 
-    from_log raises DomainError where the value leaves double range.
+    from_log raises DomainError where the value overflows or underflows
+    to 0, out of double range.
     """
 
     log_value: complex
@@ -70,7 +75,7 @@ def _chi(sig: Signature) -> float:
 
 def z_infty(sig: Signature, s: complex) -> FactorValue:
     """Archimedean factor ((2 pi)^s G2(s)^2 / Gamma(s)) ^ (area / 2 pi)."""
-    s = complex(s)
+    s = _finite_complex(s)
     log_base = (
         s * math.log(2.0 * math.pi)
         + 2.0 * log_barnes_gamma2(s)
@@ -85,7 +90,7 @@ def z_ell(sig: Signature, s: complex) -> FactorValue:
     The empty product (no cone points) is 1. Raises PoleError naming the
     offending (j, k) if a gamma argument lands on a pole.
     """
-    s = complex(s)
+    s = _finite_complex(s)
     total = 0.0 + 0.0j
     for j, m in enumerate(sig.orders):
         for k in range(m):
@@ -115,7 +120,7 @@ def det_laplacian(
     of Z is available there. Raises DomainError where the determinant
     leaves double range.
     """
-    s = complex(s)
+    s = _finite_complex(s)
     if s.real <= 1.0:
         warnings.warn(
             DomainWarning("supplied Z(s) is untrusted for Re s <= 1"),
@@ -161,7 +166,7 @@ def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
     kappa(1/2) = phi(1/2) = (-1)^(A/2). Raises SingularFactorError naming
     whichever factor is singular at s.
     """
-    s = complex(s)
+    s = _finite_complex(s)
     c = constants(sig, sc)
     sine_block = _log_sine_block(sig, s)
     try:
@@ -208,7 +213,7 @@ def ruelle_fe_rhs(
     leave double range from |Im s| ~ 226 on. Raises DomainError where the
     value itself does.
     """
-    s = complex(s)
+    s = _finite_complex(s)
     check_cusp_count(sig, sc)
     if sig.n >= 1 and (abs(s - 0.5) < 1e-12 or abs(s + 0.5) < 1e-12):
         raise PoleError("Ruelle functional equation is singular at s = 1/2 and s = -1/2")

@@ -363,6 +363,31 @@ def cached_800(enumerated_800, tmp_path_factory):
     return read_cache(path, 800)
 
 
+def test_complete_at_the_benchmark_bound(enumerated_800):
+    """Every nonnegative matrix of SL(2,Z) with trace t >= 3 is one word using
+    both letters, u^k for one primitive u, and the class of u has |u|
+    rotations; so sum |u| over (u, k) with tr(u^k) = t counts the matrices,
+    sum over 1 <= a < t of d(a(t-a) - 1) with d the divisor count."""
+    max_trace = enumerated_800.max_trace
+    words = np.zeros(max_trace + 1, dtype=np.int64)
+    for trace, masks in enumerated_800.word_masks.items():
+        # tr(u^(k+1)) = tr(u) tr(u^k) - tr(u^(k-1)), with tr(u^0) = 2
+        letters = sum(mask.bit_length() - 1 for mask in masks)
+        previous, power = 2, trace
+        while power <= max_trace:
+            words[power] += letters
+            previous, power = power, trace * power - previous
+    bound = max_trace * max_trace // 4
+    divisors = np.zeros(bound + 1, dtype=np.int64)
+    for n in range(1, bound + 1):
+        divisors[n::n] += 1
+    matrices = np.zeros(max_trace + 1, dtype=np.int64)
+    for t in range(3, max_trace + 1):
+        a = np.arange(1, t)
+        matrices[t] = divisors[a * (t - a) - 1].sum()
+    assert words[3:].tolist() == matrices[3:].tolist()
+
+
 class TestColumnarTable:
     def test_cached_shells_match_enumerated(self, enumerated_800, cached_800):
         assert cached_800.shells == enumerated_800.shells

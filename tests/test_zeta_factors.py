@@ -17,8 +17,15 @@ from hypzeta.errors import (
 )
 from hypzeta.euler_product import selberg_Z
 from hypzeta.length_spectrum import enumerate_spectrum
-from hypzeta.scattering import ScatteringModel, modular_model, trivial_model
-from hypzeta.special_functions import ZETA_PRIME_MINUS_ONE, _log_sin
+from hypzeta.scattering import ScatteringModel, modular_model, modular_phi, trivial_model
+from hypzeta.special_functions import (
+    ZETA_PRIME_MINUS_ONE,
+    _log_sin,
+    digamma,
+    log_barnes_gamma2,
+    log_gamma,
+    riemann_zeta,
+)
 from hypzeta.surface import Signature, constants
 from hypzeta.verify import CUT_SAFE_POINTS
 from hypzeta.zeta_factors import (
@@ -305,6 +312,15 @@ class TestOverflow:
             with pytest.raises(DomainError):
                 call()
 
+    def test_underflow_is_domain_error(self):
+        # log kappa = -796.9 + 213198i: the value underflows a double to 0,
+        # which a caller's kappa(s + 1).value / kappa(s).value would divide by
+        with pytest.raises(DomainError, match="underflows"):
+            kappa(MODULAR, modular_model(), -0.7 + 650.0j)
+        with pytest.raises(DomainError, match="underflows"):
+            FactorValue.from_log(-800.0 + 1.0j)
+        assert FactorValue.from_log(-700.0).value.real > 0.0
+
     def test_kappa_finite_past_zeta_reflection_overflow(self):
         # sin(pi s / 2) and Gamma(1 - s) in zeta's reflection each overflow here
         sc = modular_model()
@@ -386,3 +402,29 @@ class TestFactorValue:
     def test_exp_consistency(self):
         fv = FactorValue.from_log(2.5 - 0.7j)
         assert cmath.isclose(cmath.exp(fv.log_value), fv.value, rel_tol=1e-14)
+
+
+NON_FINITE = [
+    complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, 0.0),
+    complex(0.3, math.nan), complex(0.3, math.inf), complex(0.3, -math.inf),
+    math.nan, math.inf, -math.inf,
+]
+
+
+class TestNonFiniteArgument:
+    @pytest.mark.parametrize("s", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("call", [
+        log_gamma, digamma, riemann_zeta, log_barnes_gamma2, modular_phi,
+        lambda s: z_infty(MODULAR, s),
+        lambda s: z_ell(MODULAR, s),
+        lambda s: det_laplacian(MODULAR, modular_model(), s, 1.0),
+        lambda s: kappa(MODULAR, modular_model(), s),
+        lambda s: ruelle_fe_rhs(MODULAR, modular_model(), s),
+        lambda s: selberg_Z(enumerate_spectrum(10), s),
+    ], ids=["log_gamma", "digamma", "riemann_zeta", "log_barnes_gamma2", "modular_phi",
+            "z_infty", "z_ell", "det_laplacian", "kappa", "ruelle_fe_rhs", "selberg_Z"])
+    def test_domain_error(self, call, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DomainWarning)
+            with pytest.raises(DomainError, match="finite"):
+                call(s)
