@@ -1,6 +1,7 @@
 """Complex special functions underlying the zeta machinery.
 
-Provides principal-branch log-gamma and digamma (delegated to scipy),
+Provides principal-branch log-gamma and digamma (Stirling and
+asymptotic series after recurrence shifts, with reflection on the left),
 the Riemann zeta function (one Euler-Maclaurin series on Re s >= 1/2,
 continued to Re s < 1/2 by the reflection formula, whose factor is
 summed in log space), the double gamma function G2 satisfying
@@ -24,7 +25,6 @@ import cmath
 import math
 
 import numpy as np
-import scipy.special as sps
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -70,33 +70,6 @@ def _ensure_finite(value: complex, what: str) -> complex:
     return value
 
 
-def log_gamma(s: complex) -> complex:
-    """Principal branch of log Gamma(s).
-
-    Raises PoleError at the poles s = 0, -1, -2, ...
-    """
-    s = _finite_complex(s)
-    if _is_nonpositive_integer(s):
-        raise PoleError(f"log_gamma pole at s={s}")
-    return _ensure_finite(complex(sps.loggamma(s)), "log_gamma")
-
-
-def digamma(s: complex) -> complex:
-    """Logarithmic derivative of the gamma function.
-
-    Raises PoleError at the poles s = 0, -1, -2, ...
-    """
-    s = _finite_complex(s)
-    if _is_nonpositive_integer(s):
-        raise PoleError(f"digamma pole at s={s}")
-    return _ensure_finite(complex(sps.digamma(s)), "digamma")
-
-
-# ---------------------------------------------------------------------------
-# Riemann zeta: an Euler-Maclaurin sum on Re s >= 1/2 and the reflection
-# formula on Re s < 1/2.
-# ---------------------------------------------------------------------------
-
 # Bernoulli numbers B_2, B_4, ..., B_28 as exact fractions.
 _BERNOULLI = tuple(
     p / q
@@ -108,21 +81,163 @@ _BERNOULLI = tuple(
 )
 
 
-def _zeta_euler_maclaurin(s: complex, terms: int = 50, order: int = 12) -> complex:
-    n = max(terms, int(abs(s.imag)) + 20)
-    k = np.arange(1, n, dtype=float)
-    total = complex(np.sum(np.exp(-s * np.log(k))))
-    ln_n = math.log(n)
-    total += 0.5 * cmath.exp(-s * ln_n)
-    total += cmath.exp((1.0 - s) * ln_n) / (s - 1.0)
-    # correction terms B_{2j}/(2j)! * s(s+1)...(s+2j-2) * n^{-s-2j+1}
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
+
+# B_2n / (2n (2n - 1)), n = 8 down to 1: the Stirling series of log Gamma
+_STIRLING = tuple(b / (2 * n * (2 * n - 1)) for n, b in enumerate(_BERNOULLI[:8], 1))[::-1]
+
+
+def _sinpi(x: float) -> float:
+    """sin(pi x), with x reduced mod 2 before the multiplication by pi."""
+    r = math.fmod(abs(x), 2.0)
+    if r < 0.5:
+        value = math.sin(math.pi * r)
+    elif r > 1.5:
+        value = math.sin(math.pi * (r - 2.0))
+    else:
+        value = -math.sin(math.pi * (r - 1.0))
+    return -value if x < 0.0 else value
+
+
+def _cospi(x: float) -> float:
+    """cos(pi x), with x reduced mod 2 before the multiplication by pi."""
+    r = math.fmod(abs(x), 2.0)
+    if r == 0.5:
+        return 0.0
+    if r < 1.0:
+        return -math.sin(math.pi * (r - 0.5))
+    return math.sin(math.pi * (r - 1.5))
+
+
+def _sinpi_cospi(z: complex) -> tuple[complex, complex]:
+    """sin(pi z) and cos(pi z) for |Im z| well inside 700 / pi."""
+    sx, cx = _sinpi(z.real), _cospi(z.real)
+    ch, sh = math.cosh(math.pi * z.imag), math.sinh(math.pi * z.imag)
+    return complex(sx * ch, cx * sh), complex(cx * ch, -sx * sh)
+
+
+def _loggamma_stirling(z: complex) -> complex:
+    rz = 1.0 / z
+    rzz = rz / z
+    series = 0j
+    for c in _STIRLING:
+        series = series * rzz + c
+    return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + rz * series
+
+
+def _loggamma_recurrence(z: complex) -> complex:
+    """log Gamma(z) for Im z >= +0 from log Gamma(z + n), Re(z + n) > 7.
+
+    The shift product z (z+1) ... (z+n-1) turns through the angles of its
+    factors; each time its imaginary part turns negative, its principal
+    log has lost 2 pi i, which is added back.
+    """
+    flips = 0
+    negative = False
+    product = z
+    z += 1.0
+    while z.real <= 7.0:
+        product *= z
+        now = math.copysign(1.0, product.imag) < 0.0
+        flips += now and not negative
+        negative = now
+        z += 1.0
+    return _loggamma_stirling(z) - cmath.log(product) - 2j * math.pi * flips
+
+
+def _loggamma(z: complex) -> complex:
+    """Principal branch of log Gamma(z) off the poles (Hare 1997).
+
+    Stirling's series with 8 terms where Re z > 7 or |Im z| > 7; the
+    backward recurrence elsewhere on Re z >= 0.1, through the conjugate
+    where Im z < 0 or is -0.0; and the reflection formula on Re z < 0.1,
+    with the 2 pi i correction of Hare's Proposition 3.1, so a zero
+    imaginary part picks the side of the negative real axis by its sign.
+    """
+    if z.real > 7.0 or abs(z.imag) > 7.0:
+        return _loggamma_stirling(z)
+    if z.real < 0.1:
+        turn = math.copysign(2.0 * math.pi, z.imag) * math.floor(0.5 * z.real + 0.25)
+        return (
+            complex(_LOG_PI, turn)
+            - cmath.log(_sinpi_cospi(z)[0])
+            - _loggamma(complex(1.0 - z.real, -z.imag))
+        )
+    if math.copysign(1.0, z.imag) < 0.0:
+        return _loggamma_recurrence(z.conjugate()).conjugate()
+    return _loggamma_recurrence(z)
+
+
+def _digamma(z: complex) -> complex:
+    """psi(z) off the poles: reflection psi(z) = psi(1-z) - pi cot(pi z)
+    near the left half of the real axis, recurrence shifts up to |z| >= 10,
+    then the asymptotic series through B_16 (remainder below 1e-17)."""
+    value = 0j
+    if z.real < 0.5 and abs(z.imag) < 10.0:
+        sin_piz, cos_piz = _sinpi_cospi(z)
+        value = -math.pi * cos_piz / sin_piz
+        z = complex(1.0 - z.real, -z.imag)
+    while abs(z) < 10.0:
+        value -= 1.0 / z
+        z += 1.0
+    rzz = 1.0 / (z * z)
+    series = 0j
+    for n in range(8, 0, -1):
+        series = (series + _BERNOULLI[n - 1] / (2 * n)) * rzz
+    return value + cmath.log(z) - 0.5 / z - series
+
+
+def log_gamma(s: complex) -> complex:
+    """Principal branch of log Gamma(s).
+
+    Raises PoleError at the poles s = 0, -1, -2, ...
+    """
+    s = _finite_complex(s)
+    if _is_nonpositive_integer(s):
+        raise PoleError(f"log_gamma pole at s={s}")
+    return _ensure_finite(_loggamma(s), "log_gamma")
+
+
+def digamma(s: complex) -> complex:
+    """Logarithmic derivative of the gamma function.
+
+    Raises PoleError at the poles s = 0, -1, -2, ...
+    """
+    s = _finite_complex(s)
+    if _is_nonpositive_integer(s):
+        raise PoleError(f"digamma pole at s={s}")
+    return _ensure_finite(_digamma(s), "digamma")
+
+
+# ---------------------------------------------------------------------------
+# Riemann zeta: an Euler-Maclaurin sum on Re s >= 1/2 and the reflection
+# formula on Re s < 1/2.
+# ---------------------------------------------------------------------------
+
+def _power_sum_tail(s: complex, n: int, order: int) -> complex:
+    """sum_{k >= n} k^(-s) by Euler-Maclaurin from k = n, with `order`
+    Bernoulli corrections B_{2j}/(2j)! * s(s+1)...(s+2j-2) * n^(-s-2j+1)."""
+    total = 0.5 * n ** -s + n ** (1.0 - s) / (s - 1.0)
     rising = s
     fact = 2.0
     for j in range(1, order + 1):
-        total += _BERNOULLI[j - 1] / fact * rising * cmath.exp((-s - 2 * j + 1) * ln_n)
+        total += _BERNOULLI[j - 1] / fact * rising * n ** (-s - 2 * j + 1)
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         fact *= (2 * j + 1) * (2 * j + 2)
     return total
+
+
+def _hurwitz_zeta(j: int, q: int) -> float:
+    """Hurwitz zeta(j, q) = sum_{k >= q} k^(-j) for integers 2 <= j <= 8 and
+    q >= 10,001, where the B_6 correction is below 1e-22 of the sum."""
+    return _power_sum_tail(complex(j), q, 3).real
+
+
+def _zeta_euler_maclaurin(s: complex, terms: int = 50, order: int = 12) -> complex:
+    n = max(terms, int(abs(s.imag)) + 20)
+    k = np.arange(1, n, dtype=float)
+    return complex(np.sum(np.exp(-s * np.log(k)))) + _power_sum_tail(s, n, order)
 
 
 def _log_sin(z: complex) -> complex:
@@ -204,6 +319,10 @@ def _log1p_complex(z: np.ndarray) -> np.ndarray:
 _G2_MIN_CUTOFF = 10_000
 _G2_MAX_CUTOFF = 160_000
 _G2_TAIL_TOL = 1e-11
+# k-terms per numpy pass of the product: its complex temporaries (64 KiB)
+# stay below glibc's 128 KiB mmap threshold, so the heap reuses them
+# instead of mapping and page-faulting fresh ones on every call
+_G2_BLOCK = 4_096
 
 
 def _g2_remainder_bound(t: complex, cutoff: int) -> float:
@@ -215,7 +334,7 @@ def _g2_remainder_bound(t: complex, cutoff: int) -> float:
     margin = 1.0 - abs(t) / (cutoff + 1.0)
     if margin <= 0.1:
         return math.inf
-    return (abs(t) ** 9 / 9.0) * float(sps.zeta(8, cutoff + 1)) / margin
+    return (abs(t) ** 9 / 9.0) * _hurwitz_zeta(8, cutoff + 1) / margin
 
 
 def _g2_cutoff(t: complex) -> int:
@@ -234,22 +353,25 @@ def _g2_cutoff(t: complex) -> int:
 def _log_gamma2_product(w: complex) -> complex:
     """log G2(w) from the defining product, valid for Re w > 1/2.
 
-    Truncates the product at the cutoff `_g2_cutoff` picks for w and
-    restores the tail analytically through ninth order in w-1 over k.
+    Truncates the product at the cutoff `_g2_cutoff` picks for w, sums it
+    in blocks of _G2_BLOCK terms from the tail, and restores the terms
+    beyond the cutoff analytically through ninth order in w-1 over k.
     """
     t = w - 1.0
     if t == 0:
         return 0.0 + 0.0j
     cutoff = _g2_cutoff(t)
-    k = np.arange(1, cutoff + 1, dtype=float)
-    terms = -k * _log1p_complex(t / k) + t - t * t / (2.0 * k)
-    total = complex(np.sum(terms[::-1]))
+    total = 0.0 + 0.0j
+    for top in range(cutoff, 0, -_G2_BLOCK):
+        k = np.arange(max(top - _G2_BLOCK, 0) + 1, top + 1, dtype=float)
+        terms = -k * _log1p_complex(t / k) + t - t * t / (2.0 * k)
+        total += complex(np.sum(terms[::-1]))
     total += -0.5 * t * math.log(2.0 * math.pi) + 0.5 * t
     total += 0.5 * (EULER_GAMMA + 1.0) * t * t
     # tail over k > cutoff: sum_{j>=3} (-1)^j t^j / (j k^(j-1))
     tp = t * t * t
     for j in range(3, 9):
-        tail = float(sps.zeta(j - 1, cutoff + 1))
+        tail = _hurwitz_zeta(j - 1, cutoff + 1)
         total += (-1.0 if j % 2 else 1.0) * tp / j * tail
         tp *= t
     return total

@@ -3,12 +3,16 @@
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import hypzeta
 from hypzeta.cli import run
 
 
@@ -476,3 +480,16 @@ class TestReadmeExamples:
         monkeypatch.chdir(tmp_path)
         code, _, err = invoke(shlex.split(line)[1:])
         assert code == 0, err
+
+
+def test_cli_runs_without_scipy():
+    script = (
+        "import contextlib, io, sys\n"
+        "import hypzeta, hypzeta.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert hypzeta.cli.run(['verify', '--json']) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    src = str(Path(hypzeta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)

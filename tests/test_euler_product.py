@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from hypzeta.errors import DomainError, EmptySpectrumError
-from hypzeta.euler_product import _k_cutoff, ruelle_R, selberg_Z
+from hypzeta.euler_product import _exp1, _k_cutoff, ruelle_R, selberg_Z
 from hypzeta.length_spectrum import LengthSpectrum, enumerate_spectrum, read_cache, write_cache
 
 
@@ -151,6 +151,14 @@ class TestAgainstScalarLoops:
         value, error = scalar_ruelle(spectrum, complex(s))
         assert abs(ours.value - value) <= 1e-13 * abs(value)
         assert abs(ours.abs_error_estimate - error) <= 1e-12 * error
+
+
+def test_exp1_against_mpmath():
+    with mp.workdps(30):
+        for x in [1.0, 2.0, math.nextafter(2.0, 3.0)] + [10.0 ** (e / 40.0) for e in range(-320, 100)]:
+            ref = mp.e1(x)
+            assert abs(_exp1(x) - ref) <= 1e-14 * ref, x
+    assert _exp1(746.0) == 0.0 and _exp1(math.inf) == 0.0
 
 
 class TestKCutoff:

@@ -83,6 +83,55 @@ class TestDigamma:
             assert abs(digamma(s) - fd) < 1e-6
 
 
+def _random_points(seed, count=300):
+    """Points with Re in [-30, 30] and |Im| on three scales up to 1000."""
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([1.0, 10.0, 1000.0], count)
+    return [complex(x, y) for x, y in zip(rng.uniform(-30.0, 30.0, count),
+                                          scale * rng.uniform(-1.0, 1.0, count))]
+
+
+# log Gamma on both sides of the negative real axis, as scipy.special.loggamma
+# 1.17 returned them: (x, Re, Im at Im x = +0.0); Im x = -0.0 negates Im
+SIGNED_ZERO_CUT = [
+    (-0.5, 1.265512123484647, -3.141592653589793),
+    (-1.25, 1.3664317612369763, -6.283185307179586),
+    (-2.5, -0.05624371649767279, -9.42477796076938),
+    (-3.7, -1.3797399049658248, -12.566370614359172),
+    (-7.3, -7.779101629826852, -25.132741228718345),
+    (-12.9, -19.97315427061168, -40.840704496667314),
+    (-29.5, -71.80874129832, -94.24777960769379),
+]
+
+
+class TestGammaKernels:
+    def test_log_gamma_against_mpmath(self):
+        for s in _random_points(11):
+            ref = complex(mp.loggamma(mp.mpc(s.real, s.imag)))
+            assert abs(log_gamma(s) - ref) <= 1e-14 * max(1.0, abs(ref)), s
+
+    def test_digamma_against_mpmath(self):
+        for s in _random_points(12):
+            ref = complex(mp.digamma(mp.mpc(s.real, s.imag)))
+            assert abs(digamma(s) - ref) <= 1e-14 * max(1.0, abs(ref)), s
+
+    @pytest.mark.parametrize("x, re, im", SIGNED_ZERO_CUT)
+    def test_signed_zero_picks_the_side_of_the_cut(self, x, re, im):
+        above = log_gamma(complex(x, 0.0))
+        below = log_gamma(complex(x, -0.0))
+        assert abs(above - complex(re, im)) <= 1e-14 * abs(complex(re, im))
+        assert abs(below - complex(re, -im)) <= 1e-14 * abs(complex(re, im))
+        # the limits from either side, which the zero's sign stands for
+        assert abs(log_gamma(complex(x, 1e-9)) - above) <= 1e-8 * abs(above)
+        assert abs(log_gamma(complex(x, -1e-9)) - below) <= 1e-8 * abs(below)
+
+    @pytest.mark.parametrize("q", [10_001, 160_001])
+    def test_hurwitz_tail_against_mpmath(self, q):
+        for j in range(2, 9):
+            ref = float(mp.zeta(j, q))
+            assert abs(special_functions._hurwitz_zeta(j, q) - ref) <= 1e-15 * ref, j
+
+
 class TestRiemannZeta:
     def test_basel(self):
         assert abs(riemann_zeta(2.0) - math.pi ** 2 / 6.0) < 1e-12
@@ -234,6 +283,15 @@ class TestBarnesGamma2:
         diff = log_barnes_gamma2(s) - ref
         diff -= 2j * math.pi * round(diff.imag / (2.0 * math.pi))
         assert abs(diff) <= 1e-12 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("w", [0.6, 2.75, complex(1.3, 20.0), complex(0.51, -119.0), 400.0])
+    def test_blocked_product_matches_one_array(self, w, monkeypatch):
+        blocked = special_functions._log_gamma2_product(w)
+        monkeypatch.setattr(special_functions, "_G2_BLOCK", 10**9)
+        whole = special_functions._log_gamma2_product(w)
+        # relative to max(1, |log G2|): at 2.75, log G2 = 0.045 is the
+        # difference of O(1) sums, each rounded to 4e-16
+        assert abs(blocked - whole) <= 1e-15 * max(1.0, abs(whole))
 
     @pytest.mark.parametrize("t, cutoff", [
         (complex(0.0, 120.0), 10_000),

@@ -27,6 +27,7 @@ from hypzeta.special_functions import (
     riemann_zeta,
 )
 from hypzeta.surface import Signature, constants
+from hypzeta import zeta_factors
 from hypzeta.verify import CUT_SAFE_POINTS
 from hypzeta.zeta_factors import (
     FactorValue,
@@ -102,6 +103,70 @@ class TestZEll:
         # (s+k)/m hits 0 for s=-1, m=2 (j=0), k=1
         with pytest.raises(PoleError, match=r"j=0.*k=1"):
             z_ell(MODULAR, -1.0)
+
+
+# the strip's edge on Im s >= 0; conjugate points give conjugate values
+STRIP_EDGE = (
+    [complex(-3.0, y) for y in (0.3, 1.0, 5.0, 10.0, 15.0, 20.0)]
+    + [complex(x, 20.0) for x in (-2.0, -0.5, 1.0, 2.5, 3.5)]
+    + [complex(4.0, y) for y in (0.0, 1.0, 5.0, 10.0, 15.0, 19.0, 20.0)]
+)
+
+
+def _counting_log_gamma(monkeypatch):
+    calls = []
+
+    def counted(arg):
+        calls.append(arg)
+        return log_gamma(arg)
+
+    monkeypatch.setattr(zeta_factors, "log_gamma", counted)
+    return calls
+
+
+class TestZEllDomainBound:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 30, 400])
+    def test_bound_holds_on_the_edge_and_beside_the_poles(self, m):
+        sig = Signature(1, 0, (m,))
+        # just outside the pole tolerance, 1e-12 in each part of (s + k) / m
+        beside_poles = [
+            -j + 2e-12 * m * cmath.exp(2j * math.pi * a / 16) for j in range(4) for a in range(16)
+        ]
+        for s in STRIP_EDGE + [s for s in beside_poles if s.real >= -3.0]:
+            assert z_ell(sig, s).log_value.real <= zeta_factors._cone_log_bound(m), s
+
+    @pytest.mark.parametrize("orders", [(1614,), (605, 605, 605), (10**5, 10**5, 10**5)])
+    def test_refused_before_any_gamma_call_beyond_the_bound(self, orders, monkeypatch):
+        calls = _counting_log_gamma(monkeypatch)
+        sig = Signature(1, 0, orders)
+        for s in (complex(4.0, 20.0), complex(-3.0, -20.0), 0.5, complex(-2.5, 0.1)):
+            with pytest.raises(DomainError, match="underflows"):
+                z_ell(sig, s)
+        assert calls == []
+
+    def test_the_refused_value_is_out_of_range_at_its_maximum(self):
+        m, s = 1614, complex(4.0, 20.0)
+        log_value = sum((2 * k + 1 - m) / m * log_gamma((s + k) / m) for k in range(m))
+        assert log_value.real < -746.0
+
+    @pytest.mark.parametrize("orders, s", [
+        ((1613,), complex(4.0, 20.0)),  # within the bound
+        ((604, 604, 604), complex(4.0, 20.0)),
+        ((1614,), 4.5),  # off the strip
+        ((1614,), complex(0.5, 20.5)),
+    ])
+    def test_product_evaluated_inside_the_bound_or_off_the_strip(self, orders, s, monkeypatch):
+        calls = _counting_log_gamma(monkeypatch)
+        with pytest.raises(DomainError, match="underflows"):
+            z_ell(Signature(1, 0, orders), s)
+        assert len(calls) == sum(orders)
+
+    def test_in_range_below_the_threshold(self):
+        assert z_ell(Signature(1, 0, (1500,)), complex(4.0, 20.0)).value != 0
+
+    def test_pole_still_reported_as_pole(self):
+        with pytest.raises(PoleError, match=r"j=0.*k=1"):
+            z_ell(Signature(0, 0, (10**5, 10**5, 10**5)), -1.0)
 
 
 class TestDetLaplacian:
