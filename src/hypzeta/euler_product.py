@@ -9,9 +9,12 @@ geodesic theorem and doubled - an honest estimate, not a proven bound.
 
 Both products read the spectrum's columnar table
 (`LengthSpectrum.columns`: one column per distinct trace, weighted by
-its class count) and run over numpy arrays, shell x k for the Selberg
-product. Every result carries its relative error estimate split into
-the k-tail and the trace-tail parts.
+its class count) and run over numpy arrays. The Selberg product takes,
+for each k, only the prefix of shells whose term can still move log Z in
+a double (a staircase, not the full shell x k rectangle); the
+magnitudes of the terms it skips sum to less than 1e-17. Every result
+carries its relative error estimate split into the k-tail and the
+trace-tail parts.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ _TAIL_SAFETY = 2.0
 _MIN_K_CUTOFF = 10
 # relative target of the adaptive k-cutoff; the k-tail is cut at a tenth of it
 _REL_TOL = 1e-10
+# bound on the summed magnitudes of the terms p^(-s-k) that selberg_Z skips
+_SKIPPED_BOUND = 1e-17
 
 
 @dataclass(frozen=True)
@@ -116,23 +121,46 @@ def _k_cutoff(spectrum: LengthSpectrum, sigma: float) -> int:
     return max(_MIN_K_CUTOFF, math.floor(exponent - sigma - 1.0) + 1)
 
 
+def _kept_shells(spectrum: LengthSpectrum, sigma: float, cutoff: int) -> np.ndarray:
+    """For each k <= cutoff, the number of leading shells whose terms
+    p^(-s-k) selberg_Z evaluates: those with p^(-sigma-k) >= tau, where
+    tau = _SKIPPED_BOUND / M and M = (cutoff + 1) * class_count counts the
+    weighted terms.
+
+    At most M weighted terms are skipped, each of magnitude below tau, so
+    their magnitudes sum to less than _SKIPPED_BOUND, and they move log Z
+    by less than _SKIPPED_BOUND / (1 - tau), as |log(1 - x)| <= |x| / (1 - |x|).
+    Norms ascend, so the kept shells are those with length <=
+    log(1/tau) / (sigma + k): a prefix of the table, shrinking as k grows.
+    """
+    tau = _SKIPPED_BOUND / ((cutoff + 1) * spectrum.class_count)
+    bound = -math.log(tau) / (sigma + np.arange(cutoff + 1))
+    return np.searchsorted(spectrum.columns[3], bound, side="right")
+
+
 def selberg_Z(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
     """Truncated Selberg zeta value on Re s > 1.
 
     log Z is the double sum of log(1 - p^(-s-k)) over the spectrum's
-    classes and k up to an adaptive cutoff, taken over a (shell x k)
-    array with |p^(-s-k)| = p^(-sigma-k) and the phase p^(-i Im s) shared
-    along each row. The error estimate combines
-    the k-tail (geometric in the smallest norm) with the prime-geodesic
-    trace tail.
+    classes and k up to an adaptive cutoff, with the phase p^(-i Im s)
+    computed once per shell. For each k only the shells whose
+    |p^(-s-k)| = p^(-sigma-k) can still move log Z in a double are
+    evaluated, a prefix of the table that shrinks as k grows; the skipped
+    terms' magnitudes sum to less than 1e-17 (see `_kept_shells`). The
+    error estimate combines the k-tail (geometric in the smallest norm)
+    with the prime-geodesic trace tail.
     """
     s = _require_usable(spectrum, s)
     sigma = s.real
     cutoff = _k_cutoff(spectrum, sigma)
     _, count, norm, length = spectrum.columns
-    phase = np.exp(-1j * s.imag * length)
-    x = np.exp(-np.outer(length, sigma + np.arange(cutoff + 1))) * phase[:, None]
-    log_z = complex(count @ np.log(1.0 - x).sum(axis=1))
+    kept = _kept_shells(spectrum, sigma, cutoff)
+    # the staircase as one flat run of (shell, k) pairs, k by k
+    shell = np.arange(kept.sum()) - np.repeat(np.cumsum(kept) - kept, kept)
+    k = np.repeat(np.arange(cutoff + 1), kept)
+    phase = np.exp(-1j * s.imag * length[: kept[0]])
+    x = np.exp(-(sigma + k) * length[shell]) * phase[shell]
+    log_z = complex(count[shell] @ np.log(1.0 - x))
     p_min = float(norm[0])
     k_tail = (
         spectrum.class_count

@@ -12,24 +12,23 @@ longer prefix, and no letter lowers it. The minimum trace ell+1 at word
 length ell is enforced as a tested invariant.
 
 The walk carries each word as an integer bitmask rather than a string
-and counts the classes of each trace as it finds them. A spectrum is
-stored as one columnar table: trace, count, norm and length of every
-trace shell as float64 rows in ascending trace order, which the Euler
-products read directly. The walk fills it from its per-trace counts,
-and `read_cache` parses a cache file's body into it in one numpy pass,
-refusing (as a miss) any row `write_cache` would not have written.
-`LengthSpectrum.shells` (`TraceShell` objects) and `.classes` (one
-`GeodesicClass` per word, in (trace, word) order, from the bitmasks) are
-built on first access.
+and only counts the classes of each trace; it keeps no word once it is
+counted. A spectrum is stored as one columnar table: trace, count, norm
+and length of every trace shell as float64 rows in ascending trace
+order, which the Euler products read directly. The walk fills it from
+its per-trace counts, and `read_cache` parses a cache file's body into it
+in one numpy pass, refusing (as a miss) any row `write_cache` would not
+have written. `LengthSpectrum.shells` (`TraceShell` objects) and
+`.classes` (one `GeodesicClass` per word, in (trace, word) order) are
+built on first access; `.classes` runs the same walk again, this time
+recording the words.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
-from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -128,34 +127,34 @@ class LengthSpectrum:
     rows are the trace, class count, norm and length of each trace shell,
     in ascending trace order. The Euler products read it directly.
     `shells` is the same table as `TraceShell` objects, built on first
-    access. `word_masks` maps each trace to the bitmasks of its canonical
-    words (see `enumerate_spectrum`); it is None when the spectrum was
-    restored from a trace-level cache, and so is `classes`.
+    access. `classes` lists the words themselves, found by walking the
+    prenecklace tree again on first access (see `enumerate_spectrum`); it
+    is None for a spectrum that `enumerate_spectrum` did not build, such
+    as one restored from a trace-level cache.
     """
 
     def __init__(self, shells: Iterable[TraceShell], max_trace: int,
                  group_label: str = MODULAR_GROUP_LABEL) -> None:
         shells = tuple(shells)
         table = np.array([(sh.trace, sh.count, sh.norm, sh.length) for sh in shells], dtype=float)
-        self._store(table.reshape(-1, 4).T, max_trace, group_label, None)
+        self._store(table.reshape(-1, 4).T, max_trace, group_label)
         self.__dict__["shells"] = shells
 
     @classmethod
     def from_columns(cls, columns: np.ndarray, max_trace: int,
-                     group_label: str = MODULAR_GROUP_LABEL,
-                     word_masks: dict[int, list[int]] | None = None) -> LengthSpectrum:
+                     group_label: str = MODULAR_GROUP_LABEL) -> LengthSpectrum:
         """The spectrum whose table is `columns` (trace, count, norm, length rows)."""
         spectrum = cls.__new__(cls)
-        spectrum._store(columns, max_trace, group_label, word_masks)
+        spectrum._store(columns, max_trace, group_label)
         return spectrum
 
-    def _store(self, columns, max_trace, group_label, word_masks) -> None:
+    def _store(self, columns, max_trace, group_label, enumerated=False) -> None:
         columns = np.array(columns, dtype=float)
         columns.flags.writeable = False
         self.columns = columns
         self.max_trace = max_trace
         self.group_label = group_label
-        self.word_masks = word_masks
+        self._enumerated = enumerated
 
     def __repr__(self) -> str:
         return (f"LengthSpectrum(max_trace={self.max_trace}, group_label={self.group_label!r}, "
@@ -193,14 +192,17 @@ class LengthSpectrum:
 
     @cached_property
     def classes(self) -> tuple[GeodesicClass, ...] | None:
-        """Every class in (trace, word) order, or None for a cached spectrum."""
-        if self.word_masks is None:
+        """Every class in (trace, word) order, or None unless enumerated."""
+        if not self._enumerated:
             return None
+        words: list[list[int]] = [[] for _ in range(self.max_trace + 1)]
+        _walk(self.max_trace, self.class_count, words)
         letters = str.maketrans("01", "LR")
         out = []
         for trace, _, norm, length in self.columns.T.tolist():
-            words = sorted(bin(mask)[3:].translate(letters) for mask in self.word_masks[int(trace)])
-            out.extend(GeodesicClass(word, int(trace), norm, length) for word in words)
+            trace = int(trace)
+            spelled = sorted(bin(mask)[3:].translate(letters) for mask in words[trace])
+            out.extend(GeodesicClass(word, trace, norm, length) for word in spelled)
         return tuple(out)
 
 
@@ -249,35 +251,33 @@ def _capacity_error(max_classes: int, max_trace: int) -> CapacityError:
     return CapacityError(f"more than {max_classes} classes below trace {max_trace}")
 
 
-def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSpectrum:
-    """All primitive classes with trace <= max_trace, exactly once each.
+def _walk(max_trace: int, max_classes: int, words: list[list[int]] | None = None) -> list[int]:
+    """Classes per trace (index 0 to max_trace) of the prenecklace walk; with
+    `words`, each class's bitmask is also appended to words[trace].
 
-    Walks the prenecklace tree over {L, R} recording Lyndon words (the
-    canonical rotations). A prefix [[a,b],[c,d]] is cut once a + b + d,
-    its trace with R appended, exceeds max_trace; the cut is exact, since
-    every class below it is recorded at that trace of a longer prefix and
-    neither letter lowers it. A word w_0 ... w_(t-1) is the integer
-    2^t + sum of 2^(t-1-i) over the positions i holding R: after the
-    leading 1, its binary digits spell the word with L = 0 and R = 1.
-    Raises CapacityError when more than max_classes classes appear.
+    A word w_0 ... w_(t-1) is the integer 2^t + sum of 2^(t-1-i) over the
+    positions i holding R: after the leading 1, its binary digits spell
+    the word with L = 0 and R = 1. Every prenecklace using both letters
+    extends some L^k R, a Lyndon word with matrix [[k+1, k], [1, 1]];
+    those words seed the stack, whose entries are (mask, period, a, b, c,
+    d). Raises CapacityError once more than max_classes classes are counted.
     """
-    if max_trace < 3:
-        raise ValueError("max_trace must be at least 3")
-    by_trace: dict[int, list[int]] = defaultdict(list)
-    # Every prenecklace using both letters extends some L^k R, a Lyndon word
-    # with matrix [[k+1, k], [1, 1]]. Entries: (mask, period, a, b, c, d).
+    counts = [0] * (max_trace + 1)
     stack = []
     for k in range(1, max_trace - 1):
         mask = (1 << (k + 1)) | 1
-        by_trace[k + 2].append(mask)
+        counts[k + 2] = 1
+        if words is not None:
+            words[k + 2].append(mask)
         stack.append((mask, k + 1, k + 1, k, 1, 1))
     found = len(stack)
     if found > max_classes:
         raise _capacity_error(max_classes, max_trace)
     while stack:
         mask, period, a, b, c, d = stack.pop()
-        # Follow one child in place and stack the other, up to the cut above.
-        while a + b + d <= max_trace:
+        # Follow one child in place and stack the other, up to the cut at
+        # t = a + b + d, the trace with R appended.
+        while (t := a + b + d) <= max_trace:
             if (mask >> (period - 1)) & 1:
                 # the periodic letter is R: the only child appends R
                 mask = mask << 1 | 1
@@ -286,21 +286,41 @@ def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSp
             # the periodic letter is L: the child R resets the period (a new
             # Lyndon word), the child L keeps it and is followed unless cut
             child = mask << 1 | 1
-            by_trace[a + b + d].append(child)
+            counts[t] += 1
+            if words is not None:
+                words[t].append(child)
             found += 1
             if found > max_classes:
                 raise _capacity_error(max_classes, max_trace)
-            if 2 * a + b + c + d <= max_trace:
+            # the child L's own cut, 2a + b + c + d
+            if t + a + c <= max_trace:
                 stack.append((child, child.bit_length() - 1, a + b, b, c + d, d))
                 mask <<= 1
                 b, d = a + b, c + d
             else:
                 mask, period = child, child.bit_length() - 1
                 a, c = a + b, c + d
-    rows = [(trace, len(by_trace[trace]), *_norm_and_length(trace)) for trace in sorted(by_trace)]
-    return LengthSpectrum.from_columns(
-        np.array(rows, dtype=float).T, max_trace, MODULAR_GROUP_LABEL, dict(by_trace)
-    )
+    return counts
+
+
+def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSpectrum:
+    """All primitive classes with trace <= max_trace, exactly once each.
+
+    Walks the prenecklace tree over {L, R} counting Lyndon words (the
+    canonical rotations) by trace. A prefix [[a,b],[c,d]] is cut once
+    a + b + d, its trace with R appended, exceeds max_trace; the cut is
+    exact, since every class below it is counted at that trace of a
+    longer prefix and neither letter lowers it. The words are not kept;
+    `LengthSpectrum.classes` walks again to list them. Raises
+    CapacityError when more than max_classes classes appear.
+    """
+    if max_trace < 3:
+        raise ValueError("max_trace must be at least 3")
+    counts = _walk(max_trace, max_classes)
+    rows = [(trace, n, *_norm_and_length(trace)) for trace, n in enumerate(counts) if n]
+    spectrum = LengthSpectrum.__new__(LengthSpectrum)
+    spectrum._store(np.array(rows, dtype=float).T, max_trace, MODULAR_GROUP_LABEL, enumerated=True)
+    return spectrum
 
 
 def _meta_path(path: Path) -> Path:
@@ -308,13 +328,15 @@ def _meta_path(path: Path) -> Path:
 
 
 def write_cache(spectrum: LengthSpectrum, path: str | Path) -> None:
-    """Write the trace-level table as CSV plus a JSON metadata sidecar."""
+    """Write the trace-level table as CSV (with CRLF line ends, as
+    `csv.writer` writes them) plus a JSON metadata sidecar."""
     path = Path(path)
+    rows = "".join(
+        f"{int(trace)},{int(count)},{length!r},{norm!r}\r\n"
+        for trace, count, norm, length in spectrum.columns.T.tolist()
+    )
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CACHE_HEADER)
-        for trace, count, norm, length in spectrum.columns.T.tolist():
-            writer.writerow([int(trace), int(count), repr(length), repr(norm)])
+        fh.write(",".join(_CACHE_HEADER) + "\r\n" + rows)
     with _meta_path(path).open("w") as fh:
         json.dump(_cache_meta(spectrum.group_label, spectrum.max_trace), fh,
                   indent=2, sort_keys=True)

@@ -1,7 +1,8 @@
 """Complex special functions underlying the zeta machinery.
 
 Provides principal-branch log-gamma and digamma (Stirling and
-asymptotic series after recurrence shifts, with reflection on the left),
+asymptotic series after recurrence shifts, with reflection on the left;
+log-gamma sums its Taylor series next to its zeros at 1 and 2),
 the Riemann zeta function (one Euler-Maclaurin series on Re s >= 1/2,
 continued to Re s < 1/2 by the reflection formula, whose factor is
 summed in log space), the double gamma function G2 satisfying
@@ -88,6 +89,30 @@ _LOG_PI = math.log(math.pi)
 _STIRLING = tuple(b / (2 * n * (2 * n - 1)) for n, b in enumerate(_BERNOULLI[:8], 1))[::-1]
 
 
+# zeta(k) - 1 for k = 2, ..., 25 (mpmath at 40 digits, rounded to double)
+_ZETA_MINUS_ONE = (
+    0.6449340668482264, 0.2020569031595943, 0.08232323371113819,
+    0.03692775514336993, 0.01734306198444914, 0.008349277381922827,
+    0.00407735619794434, 0.0020083928260822143, 0.0009945751278180853,
+    0.0004941886041194645, 0.0002460865533080483, 0.00012271334757848915,
+    6.124813505870483e-05, 3.058823630702049e-05, 1.528225940865187e-05,
+    7.637197637899763e-06, 3.81729326499984e-06, 1.908212716553939e-06,
+    9.539620338727962e-07, 4.769329867878064e-07, 2.38450502727733e-07,
+    1.1921992596531106e-07, 5.960818905125948e-08, 2.980350351465228e-08,
+)
+# Taylor coefficients of log Gamma(1 + e) and log Gamma(2 + e), e^25 down
+# to e^1: (-1)^k zeta(k) / k and (-1)^k (zeta(k) - 1) / k for k >= 2, then
+# -gamma and 1 - gamma (log Gamma(2 + e) = log Gamma(1 + e) + log(1 + e))
+_ZETA_K = tuple(enumerate(_ZETA_MINUS_ONE, 2))[::-1]
+_LOGGAMMA_TAYLOR = (
+    (1, tuple((-1) ** k * (1.0 + z) / k for k, z in _ZETA_K) + (-EULER_GAMMA,)),
+    (2, tuple((-1) ** k * z / k for k, z in _ZETA_K) + (1.0 - EULER_GAMMA,)),
+)
+# |z - 1| and |z - 2| below which _loggamma sums the Taylor series; the
+# first term left out is below 0.2^26 / 26 of the value's scale
+_TAYLOR_RADIUS = 0.2
+
+
 def _sinpi(x: float) -> float:
     """sin(pi x), with x reduced mod 2 before the multiplication by pi."""
     r = math.fmod(abs(x), 2.0)
@@ -150,6 +175,8 @@ def _loggamma(z: complex) -> complex:
     """Principal branch of log Gamma(z) off the poles (Hare 1997).
 
     Stirling's series with 8 terms where Re z > 7 or |Im z| > 7; the
+    Taylor series within 0.2 of the zeros 1 and 2, which keeps the
+    value's relative accuracy there; the
     backward recurrence elsewhere on Re z >= 0.1, through the conjugate
     where Im z < 0 or is -0.0; and the reflection formula on Re z < 0.1,
     with the 2 pi i correction of Hare's Proposition 3.1, so a zero
@@ -157,6 +184,15 @@ def _loggamma(z: complex) -> complex:
     """
     if z.real > 7.0 or abs(z.imag) > 7.0:
         return _loggamma_stirling(z)
+    for shift, coefficients in _LOGGAMMA_TAYLOR:
+        e = z - shift
+        if abs(e) < _TAYLOR_RADIUS:
+            series = 0j
+            for c in coefficients:
+                series = series * e + c
+            value = series * e
+            # real on the real axis, with the sign of zero of Im z
+            return complex(value.real, z.imag) if z.imag == 0.0 else value
     if z.real < 0.1:
         turn = math.copysign(2.0 * math.pi, z.imag) * math.floor(0.5 * z.real + 0.25)
         return (
@@ -191,6 +227,8 @@ def _digamma(z: complex) -> complex:
 def log_gamma(s: complex) -> complex:
     """Principal branch of log Gamma(s).
 
+    Within about 1e-14 of max(1, |log Gamma(s)|), and within 1e-14
+    relative where s lies within 0.2 of the zeros 1 and 2.
     Raises PoleError at the poles s = 0, -1, -2, ...
     """
     s = _finite_complex(s)

@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from hypzeta.errors import DomainError, EmptySpectrumError
-from hypzeta.euler_product import _exp1, _k_cutoff, ruelle_R, selberg_Z
+from hypzeta.euler_product import _exp1, _k_cutoff, _kept_shells, ruelle_R, selberg_Z
 from hypzeta.length_spectrum import LengthSpectrum, enumerate_spectrum, read_cache, write_cache
 
 
@@ -151,6 +153,63 @@ class TestAgainstScalarLoops:
         value, error = scalar_ruelle(spectrum, complex(s))
         assert abs(ours.value - value) <= 1e-13 * abs(value)
         assert abs(ours.abs_error_estimate - error) <= 1e-12 * error
+
+
+def rectangle_terms(spectrum, s, cutoff):
+    """Every term p^(-s-k) of the truncated Selberg product as one
+    shell x k array, and log Z summed over all of it."""
+    _, count, _, length = spectrum.columns
+    phase = np.exp(-1j * s.imag * length)
+    x = np.exp(-np.outer(length, s.real + np.arange(cutoff + 1))) * phase[:, None]
+    return x, complex(count @ np.log(1.0 - x).sum(axis=1))
+
+
+@pytest.fixture(scope="module")
+def sp800():
+    return enumerate_spectrum(800)
+
+
+class TestStaircase:
+    """selberg_Z evaluates, for each k, only a prefix of the shells."""
+
+    POINTS = (1.05, complex(1.5, 1.0), 2.0, complex(3.0, 5.0), complex(1.2, 10.0))
+
+    @pytest.mark.parametrize("max_trace", [40, 200, 800])
+    @pytest.mark.parametrize("s", POINTS)
+    def test_matches_the_full_rectangle(self, max_trace, s, sp800):
+        spectrum = sp800 if max_trace == 800 else enumerate_spectrum(max_trace)
+        s = complex(s)
+        cutoff = _k_cutoff(spectrum, s.real)
+        x, log_z = rectangle_terms(spectrum, s, cutoff)
+        full = cmath.exp(log_z)
+        assert abs(selberg_Z(spectrum, s).value - full) <= 1e-15 * abs(full)
+        # the skipped terms are the small ones, and their magnitudes sum below 1e-17
+        kept = _kept_shells(spectrum, s.real, cutoff)
+        assert (np.diff(kept) <= 0).all() and kept[0] >= 1
+        skipped = np.arange(x.shape[0])[:, None] >= kept[None, :]
+        tau = 1e-17 / ((cutoff + 1) * spectrum.class_count)
+        magnitude = np.abs(x)
+        assert (magnitude[skipped] < tau * (1 + 1e-12)).all()
+        assert (magnitude[~skipped] >= tau * (1 - 1e-12)).all()
+        count = spectrum.columns[1]
+        assert (count[:, None] * magnitude * skipped).sum() < 1e-17
+
+    def test_beyond_every_term(self, sp40):
+        # at Re s = 400 every term is below the threshold: Z is exactly 1
+        out = selberg_Z(sp40, 400.0)
+        assert (_kept_shells(sp40, 400.0, out.k_cutoff_used) == 0).all()
+        assert out.value == 1.0
+
+    def test_quotient_forms_no_rectangle(self, sp800):
+        selberg_Z(sp800, 2.0)  # warm up the spectrum's cached counts
+        tracemalloc.start()
+        try:
+            out = ruelle_R(sp800, complex(1.2, 3.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.k_cutoff_used > 10
+        assert peak < 0.5 * 2**20
 
 
 def test_exp1_against_mpmath():

@@ -1,9 +1,12 @@
 """Length-spectrum tests: enumeration vs brute force, words, caching."""
 
 import collections
+import csv
+import io
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +224,24 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_spectrum(60, max_classes=10)
 
+    @pytest.mark.parametrize("max_trace", [*range(3, 14), 100, 800])
+    def test_counts_are_the_classes_per_trace(self, max_trace):
+        # the counting walk and the word-recording walk of `classes` agree
+        spectrum = enumerate_spectrum(max_trace)
+        per_trace = collections.Counter(cls.trace for cls in spectrum.classes)
+        assert {sh.trace: sh.count for sh in spectrum.shells} == per_trace
+
+    def test_walk_keeps_no_words(self):
+        enumerate_spectrum(40)  # warm up imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            spectrum = enumerate_spectrum(800)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spectrum.class_count == 52_091
+        assert peak < 0.5 * 2**20
+
     def test_min_trace_validation(self):
         with pytest.raises(ValueError):
             enumerate_spectrum(2)
@@ -344,6 +365,19 @@ class TestCache:
         path.write_text(path.read_text().splitlines()[0] + "\n")
         assert read_cache(path, 10) is None
 
+    @pytest.mark.parametrize("max_trace", [3, 4, 12, 200, 800])
+    def test_file_is_the_csv_writer_rendering(self, tmp_path, max_trace):
+        spectrum = enumerate_spectrum(max_trace)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(("trace", "count", "length", "norm"))
+        for sh in spectrum.shells:
+            writer.writerow([sh.trace, sh.count, repr(sh.length), repr(sh.norm)])
+        path = tmp_path / "spec.csv"
+        write_cache(spectrum, path)
+        assert path.read_bytes() == expected.getvalue().encode()
+        assert path.read_bytes().count(b"\r\n") == spectrum.columns.shape[1] + 1
+
     def test_generator_convention_recorded(self, tmp_path):
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
@@ -369,10 +403,12 @@ def test_complete_at_the_benchmark_bound(enumerated_800):
     rotations; so sum |u| over (u, k) with tr(u^k) = t counts the matrices,
     sum over 1 <= a < t of d(a(t-a) - 1) with d the divisor count."""
     max_trace = enumerated_800.max_trace
+    letters_by_trace = collections.Counter()
+    for cls in enumerated_800.classes:
+        letters_by_trace[cls.trace] += len(cls.word)
     words = np.zeros(max_trace + 1, dtype=np.int64)
-    for trace, masks in enumerated_800.word_masks.items():
+    for trace, letters in letters_by_trace.items():
         # tr(u^(k+1)) = tr(u) tr(u^k) - tr(u^(k-1)), with tr(u^0) = 2
-        letters = sum(mask.bit_length() - 1 for mask in masks)
         previous, power = 2, trace
         while power <= max_trace:
             words[power] += letters

@@ -115,6 +115,20 @@ class TestGammaKernels:
             ref = complex(mp.digamma(mp.mpc(s.real, s.imag)))
             assert abs(digamma(s) - ref) <= 1e-14 * max(1.0, abs(ref)), s
 
+    @pytest.mark.parametrize("s", [
+        1 + 1e-8, 1 - 1e-8, 2 - 1e-7, 2 + 1e-7, 1 + 1e-8j, 1 - 1e-8 + 1e-8j,
+        2 - 1e-7 - 1e-7j, 2 + 3e-8j, 1.15 - 0.1j, 0.85, 1.81 + 0.05j, 2.19,
+    ])
+    def test_log_gamma_relative_near_its_zeros(self, s):
+        # log Gamma vanishes at 1 and 2; its value there keeps relative accuracy
+        ref = complex(mp.loggamma(mp.mpc(s.real, s.imag)))
+        assert abs(log_gamma(s) - ref) <= 1e-14 * abs(ref), s
+
+    def test_log_gamma_real_near_its_zeros(self):
+        for x in (0.85, 1 + 1e-8, 2 - 1e-7):
+            assert math.copysign(1.0, log_gamma(complex(x, 0.0)).imag) == 1.0
+            assert math.copysign(1.0, log_gamma(complex(x, -0.0)).imag) == -1.0
+
     @pytest.mark.parametrize("x, re, im", SIGNED_ZERO_CUT)
     def test_signed_zero_picks_the_side_of_the_cut(self, x, re, im):
         above = log_gamma(complex(x, 0.0))
