@@ -23,6 +23,8 @@ with DomainError, and raise instead of returning non-finite values.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
 import math
 
 import numpy as np
@@ -415,6 +417,27 @@ def _log_gamma2_product(w: complex) -> complex:
     return total
 
 
+# log G2 products already evaluated, by argument, while a _g2_memo() scope
+# is open; None outside one
+_G2_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "hypzeta_g2_memo", default=None
+)
+
+
+@contextlib.contextmanager
+def _g2_memo():
+    """Scope in which log_barnes_gamma2 evaluates each product argument once.
+
+    The memo is a fresh dict for each scope and is dropped when the scope
+    closes, whether its body returns or raises, so no value outlives it.
+    """
+    token = _G2_MEMO.set({})
+    try:
+        yield
+    finally:
+        _G2_MEMO.reset(token)
+
+
 def log_barnes_gamma2(s: complex) -> complex:
     """log G2(s) for the double gamma function normalized by G2(1) = 1.
 
@@ -426,6 +449,11 @@ def log_barnes_gamma2(s: complex) -> complex:
     Raises PoleError at s = 0, -1, -2, ... (pole of order k+1 at -k), and
     ConvergenceError, before evaluating anything, where 160,000 terms do
     not suffice (|s - 1| beyond about 1,060 after the shift).
+
+    Inside one `verify.run_verify` call the product is evaluated once per
+    shifted argument and reused, bit for bit, by later calls in that run;
+    arguments that differ only in the sign of a zero imaginary part are
+    kept apart. Nothing is kept between runs or outside them.
     """
     s = _finite_complex(s)
     if _is_nonpositive_integer(s):
@@ -434,7 +462,16 @@ def log_barnes_gamma2(s: complex) -> complex:
     while s.real <= 0.5:
         shift += log_gamma(s)
         s += 1.0
-    return _ensure_finite(shift + _log_gamma2_product(s), "log_barnes_gamma2")
+    memo = _G2_MEMO.get()
+    if memo is None:
+        product = _log_gamma2_product(s)
+    else:
+        # Re s > 1/2 here; the sign of a zero Im s is part of the key
+        key = (s.real, s.imag, math.copysign(1.0, s.imag))
+        product = memo.get(key)
+        if product is None:
+            product = memo[key] = _log_gamma2_product(s)
+    return _ensure_finite(shift + product, "log_barnes_gamma2")
 
 
 def gauss_multiplication_defect(s: complex, m: int) -> float:

@@ -44,21 +44,23 @@ class Signature:
         object.__setattr__(self, "orders", tuple(int(m) for m in self.orders))
         if any(m < 2 for m in self.orders):
             raise ValueError("every cone order must be >= 2")
-        if self.normalized_area() <= 0:
+        total = Fraction(2 * self.g - 2 + self.n)
+        for m in self.orders:
+            total += 1 - Fraction(1, m)
+        if total <= 0:
             raise ValueError(
                 f"signature {self.label()} has non-positive hyperbolic area"
             )
+        # kept beside the fields, so out of equality, hash and repr
+        object.__setattr__(self, "_normalized_area", total)
 
     @property
     def v(self) -> int:
         return len(self.orders)
 
     def normalized_area(self) -> Fraction:
-        """Area divided by 2*pi, as an exact rational."""
-        total = Fraction(2 * self.g - 2 + self.n)
-        for m in self.orders:
-            total += 1 - Fraction(1, m)
-        return total
+        """Area divided by 2*pi, as an exact rational (summed once, at construction)."""
+        return self._normalized_area
 
     def label(self) -> str:
         ms = ",".join(str(m) for m in self.orders)

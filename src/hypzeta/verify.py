@@ -26,6 +26,7 @@ from .scattering import (
     trivial_model,
 )
 from .special_functions import (
+    _g2_memo,
     digamma,
     gauss_multiplication_defect,
     log_barnes_gamma2,
@@ -443,7 +444,9 @@ def run_verify(tolerance: float | None = None) -> dict:
     """Run the whole suite; returns a JSON-ready report dictionary.
 
     `tolerance` overrides every identity tolerance when given (exact
-    integer checks, recorded with tolerance 0, are kept exact).
+    integer checks, recorded with tolerance 0, are kept exact). The
+    sections share one double-gamma memo, so each product argument of
+    log_barnes_gamma2 is evaluated once per run.
     """
 
     def retol(c: Check) -> Check:
@@ -452,15 +455,16 @@ def run_verify(tolerance: float | None = None) -> dict:
         tol = 0.0 if c.tolerance == 0 else tolerance
         return replace(c, tolerance=tol, passed=bool(c.abs_diff <= tol))
 
-    sections = {
-        "special_functions": special_function_checks(),
-        "scattering": scattering_checks(),
-        "factor_identities": factor_identity_checks(),
-        "orders": order_checks(),
-        "length_spectrum": spectrum_checks(),
-        "euler_product": euler_checks(),
-        "constants": constants_checks(),
-    }
+    with _g2_memo():
+        sections = {
+            "special_functions": special_function_checks(),
+            "scattering": scattering_checks(),
+            "factor_identities": factor_identity_checks(),
+            "orders": order_checks(),
+            "length_spectrum": spectrum_checks(),
+            "euler_product": euler_checks(),
+            "constants": constants_checks(),
+        }
     sections = {name: [retol(c) for c in checks] for name, checks in sections.items()}
     all_checks = [c for section in sections.values() for c in section]
     failed = [c for c in all_checks if not c.passed]

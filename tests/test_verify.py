@@ -1,12 +1,13 @@
 """Verify-suite report tests: each worst-of-grid check names its sample point."""
 
 import cmath
+import contextlib
 import math
 
 import mpmath as mp
 import pytest
 
-from hypzeta import verify
+from hypzeta import special_functions, verify
 from hypzeta.scattering import modular_model
 from hypzeta.special_functions import (
     digamma,
@@ -92,3 +93,72 @@ def test_other_checks_carry_no_point(report):
              if c["s"] is None}
     assert "zeta(2) = pi^2/6" in names and "modular n0 from slope fit" in names
     assert not names & set(SIDES)
+
+
+# ---------------------------------------------------------------------------
+# one double-gamma memo per run_verify call
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """Arguments of every G2 product evaluated while the test runs."""
+    calls = []
+    product = special_functions._log_gamma2_product
+
+    def counting(w):
+        calls.append((w.real, w.imag, math.copysign(1.0, w.imag)))
+        return product(w)
+
+    monkeypatch.setattr(special_functions, "_log_gamma2_product", counting)
+    return calls
+
+
+def test_run_verify_evaluates_each_product_once(product_calls):
+    verify.run_verify()
+    assert len(product_calls) == len(set(product_calls))
+    assert len(product_calls) <= 170  # 666 without the memo
+
+
+def test_memo_leaves_the_report_unchanged(report, monkeypatch):
+    monkeypatch.setattr(verify, "_g2_memo", contextlib.nullcontext)
+    assert repr(verify.run_verify()) == repr(report)
+
+
+def test_memo_keeps_signed_zeros_apart(product_calls):
+    points = [complex(-0.5, 0.0), complex(-0.5, -0.0), complex(-2.5, 0.0),
+              complex(-2.5, -0.0), complex(1.5, 0.0), complex(1.5, -0.0)]
+    outside = [repr(log_barnes_gamma2(s)) for s in points]
+    del product_calls[:]
+    with special_functions._g2_memo():
+        inside = [repr(log_barnes_gamma2(s)) for s in points]
+    assert inside == outside
+    # every point shifts to 1.5 +- 0j: one product evaluation for each sign
+    assert sorted(product_calls) == [(1.5, 0.0, -1.0), (1.5, 0.0, 1.0)]
+    # the two sides of the cut at -0.5 and -2.5 take different branches
+    for plus, minus in ((0, 1), (2, 3)):
+        assert log_barnes_gamma2(points[plus]) != log_barnes_gamma2(points[minus])
+
+
+def _assert_memo_closed(product_calls):
+    assert special_functions._G2_MEMO.get() is None
+    del product_calls[:]
+    log_barnes_gamma2(complex(1.4, -5.0))
+    log_barnes_gamma2(complex(1.4, -5.0))
+    assert len(product_calls) == 2
+
+
+def test_memo_closes_when_run_verify_returns(product_calls):
+    verify.run_verify()
+    _assert_memo_closed(product_calls)
+
+
+def test_memo_closes_when_a_section_raises(product_calls, monkeypatch):
+    def broken():
+        raise RuntimeError("section failed")
+
+    monkeypatch.setattr(verify, "euler_checks", broken)
+    with pytest.raises(RuntimeError, match="section failed"):
+        verify.run_verify()
+    assert product_calls  # the sections before it ran under the memo
+    _assert_memo_closed(product_calls)
