@@ -273,8 +273,8 @@ def _cmd_spectrum(args) -> tuple[Report, int]:
     report = Report("spectrum", {"max_trace": args.max_trace})
     spectrum = _spectrum_for(args, report)
     rows = [
-        {"trace": sh.trace, "count": sh.count, "length": sh.length, "norm": sh.norm}
-        for sh in spectrum.shells
+        {"trace": int(trace), "count": int(count), "length": length, "norm": norm}
+        for trace, count, norm, length in spectrum.columns.T.tolist()
     ]
     report.add("class_count", spectrum.class_count)
     report.add("shells", rows)
@@ -282,10 +282,8 @@ def _cmd_spectrum(args) -> tuple[Report, int]:
 
 
 def _print_spectrum_csv(report: Report):
-    print("trace,count,length,norm")
     shells = next(item["value"] for item in report.results if item["name"] == "shells")
-    for row in shells:
-        print(f"{row['trace']},{row['count']},{row['length']!r},{row['norm']!r}")
+    print(length_spectrum._csv((row.values() for row in shells), "\n"), end="")
 
 
 def _cmd_euler(args) -> tuple[Report, int]:

@@ -123,15 +123,10 @@ def _k_cutoff(spectrum: LengthSpectrum, sigma: float) -> int:
 
 def _kept_shells(spectrum: LengthSpectrum, sigma: float, cutoff: int) -> np.ndarray:
     """For each k <= cutoff, the number of leading shells whose terms
-    p^(-s-k) selberg_Z evaluates: those with p^(-sigma-k) >= tau, where
-    tau = _SKIPPED_BOUND / M and M = (cutoff + 1) * class_count counts the
-    weighted terms.
-
-    At most M weighted terms are skipped, each of magnitude below tau, so
-    their magnitudes sum to less than _SKIPPED_BOUND, and they move log Z
-    by less than _SKIPPED_BOUND / (1 - tau), as |log(1 - x)| <= |x| / (1 - |x|).
-    Norms ascend, so the kept shells are those with length <=
-    log(1/tau) / (sigma + k): a prefix of the table, shrinking as k grows.
+    p^(-s-k) selberg_Z evaluates: those with p^(-sigma-k) >= tau, a prefix
+    of the table, where tau = _SKIPPED_BOUND / M and M = (cutoff + 1) *
+    class_count. The at most M skipped terms move log Z by less than
+    _SKIPPED_BOUND / (1 - tau), as |log(1 - x)| <= |x| / (1 - |x|).
     """
     tau = _SKIPPED_BOUND / ((cutoff + 1) * spectrum.class_count)
     bound = -math.log(tau) / (sigma + np.arange(cutoff + 1))

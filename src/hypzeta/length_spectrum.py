@@ -3,25 +3,11 @@
 Primitive hyperbolic conjugacy classes of the modular group biject with
 aperiodic cyclic words over the parabolic generators
 L = [[1,1],[0,1]] and R = [[1,0],[1,1]] that use both letters; the class
-invariant is the trace of the word's matrix product. Words are kept in
-canonical form (lexicographically minimal rotation, i.e. the Lyndon
-representative). Enumeration walks the prenecklace tree and cuts a prefix
-[[a,b],[c,d]] once a+b+d, its trace with R appended, exceeds the bound.
-The cut is exact: a class below a prefix is recorded at that trace of a
-longer prefix, and no letter lowers it. The minimum trace ell+1 at word
-length ell is enforced as a tested invariant.
-
-The walk carries each word as an integer bitmask rather than a string
-and only counts the classes of each trace; it keeps no word once it is
-counted. A spectrum is stored as one columnar table: trace, count, norm
-and length of every trace shell as float64 rows in ascending trace
-order, which the Euler products read directly. The walk fills it from
-its per-trace counts, and `read_cache` parses a cache file's body into it
-in one numpy pass, refusing (as a miss) any row `write_cache` would not
-have written. `LengthSpectrum.shells` (`TraceShell` objects) and
-`.classes` (one `GeodesicClass` per word, in (trace, word) order) are
-built on first access; `.classes` runs the same walk again, this time
-recording the words.
+invariant is the trace of the word's matrix product, and a class is
+named by its canonical word, the lexicographically minimal rotation.
+`enumerate_spectrum` counts the classes of each trace up to a bound;
+`LengthSpectrum` holds them as one table of trace shells, which
+`write_cache` and `read_cache` store as CSV with a metadata sidecar.
 """
 
 from __future__ import annotations
@@ -29,7 +15,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -59,7 +44,6 @@ __all__ = [
 
 GENERATOR_CONVENTION = "L=[[1,1],[0,1]],R=[[1,0],[1,1]]"
 CACHE_VERSION = "1"
-MODULAR_GROUP_LABEL = "modular"
 _CACHE_HEADER = ("trace", "count", "length", "norm")
 # relative distance of a cached length from 2 arccosh(trace / 2), and of a
 # cached norm from its exponential, that read_cache accepts
@@ -123,52 +107,34 @@ class TraceShell:
 class LengthSpectrum:
     """Complete multiset of primitive classes with trace <= max_trace.
 
-    Stored as one table, `columns`: a read-only 4 x n float64 array whose
-    rows are the trace, class count, norm and length of each trace shell,
-    in ascending trace order. The Euler products read it directly.
-    `shells` is the same table as `TraceShell` objects, built on first
-    access. `classes` lists the words themselves, found by walking the
-    prenecklace tree again on first access (see `enumerate_spectrum`); it
-    is None for a spectrum that `enumerate_spectrum` did not build, such
-    as one restored from a trace-level cache.
+    `columns` is a read-only copy of the 4 x n float64 table it is given:
+    the trace, class count, norm and length of each trace shell, in
+    ascending trace order. `shells` is a read view of it, and `classes`
+    lists every class's word for a spectrum from `enumerate_spectrum`
+    (None otherwise). The group is always the modular group.
     """
 
-    def __init__(self, shells: Iterable[TraceShell], max_trace: int,
-                 group_label: str = MODULAR_GROUP_LABEL) -> None:
-        shells = tuple(shells)
-        table = np.array([(sh.trace, sh.count, sh.norm, sh.length) for sh in shells], dtype=float)
-        self._store(table.reshape(-1, 4).T, max_trace, group_label)
-        self.__dict__["shells"] = shells
+    _enumerated = False
 
-    @classmethod
-    def from_columns(cls, columns: np.ndarray, max_trace: int,
-                     group_label: str = MODULAR_GROUP_LABEL) -> LengthSpectrum:
-        """The spectrum whose table is `columns` (trace, count, norm, length rows)."""
-        spectrum = cls.__new__(cls)
-        spectrum._store(columns, max_trace, group_label)
-        return spectrum
-
-    def _store(self, columns, max_trace, group_label, enumerated=False) -> None:
+    def __init__(self, columns: np.ndarray, max_trace: int) -> None:
         columns = np.array(columns, dtype=float)
+        if columns.ndim != 2 or columns.shape[0] != 4:
+            raise ValueError(f"columns must be a 4 x n table, got shape {columns.shape}")
         columns.flags.writeable = False
         self.columns = columns
         self.max_trace = max_trace
-        self.group_label = group_label
-        self._enumerated = enumerated
 
     def __repr__(self) -> str:
-        return (f"LengthSpectrum(max_trace={self.max_trace}, group_label={self.group_label!r}, "
-                f"shells={self.columns.shape[1]})")
+        return f"LengthSpectrum(max_trace={self.max_trace}, shells={self.columns.shape[1]})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LengthSpectrum):
             return NotImplemented
-        return ((self.max_trace, self.group_label) == (other.max_trace, other.group_label)
-                and np.array_equal(self.columns, other.columns))
+        return self.max_trace == other.max_trace and np.array_equal(self.columns, other.columns)
 
     @cached_property
     def shells(self) -> tuple[TraceShell, ...]:
-        """One `TraceShell` per column of the table, in ascending trace order."""
+        """One `TraceShell` per column of the table, built on first read."""
         return tuple(
             TraceShell(int(trace), int(count), norm, length)
             for trace, count, norm, length in self.columns.T.tolist()
@@ -318,8 +284,8 @@ def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSp
         raise ValueError("max_trace must be at least 3")
     counts = _walk(max_trace, max_classes)
     rows = [(trace, n, *_norm_and_length(trace)) for trace, n in enumerate(counts) if n]
-    spectrum = LengthSpectrum.__new__(LengthSpectrum)
-    spectrum._store(np.array(rows, dtype=float).T, max_trace, MODULAR_GROUP_LABEL, enumerated=True)
+    spectrum = LengthSpectrum(np.array(rows).T, max_trace)
+    spectrum._enumerated = True
     return spectrum
 
 
@@ -327,25 +293,29 @@ def _meta_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
+def _csv(rows, end: str) -> str:
+    """The header and one line per (trace, count, length, norm) row, each
+    ending in `end`: the cache's text, and `hypzeta spectrum`'s output."""
+    lines = [",".join(_CACHE_HEADER)]
+    lines += (f"{int(trace)},{int(count)},{length!r},{norm!r}"
+              for trace, count, length, norm in rows)
+    return end.join(lines) + end
+
+
 def write_cache(spectrum: LengthSpectrum, path: str | Path) -> None:
     """Write the trace-level table as CSV (with CRLF line ends, as
     `csv.writer` writes them) plus a JSON metadata sidecar."""
     path = Path(path)
-    rows = "".join(
-        f"{int(trace)},{int(count)},{length!r},{norm!r}\r\n"
-        for trace, count, norm, length in spectrum.columns.T.tolist()
-    )
     with path.open("w", newline="") as fh:
-        fh.write(",".join(_CACHE_HEADER) + "\r\n" + rows)
+        fh.write(_csv(spectrum.columns[[0, 1, 3, 2]].T.tolist(), "\r\n"))
     with _meta_path(path).open("w") as fh:
-        json.dump(_cache_meta(spectrum.group_label, spectrum.max_trace), fh,
-                  indent=2, sort_keys=True)
+        json.dump(_cache_meta(spectrum.max_trace), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _cache_meta(group_label: str, max_trace: int) -> dict:
+def _cache_meta(max_trace: int) -> dict:
     return {
-        "group": group_label,
+        "group": "modular",
         "max_trace": max_trace,
         "generator_convention": GENERATOR_CONVENTION,
         "version": CACHE_VERSION,
@@ -381,8 +351,7 @@ def _parse_rows(body: str, max_trace: int) -> np.ndarray | None:
     return np.array([trace, count, norm, length])
 
 
-def read_cache(path: str | Path, max_trace: int,
-               group_label: str = MODULAR_GROUP_LABEL) -> LengthSpectrum | None:
+def read_cache(path: str | Path, max_trace: int) -> LengthSpectrum | None:
     """Load a cached spectrum; None (a miss) unless the metadata matches
     exactly and every row passes `_parse_rows`."""
     path = Path(path)
@@ -394,7 +363,7 @@ def read_cache(path: str | Path, max_trace: int,
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    if meta != _cache_meta(group_label, max_trace):
+    if meta != _cache_meta(max_trace):
         return None
     try:
         header, _, body = path.read_text().partition("\n")
@@ -405,4 +374,4 @@ def read_cache(path: str | Path, max_trace: int,
     columns = _parse_rows(body, max_trace)
     if columns is None:
         return None
-    return LengthSpectrum.from_columns(columns, max_trace, group_label)
+    return LengthSpectrum(columns, max_trace)

@@ -176,13 +176,12 @@ def _loggamma_recurrence(z: complex) -> complex:
 def _loggamma(z: complex) -> complex:
     """Principal branch of log Gamma(z) off the poles (Hare 1997).
 
-    Stirling's series with 8 terms where Re z > 7 or |Im z| > 7; the
-    Taylor series within 0.2 of the zeros 1 and 2, which keeps the
-    value's relative accuracy there; the
-    backward recurrence elsewhere on Re z >= 0.1, through the conjugate
-    where Im z < 0 or is -0.0; and the reflection formula on Re z < 0.1,
-    with the 2 pi i correction of Hare's Proposition 3.1, so a zero
-    imaginary part picks the side of the negative real axis by its sign.
+    Stirling's series with 8 terms where Re z > 7 or |Im z| > 7; Taylor
+    series within 0.2 of the zeros 1 and 2, for relative accuracy there;
+    the backward recurrence elsewhere on Re z >= 0.1, through the
+    conjugate where Im z < 0 or is -0.0; and the reflection formula on
+    Re z < 0.1 with the 2 pi i correction of Hare's Proposition 3.1, so a
+    zero imaginary part picks the side of the negative real axis by sign.
     """
     if z.real > 7.0 or abs(z.imag) > 7.0:
         return _loggamma_stirling(z)

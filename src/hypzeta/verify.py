@@ -360,10 +360,9 @@ def spectrum_checks() -> list[Check]:
     ))
     for ell, count in NECKLACE_COUNTS.items():
         checks.append(_check(f"necklace count length {ell}", length_spectrum.necklace_count(ell), count, 0))
-    lengths = [shell.length for shell in spectrum.shells]
-    checks.append(_check("length increases with trace", float(all(
-        a < b for a, b in zip(lengths, lengths[1:])
-    )), 1.0, 0))
+    lengths = spectrum.columns[3]
+    increasing = float((lengths[1:] > lengths[:-1]).all())
+    checks.append(_check("length increases with trace", increasing, 1.0, 0))
     return checks
 
 
@@ -403,9 +402,9 @@ def _double_sum_oracle(spectrum, s, tail: float = 1e-12) -> complex:
     """Mercator-expanded triple sum; the independent route to log Z."""
     total = 0.0 + 0.0j
     s = complex(s)
-    for shell in spectrum.shells:
+    for _, count, _, length in spectrum.columns.T.tolist():
         for k in range(0, 200):
-            x = cmath.exp(-(s + k) * shell.length)
+            x = cmath.exp(-(s + k) * length)
             if abs(x) < tail * 1e-6:
                 break
             xm = x
@@ -415,7 +414,7 @@ def _double_sum_oracle(spectrum, s, tail: float = 1e-12) -> complex:
                 xm *= x
                 if abs(xm) < tail * 1e-6:
                     break
-            total -= shell.count * inner
+            total -= count * inner
     return cmath.exp(total)
 
 

@@ -113,16 +113,13 @@ def z_ell(sig: Signature, s: complex) -> FactorValue:
     Re s in [-3, 4], |Im s| <= 20, off the poles, the cone point of
     order m adds at most (2 zeta'(-1) - 1/6) m + 5 log m + 20, about
     -m/2, to Re log Z_ell: for m >= 8 every gamma pole in the strip has
-    a negative weight, so the maximum lies on the strip's edge (at
-    s = 4 +- 20i at every order scanned from 8 to 10^6, 2.5 to 26 below the
-    bound); for m <= 7 the bound covers the poles' neighbourhoods down
-    to the 1e-12 pole tolerance. Where these bounds sum below -746
-    the factor underflows a double, and DomainError is raised before any
-    log-gamma call: for one cone point from m = 1,614 on, for three of
-    equal order from m = 605 on. Off the strip no such bound is known,
-    so refusing an underflow there still costs the full sum_j m_j
-    log-gamma calls: three cone points of order 10^5 at s = 4.5 take
-    about 2 s (2-vCPU VM) before DomainError.
+    a negative weight, so the maximum lies on the strip's edge; for
+    m <= 7 the bound holds down to the 1e-12 pole tolerance.
+    Where these bounds sum below -746 the factor underflows a double, and
+    DomainError is raised before any log-gamma call: for one cone point
+    from m = 1,614 on, for three of equal order from m = 605 on. Off the
+    strip no such bound is known, so refusing an underflow there still
+    costs the full sum_j m_j log-gamma calls.
     """
     s = _finite_complex(s)
     if (

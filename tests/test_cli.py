@@ -28,6 +28,17 @@ def invoke_json(argv):
     return code, json.loads(out), err
 
 
+@pytest.fixture
+def no_trace_shell(monkeypatch):
+    """Make building a TraceShell, the spectrum's public view, fail the test."""
+    from hypzeta.length_spectrum import TraceShell
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a TraceShell was built")
+
+    monkeypatch.setattr(TraceShell, "__init__", refuse)
+
+
 def result_of(report, name):
     for item in report["results"]:
         if item["name"] == name:
@@ -191,19 +202,31 @@ class TestSpectrum:
         assert result_of(report, "value") == result_of(clean, "value")
         assert cache.read_text() == written
 
-    def test_hit_builds_no_trace_shell(self, tmp_path, monkeypatch):
-        from hypzeta.length_spectrum import TraceShell
-
+    def test_hit_builds_no_trace_shell(self, tmp_path, no_trace_shell):
         argv = ["zeta", "--s", "2,0", "--max-trace", "60", "--cache", str(tmp_path / "s.csv")]
         _, miss, _ = invoke_json(argv)
-
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("a TraceShell was built")
-
-        monkeypatch.setattr(TraceShell, "__init__", refuse)
         code, hit, _ = invoke_json(argv)
         assert code == 0 and hit["inputs"]["cache_status"] == "hit"
         assert hit["results"] == miss["results"]
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum"],
+        ["spectrum", "--json"],
+        ["ruelle", "--s", "2,0", "--json"],
+        ["ruelle", "--method", "direct", "--s", "2,0", "--json"],
+    ])
+    def test_commands_build_no_trace_shell(self, tmp_path, no_trace_shell, command):
+        argv = command + ["--max-trace", "40", "--cache", str(tmp_path / "s.csv")]
+        for status in ("miss", "hit"):
+            code, out, _ = invoke(argv)
+            assert code == 0
+            if "--json" in argv:
+                assert json.loads(out)["inputs"]["cache_status"] == status
+
+    def test_verify_builds_no_trace_shell(self, no_trace_shell):
+        from hypzeta.verify import run_verify
+
+        assert run_verify()["failed_checks"] == 0
 
     def test_stale_cache_reenumerated(self, tmp_path):
         cache = str(tmp_path / "spec.csv")

@@ -122,7 +122,7 @@ class TestSelbergZ:
             selberg_Z(sp40, complex(0.5, 3.0))
 
     def test_empty_spectrum(self):
-        empty = LengthSpectrum(shells=(), max_trace=3)
+        empty = LengthSpectrum(np.empty((4, 0)), max_trace=3)
         with pytest.raises(EmptySpectrumError):
             selberg_Z(empty, 2.0)
 

@@ -279,14 +279,16 @@ class TestCache:
         assert loaded is not None
         assert loaded.classes is None
         assert loaded.shells == spectrum.shells
-        assert loaded.max_trace == 15 and loaded.group_label == "modular"
+        assert loaded.max_trace == 15
 
     def test_metadata_mismatch_rejected(self, tmp_path):
         spectrum = enumerate_spectrum(15)
         path = tmp_path / "spec.csv"
         write_cache(spectrum, path)
         assert read_cache(path, 16) is None
-        assert read_cache(path, 15, group_label="other") is None
+        meta = path.with_name(path.name + ".meta.json")
+        meta.write_text(meta.read_text().replace('"group": "modular"', '"group": "other"'))
+        assert read_cache(path, 15) is None
 
     def test_corrupt_metadata_rejected(self, tmp_path):
         spectrum = enumerate_spectrum(10)
@@ -455,13 +457,22 @@ class TestColumnarTable:
         with pytest.raises(ValueError):
             enumerate_spectrum(10).columns[1, 0] = 5.0
 
-    def test_constructed_from_shells(self):
+    def test_constructed_from_a_copy_of_the_table(self):
         enumerated = enumerate_spectrum(30)
-        rebuilt = LengthSpectrum(shells=enumerated.shells, max_trace=30)
-        assert rebuilt.shells is enumerated.shells
-        assert np.array_equal(rebuilt.columns, enumerated.columns)
+        table = enumerated.columns.copy()
+        rebuilt = LengthSpectrum(table, max_trace=30)
+        table[1, 0] = 7.0
         assert rebuilt == enumerated
+        assert rebuilt.columns.dtype == np.float64 and not rebuilt.columns.flags.writeable
+        assert rebuilt.shells == enumerated.shells
         assert rebuilt.classes is None
+
+    @pytest.mark.parametrize("layout", ["row-major", "flat"])
+    def test_other_shapes_refused(self, layout):
+        columns = enumerate_spectrum(30).columns
+        table = columns.T if layout == "row-major" else columns.ravel()
+        with pytest.raises(ValueError):
+            LengthSpectrum(table, max_trace=30)
 
 
 class TestSpectrumContainer:
@@ -473,5 +484,5 @@ class TestSpectrumContainer:
         assert abs(enumerate_spectrum(5).min_length - 2.0 * math.acosh(1.5)) < 1e-15
 
     def test_empty_spectrum_min_length(self):
-        empty = LengthSpectrum(shells=(), max_trace=3)
+        empty = LengthSpectrum(np.empty((4, 0)), max_trace=3)
         assert empty.min_length == math.inf
