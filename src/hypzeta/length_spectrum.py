@@ -5,9 +5,10 @@ aperiodic cyclic words over the parabolic generators
 L = [[1,1],[0,1]] and R = [[1,0],[1,1]] that use both letters; the class
 invariant is the trace of the word's matrix product, and a class is
 named by its canonical word, the lexicographically minimal rotation.
-`enumerate_spectrum` counts the classes of each trace up to a bound;
-`LengthSpectrum` holds them as one table of trace shells, which
-`write_cache` and `read_cache` store as CSV with a metadata sidecar.
+`enumerate_spectrum` counts the classes of each trace up to a bound by
+a prenecklace walk on one letter array; `LengthSpectrum` holds them as
+one table of trace shells, which `write_cache` and `read_cache` store
+as CSV with a metadata sidecar.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ _CACHE_HEADER = ("trace", "count", "length", "norm")
 # relative distance of a cached length from 2 arccosh(trace / 2), and of a
 # cached norm from its exponential, that read_cache accepts
 _ROW_RTOL = 1e-12
+# spells a path of letters, L = 0 and R = 1
+_LETTERS = bytes.maketrans(b"\0\1", b"LR")
 
 
 def _word_matrix(word: str) -> tuple[int, int, int, int]:
@@ -110,11 +113,10 @@ class LengthSpectrum:
     `columns` is a read-only copy of the 4 x n float64 table it is given:
     the trace, class count, norm and length of each trace shell, in
     ascending trace order. `shells` is a read view of it, and `classes`
-    lists every class's word for a spectrum from `enumerate_spectrum`
-    (None otherwise). The group is always the modular group.
+    lists every class's word when the table is the one `enumerate_spectrum`
+    gives for max_trace (None otherwise). The group is always the modular
+    group.
     """
-
-    _enumerated = False
 
     def __init__(self, columns: np.ndarray, max_trace: int) -> None:
         columns = np.array(columns, dtype=float)
@@ -158,18 +160,22 @@ class LengthSpectrum:
 
     @cached_property
     def classes(self) -> tuple[GeodesicClass, ...] | None:
-        """Every class in (trace, word) order, or None unless enumerated."""
-        if not self._enumerated:
+        """Every class in (trace, word) order, as the walk to max_trace
+        records them; None unless the table is `enumerate_spectrum`'s."""
+        if self.max_trace < 3:  # enumerate_spectrum's domain
             return None
-        words: list[list[int]] = [[] for _ in range(self.max_trace + 1)]
-        _walk(self.max_trace, self.class_count, words)
-        letters = str.maketrans("01", "LR")
-        out = []
-        for trace, _, norm, length in self.columns.T.tolist():
-            trace = int(trace)
-            spelled = sorted(bin(mask)[3:].translate(letters) for mask in words[trace])
-            out.extend(GeodesicClass(word, trace, norm, length) for word in spelled)
-        return tuple(out)
+        words: list[list[str]] = [[] for _ in range(self.max_trace + 1)]
+        try:
+            counts = _walk(self.max_trace, self.class_count, words)
+        except CapacityError:
+            return None
+        if self.columns[:2].T.tolist() != [[trace, n] for trace, n in enumerate(counts) if n]:
+            return None
+        return tuple(
+            GeodesicClass(word, int(trace), norm, length)
+            for trace, _, norm, length in self.columns.T.tolist()
+            for word in sorted(words[int(trace)])
+        )
 
 
 def class_from_word(word: str) -> GeodesicClass:
@@ -217,63 +223,79 @@ def _capacity_error(max_classes: int, max_trace: int) -> CapacityError:
     return CapacityError(f"more than {max_classes} classes below trace {max_trace}")
 
 
-def _walk(max_trace: int, max_classes: int, words: list[list[int]] | None = None) -> list[int]:
+def _walk(max_trace: int, max_classes: int, words: list[list[str]] | None = None) -> list[int]:
     """Classes per trace (index 0 to max_trace) of the prenecklace walk; with
-    `words`, each class's bitmask is also appended to words[trace].
+    `words`, each class's word is also appended to words[trace].
 
-    A word w_0 ... w_(t-1) is the integer 2^t + sum of 2^(t-1-i) over the
-    positions i holding R: after the leading 1, its binary digits spell
-    the word with L = 0 and R = 1. Every prenecklace using both letters
-    extends some L^k R, a Lyndon word with matrix [[k+1, k], [1, 1]];
-    those words seed the stack, whose entries are (mask, period, a, b, c,
-    d). Raises CapacityError once more than max_classes classes are counted.
+    The walk starts at the prefix L and extends it in place by its
+    periodic letter. Where that letter is L, the child R is a new Lyndon
+    word. It is stacked as (n, p, a, b, c, d), its length, period and
+    matrix [[a, b], [c, d]], if its own child L is not cut; otherwise it
+    and its extensions by R letters, whose traces step by b, are counted
+    as one stride. The letters of the current prefix are path[:n] (L = 0,
+    R = 1), so path[n - p] is its periodic letter. Raises CapacityError if
+    more than max_classes classes appear.
     """
     counts = [0] * (max_trace + 1)
+    path = bytearray(max_trace)
     stack = []
-    for k in range(1, max_trace - 1):
-        mask = (1 << (k + 1)) | 1
-        counts[k + 2] = 1
-        if words is not None:
-            words[k + 2].append(mask)
-        stack.append((mask, k + 1, k + 1, k, 1, 1))
-    found = len(stack)
-    if found > max_classes:
-        raise _capacity_error(max_classes, max_trace)
-    while stack:
-        mask, period, a, b, c, d = stack.pop()
-        # Follow one child in place and stack the other, up to the cut at
-        # t = a + b + d, the trace with R appended.
+    found = 0
+    n, p, a, b, c, d = 1, 1, 1, 1, 0, 1  # the prefix L
+    while True:
+        # Extend the prefix in place up to the cut at t = a + b + d, the
+        # trace with R appended.
         while (t := a + b + d) <= max_trace:
-            if (mask >> (period - 1)) & 1:
+            if path[n - p]:
                 # the periodic letter is R: the only child appends R
-                mask = mask << 1 | 1
+                path[n] = 1
+                n += 1
                 a, c = a + b, c + d
                 continue
-            # the periodic letter is L: the child R resets the period (a new
-            # Lyndon word), the child L keeps it and is followed unless cut
-            child = mask << 1 | 1
+            # the periodic letter is L: the child R is a new Lyndon word of
+            # trace t, and the child L keeps the period unless cut
             counts[t] += 1
-            if words is not None:
-                words[t].append(child)
             found += 1
-            if found > max_classes:
-                raise _capacity_error(max_classes, max_trace)
-            # the child L's own cut, 2a + b + c + d
-            if t + a + c <= max_trace:
-                stack.append((child, child.bit_length() - 1, a + b, b, c + d, d))
-                mask <<= 1
-                b, d = a + b, c + d
+            if words is not None:
+                prefix = path[:n].translate(_LETTERS).decode()
+                words[t].append(prefix + "R")
+            # the cut of the child L, 2a + b + c + d
+            u = t + a + c
+            if t + b > max_trace:
+                # the child R has no child
+                if u > max_trace:
+                    break
+            elif u + b + b + d <= max_trace:
+                # the child R's own child L is not cut: stack the child R
+                stack.append((n + 1, n + 1, a + b, b, c + d, d))
             else:
-                mask, period = child, child.bit_length() - 1
-                a, c = a + b, c + d
-    return counts
+                # it is: the child R runs on in R letters, at traces t + jb
+                found += (max_trace - t) // b
+                for v in range(t + b, max_trace + 1, b):
+                    counts[v] += 1
+                if words is not None:
+                    for j, v in enumerate(range(t + b, max_trace + 1, b), 2):
+                        words[v].append(prefix + "R" * j)
+                if u > max_trace:
+                    break
+            path[n] = 0
+            n += 1
+            b, d = a + b, c + d
+        if found > max_classes:
+            raise _capacity_error(max_classes, max_trace)
+        if not stack:
+            return counts
+        # every stacked prefix ends in R; LIFO order kept the letters before it
+        n, p, a, b, c, d = stack.pop()
+        path[n - 1] = 1
 
 
 def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSpectrum:
     """All primitive classes with trace <= max_trace, exactly once each.
 
-    Walks the prenecklace tree over {L, R} counting Lyndon words (the
-    canonical rotations) by trace. A prefix [[a,b],[c,d]] is cut once
+    Walks the prenecklace tree over {L, R}, its prefixes held as one
+    letter array, counting Lyndon words (the canonical rotations) by
+    trace; a run of Lyndon words that differ only in trailing R letters
+    is counted in one stride. A prefix [[a,b],[c,d]] is cut once
     a + b + d, its trace with R appended, exceeds max_trace; the cut is
     exact, since every class below it is counted at that trace of a
     longer prefix and neither letter lowers it. The words are not kept;
@@ -284,9 +306,7 @@ def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSp
         raise ValueError("max_trace must be at least 3")
     counts = _walk(max_trace, max_classes)
     rows = [(trace, n, *_norm_and_length(trace)) for trace, n in enumerate(counts) if n]
-    spectrum = LengthSpectrum(np.array(rows).T, max_trace)
-    spectrum._enumerated = True
-    return spectrum
+    return LengthSpectrum(np.array(rows).T, max_trace)
 
 
 def _meta_path(path: Path) -> Path:

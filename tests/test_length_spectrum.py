@@ -224,6 +224,19 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_spectrum(60, max_classes=10)
 
+    def test_capacity_boundary_at_the_benchmark_bound(self):
+        with pytest.raises(CapacityError):
+            enumerate_spectrum(800, max_classes=52_090)
+        assert enumerate_spectrum(800, max_classes=52_091).class_count == 52_091
+
+    @pytest.mark.parametrize("max_trace", [60, 100])
+    def test_capacity_boundary_inside_a_run(self, max_trace):
+        # the last classes the walk finds are counted as runs of R letters
+        total = enumerate_spectrum(max_trace).class_count
+        with pytest.raises(CapacityError):
+            enumerate_spectrum(max_trace, max_classes=total - 1)
+        assert enumerate_spectrum(max_trace, max_classes=total).class_count == total
+
     @pytest.mark.parametrize("max_trace", [*range(3, 14), 100, 800])
     def test_counts_are_the_classes_per_trace(self, max_trace):
         # the counting walk and the word-recording walk of `classes` agree
@@ -277,7 +290,7 @@ class TestCache:
         write_cache(spectrum, path)
         loaded = read_cache(path, 15)
         assert loaded is not None
-        assert loaded.classes is None
+        assert loaded.classes == spectrum.classes
         assert loaded.shells == spectrum.shells
         assert loaded.max_trace == 15
 
@@ -399,6 +412,16 @@ def cached_800(enumerated_800, tmp_path_factory):
     return read_cache(path, 800)
 
 
+@given(st.integers(min_value=3, max_value=400))
+@settings(max_examples=100, deadline=None)
+def test_spectrum_is_a_prefix_of_the_benchmark_spectrum(enumerated_800, max_trace):
+    # every cut and run boundary moves with the bound; the classes of a
+    # trace do not
+    columns = enumerated_800.columns
+    expected = columns[:, columns[0] <= max_trace]
+    assert np.array_equal(enumerate_spectrum(max_trace).columns, expected)
+
+
 def test_complete_at_the_benchmark_bound(enumerated_800):
     """Every nonnegative matrix of SL(2,Z) with trace t >= 3 is one word using
     both letters, u^k for one primitive u, and the class of u has |u|
@@ -465,7 +488,15 @@ class TestColumnarTable:
         assert rebuilt == enumerated
         assert rebuilt.columns.dtype == np.float64 and not rebuilt.columns.flags.writeable
         assert rebuilt.shells == enumerated.shells
-        assert rebuilt.classes is None
+        assert rebuilt.classes == enumerated.classes
+
+    @pytest.mark.parametrize("delta, max_trace", [(-1, 30), (1, 30), (0, 31)])
+    def test_no_classes_for_another_table(self, delta, max_trace):
+        # one count lowered (the walk finds more than class_count) or
+        # raised, or the table of a lower bound
+        table = enumerate_spectrum(30).columns.copy()
+        table[1, 5] += delta
+        assert LengthSpectrum(table, max_trace=max_trace).classes is None
 
     @pytest.mark.parametrize("layout", ["row-major", "flat"])
     def test_other_shapes_refused(self, layout):
