@@ -12,7 +12,8 @@ Both products read the spectrum's columnar table
 its class count) and run over numpy arrays. The Selberg product takes,
 for each k, only the prefix of shells whose term can still move log Z in
 a double (a staircase, not the full shell x k rectangle); the
-magnitudes of the terms it skips sum to less than 1e-17. Every result
+magnitudes of the terms it skips sum to less than 1e-17, and each kept
+term's log(1 - x) keeps the low bits of Re x. Every result
 carries its relative error estimate split into the k-tail and the
 trace-tail parts.
 """
@@ -133,6 +134,19 @@ def _kept_shells(spectrum: LengthSpectrum, sigma: float, cutoff: int) -> np.ndar
     return np.searchsorted(spectrum.columns[3], bound, side="right")
 
 
+def _log_one_minus(x: np.ndarray) -> np.ndarray:
+    """log(1 - x) for complex x = a + ib well inside the unit disc (every
+    term here has |x| <= p_min^(-sigma) < 0.15): log1p of |1 - x|^2 - 1 =
+    b^2 - a(2 - a), halved, and arg(1 - x) = atan2(-b, 1 - a). Forming
+    1.0 - x first would round Re x away wherever |x| < 1.1e-16.
+    """
+    a, b = x.real, x.imag
+    out = np.empty_like(x)
+    out.real = 0.5 * np.log1p(b * b - a * (2.0 - a))
+    out.imag = np.arctan2(-b, 1.0 - a)
+    return out
+
+
 def selberg_Z(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
     """Truncated Selberg zeta value on Re s > 1.
 
@@ -155,7 +169,7 @@ def selberg_Z(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
     k = np.repeat(np.arange(cutoff + 1), kept)
     phase = np.exp(-1j * s.imag * length[: kept[0]])
     x = np.exp(-(sigma + k) * length[shell]) * phase[shell]
-    log_z = complex(count[shell] @ np.log(1.0 - x))
+    log_z = complex(count[shell] @ _log_one_minus(x))
     p_min = float(norm[0])
     k_tail = (
         spectrum.class_count
@@ -176,7 +190,7 @@ def selberg_Z(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
 
 def _ruelle_direct(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
     _, count, _, length = spectrum.columns
-    log_r = complex(count @ np.log(1.0 - np.exp(-s * length)))
+    log_r = complex(count @ _log_one_minus(np.exp(-s * length)))
     value = cmath.exp(log_r)
     trace_tail = _trace_tail_estimate(s.real, spectrum.max_trace)
     return TruncatedValue(

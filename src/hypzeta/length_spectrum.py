@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -114,8 +115,9 @@ class LengthSpectrum:
     the trace, class count, norm and length of each trace shell, in
     ascending trace order. `shells` is a read view of it, and `classes`
     lists every class's word when the table is the one `enumerate_spectrum`
-    gives for max_trace (None otherwise). The group is always the modular
-    group.
+    gives for max_trace (None otherwise). `max_trace` is any integer
+    `operator.index` takes (TypeError otherwise). The group is always
+    the modular group.
     """
 
     def __init__(self, columns: np.ndarray, max_trace: int) -> None:
@@ -124,7 +126,7 @@ class LengthSpectrum:
             raise ValueError(f"columns must be a 4 x n table, got shape {columns.shape}")
         columns.flags.writeable = False
         self.columns = columns
-        self.max_trace = max_trace
+        self.max_trace = operator.index(max_trace)
 
     def __repr__(self) -> str:
         return f"LengthSpectrum(max_trace={self.max_trace}, shells={self.columns.shape[1]})"

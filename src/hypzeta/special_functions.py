@@ -26,6 +26,7 @@ import cmath
 import contextlib
 import contextvars
 import math
+import threading
 
 import numpy as np
 
@@ -340,28 +341,51 @@ def zeta_prime_minus_one() -> float:
 
 
 # ---------------------------------------------------------------------------
-# Double gamma function G2 with G2(1) = 1 and G2(s) = Gamma(s) * G2(s+1).
+# Double gamma function G2 with G2(1) = 1 and G2(s) = Gamma(s) * G2(s+1):
+# the defining product on Re s >= 1, the recursion to its left.
 # ---------------------------------------------------------------------------
 
 
-def _log1p_complex(z: np.ndarray) -> np.ndarray:
-    """Accurate log(1+z) for complex arrays (Kahan's compensated form)."""
-    u = 1.0 + z
-    d = u - 1.0
+def _log1p_complex(z: np.ndarray, out: np.ndarray, d: np.ndarray,
+                   exact: np.ndarray) -> np.ndarray:
+    """Accurate log(1+z) for complex arrays (Kahan's compensated form).
+
+    Writes into `out` and returns it; `d` (complex) and `exact` (bool),
+    of z's shape, are overwritten, and no array is allocated.
+    """
+    u = np.add(1.0, z, out=out)
+    np.subtract(u, 1.0, out=d)
     # Where 1+z rounded to exactly 1, log1p(z) ~ z; elsewhere rescale by z/d
     # to recover the low-order bits lost when forming u.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(d == 0, 1.0, z / np.where(d == 0, 1.0, d))
-    return np.where(d == 0, z, np.log(u) * scaled)
+    np.equal(d, 0, out=exact)
+    np.copyto(d, 1.0, where=exact)
+    np.divide(z, d, out=d)
+    np.multiply(np.log(u, out=u), d, out=u)
+    np.copyto(u, z, where=exact)
+    return u
 
 
 _G2_MIN_CUTOFF = 10_000
 _G2_MAX_CUTOFF = 160_000
 _G2_TAIL_TOL = 1e-11
-# k-terms per numpy pass of the product: its complex temporaries (64 KiB)
-# stay below glibc's 128 KiB mmap threshold, so the heap reuses them
-# instead of mapping and page-faulting fresh ones on every call
+# k-terms per numpy pass of the product. Every pass works in place in its
+# thread's scratch arrays (228 KiB at this size, made once). Passes that
+# allocated their temporaries page-faulted 16 to 54 times each in some
+# processes and never in others: glibc trims the top of the heap once the
+# temporaries freed there pass its 128 KiB threshold, and the next pass
+# faults those pages in again, so the cost hung on the heap's layout.
 _G2_BLOCK = 4_096
+_G2_SCRATCH = threading.local()
+
+
+def _g2_scratch(n: int) -> tuple[np.ndarray, ...]:
+    """This thread's arrays for product passes of up to n terms, made again
+    when n changes: one real (k-derived factors), three complex, one bool."""
+    arrays = getattr(_G2_SCRATCH, "arrays", None)
+    if arrays is None or arrays[0].size != n:
+        arrays = (np.empty(n), *np.empty((3, n), dtype=complex), np.empty(n, dtype=bool))
+        _G2_SCRATCH.arrays = arrays
+    return arrays
 
 
 def _g2_remainder_bound(t: complex, cutoff: int) -> float:
@@ -390,20 +414,29 @@ def _g2_cutoff(t: complex) -> int:
 
 
 def _log_gamma2_product(w: complex) -> complex:
-    """log G2(w) from the defining product, valid for Re w > 1/2.
+    """log G2(w) from the defining product, valid for Re w > 1/2 and
+    called on Re w >= 1.
 
     Truncates the product at the cutoff `_g2_cutoff` picks for w, sums it
-    in blocks of _G2_BLOCK terms from the tail, and restores the terms
+    in blocks of _G2_BLOCK terms from the tail (each in place, in the
+    arrays `_g2_scratch` keeps for the thread), and restores the terms
     beyond the cutoff analytically through ninth order in w-1 over k.
     """
     t = w - 1.0
     if t == 0:
         return 0.0 + 0.0j
     cutoff = _g2_cutoff(t)
+    scratch = _g2_scratch(min(cutoff, _G2_BLOCK))
     total = 0.0 + 0.0j
     for top in range(cutoff, 0, -_G2_BLOCK):
         k = np.arange(max(top - _G2_BLOCK, 0) + 1, top + 1, dtype=float)
-        terms = -k * _log1p_complex(t / k) + t - t * t / (2.0 * k)
+        kf, z, log1p, d, exact = (a[: k.size] for a in scratch)
+        # terms = -k log1p(t/k) + t - t^2/(2k), one ufunc at a time
+        _log1p_complex(np.divide(t, k, out=z), log1p, d, exact)
+        terms = np.multiply(np.negative(k, out=kf), log1p, out=log1p)
+        np.add(terms, t, out=terms)
+        np.divide(t * t, np.multiply(2.0, k, out=kf), out=d)
+        np.subtract(terms, d, out=terms)
         total += complex(np.sum(terms[::-1]))
     total += -0.5 * t * math.log(2.0 * math.pi) + 0.5 * t
     total += 0.5 * (EULER_GAMMA + 1.0) * t * t
@@ -440,8 +473,13 @@ def _g2_memo():
 def log_barnes_gamma2(s: complex) -> complex:
     """log G2(s) for the double gamma function normalized by G2(1) = 1.
 
-    Evaluates the defining product for Re s > 1/2 and extends to the rest
-    of the plane through the recursion G2(s) = Gamma(s) * G2(s+1).
+    Evaluates the defining product for Re s >= 1 and extends to the rest
+    of the plane through the recursion G2(s) = Gamma(s) * G2(s+1). The
+    product converges for Re s > 1/2, but on Re s < 1 every factor
+    1 + (s-1)/k lies inside the unit circle, where numpy's complex log
+    costs about seven times as much; one more shift, one log_gamma call,
+    is far cheaper. Both forms are analytic on Re s > 1/2 and agree on
+    the real axis, so the value and its branch are the same.
     The product length follows from s: 10,000 terms for every
     |s - 1| <= 120 after the shift, doubled while the remainder bound
     exceeds 1e-11. Relative accuracy ~1e-11 for |s| <= 10.
@@ -458,14 +496,14 @@ def log_barnes_gamma2(s: complex) -> complex:
     if _is_nonpositive_integer(s):
         raise PoleError(f"double gamma pole at s={s}")
     shift = 0.0 + 0.0j
-    while s.real <= 0.5:
+    while s.real < 1.0:
         shift += log_gamma(s)
         s += 1.0
     memo = _G2_MEMO.get()
     if memo is None:
         product = _log_gamma2_product(s)
     else:
-        # Re s > 1/2 here; the sign of a zero Im s is part of the key
+        # Re s >= 1 here; the sign of a zero Im s is part of the key
         key = (s.real, s.imag, math.copysign(1.0, s.imag))
         product = memo.get(key)
         if product is None:

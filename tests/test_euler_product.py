@@ -157,11 +157,15 @@ class TestAgainstScalarLoops:
 
 def rectangle_terms(spectrum, s, cutoff):
     """Every term p^(-s-k) of the truncated Selberg product as one
-    shell x k array, and log Z summed over all of it."""
+    shell x k array, and log Z summed over all of it. Each log(1 - x) is
+    formed from the real and imaginary parts of x, as log(1.0 - x) would
+    round away Re x wherever |x| is below 1.1e-16."""
     _, count, _, length = spectrum.columns
     phase = np.exp(-1j * s.imag * length)
     x = np.exp(-np.outer(length, s.real + np.arange(cutoff + 1))) * phase[:, None]
-    return x, complex(count @ np.log(1.0 - x).sum(axis=1))
+    a, b = x.real, x.imag
+    log_terms = 0.5 * np.log1p(b * b - a * (2.0 - a)) + 1j * np.arctan2(-b, 1.0 - a)
+    return x, complex(count @ log_terms.sum(axis=1))
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +197,25 @@ class TestStaircase:
         assert (magnitude[~skipped] >= tau * (1 - 1e-12)).all()
         count = spectrum.columns[1]
         assert (count[:, None] * magnitude * skipped).sum() < 1e-17
+
+    @pytest.mark.parametrize("s", [1.05, 2.0, complex(1.5, 1.0), complex(1.2, 10.0)])
+    def test_log_terms_against_mpmath(self, s, sp800):
+        # the staircase keeps terms down to ~1e-23, and log(1.0 - x) rounds
+        # Re x away for every |x| < 1.1e-16; summed, that moves log Z by
+        # up to 5e-13, which the kernel of selberg_Z does not
+        s = complex(s)
+        cutoff = _k_cutoff(sp800, s.real)
+        x, _ = rectangle_terms(sp800, s, cutoff)
+        kept = np.arange(x.shape[0])[:, None] < _kept_shells(sp800, s.real, cutoff)[None, :]
+        count = np.broadcast_to(sp800.columns[1][:, None], x.shape)[kept]
+        x = x[kept]
+        with mp.workdps(30):
+            log_z = mp.fsum(int(c) * mp.log(1 - mp.mpc(v.real, v.imag)) for c, v in zip(count, x))
+            ref = complex(mp.exp(log_z))
+        error = abs(selberg_Z(sp800, s).value - ref)
+        assert error <= 1e-15 * abs(ref)
+        lossy = cmath.exp(complex(count @ np.log(1.0 - x)))
+        assert abs(lossy - ref) > 10.0 * error
 
     def test_beyond_every_term(self, sp40):
         # at Re s = 400 every term is below the threshold: Z is exactly 1

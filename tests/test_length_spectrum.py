@@ -498,6 +498,17 @@ class TestColumnarTable:
         table[1, 5] += delta
         assert LengthSpectrum(table, max_trace=max_trace).classes is None
 
+    def test_integral_bound_of_any_int_type(self):
+        enumerated = enumerate_spectrum(12)
+        spectrum = LengthSpectrum(enumerated.columns, np.int64(12))
+        assert type(spectrum.max_trace) is int
+        assert spectrum == enumerated and spectrum.classes == enumerated.classes
+
+    @pytest.mark.parametrize("max_trace", [12.0, "12"])
+    def test_non_integral_bound_refused(self, max_trace):
+        with pytest.raises(TypeError):
+            LengthSpectrum(enumerate_spectrum(12).columns, max_trace)
+
     @pytest.mark.parametrize("layout", ["row-major", "flat"])
     def test_other_shapes_refused(self, layout):
         columns = enumerate_spectrum(30).columns

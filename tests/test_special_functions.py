@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import sys
+import threading
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -298,6 +301,33 @@ class TestBarnesGamma2:
         diff -= 2j * math.pi * round(diff.imag / (2.0 * math.pi))
         assert abs(diff) <= 1e-12 * max(1.0, abs(ref))
 
+    # the band 1/2 < Re s < 1, which the recursion shift now moves onto
+    # Re s >= 1 before the product, and the seam Re s = 1 where it stops
+    @pytest.mark.parametrize("s", [
+        complex(0.6, 0.1), complex(0.75, 2.0), complex(0.9, -7.0), complex(0.55, 15.0),
+        complex(0.5 + 1e-9, 0.3), complex(0.5 + 1e-9, -0.3),
+        complex(1.0 - 1e-9, 0.3), complex(1.0 + 1e-9, 0.3),
+        complex(1.0 - 1e-9, -5.0), complex(1.0 + 1e-9, -5.0),
+        *(complex(1.0, y) for y in (0.5, -1.0, 2.0, 5.0, -10.0, 20.0)),
+        complex(0.75, 0.0), complex(0.75, -0.0), complex(1.0 - 1e-9, 0.0), complex(1.0 - 1e-9, -0.0),
+    ])
+    def test_band_and_seam_against_mpmath_log(self, s):
+        # the tolerance of test_large_arguments_against_mpmath_log
+        ref = complex(-mp.log(mp.barnesg(mp.mpc(s.real, s.imag))))
+        diff = log_barnes_gamma2(s) - ref
+        diff -= 2j * math.pi * round(diff.imag / (2.0 * math.pi))
+        assert abs(diff) <= 1e-12 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("im", [0.3, -0.3, 5.0, -5.0])
+    def test_branch_continuous_across_re_one(self, im):
+        # no 2 pi i jump where the shift stops, between neighbouring points
+        # or between the two sides of the seam
+        res = [*np.linspace(0.9, 1.1, 41), math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]
+        res.sort()
+        values = [log_barnes_gamma2(complex(re, im)) for re in res]
+        for (a, va), (b, vb) in zip(zip(res, values), zip(res[1:], values[1:])):
+            assert abs(vb - va) <= 20.0 * (b - a) + 1e-12 * max(1.0, abs(va)), (a, b)
+
     @pytest.mark.parametrize("w", [0.6, 2.75, complex(1.3, 20.0), complex(0.51, -119.0), 400.0])
     def test_blocked_product_matches_one_array(self, w, monkeypatch):
         blocked = special_functions._log_gamma2_product(w)
@@ -306,6 +336,45 @@ class TestBarnesGamma2:
         # relative to max(1, |log G2|): at 2.75, log G2 = 0.045 is the
         # difference of O(1) sums, each rounded to 4e-16
         assert abs(blocked - whole) <= 1e-15 * max(1.0, abs(whole))
+
+    def test_product_passes_allocate_no_temporaries(self):
+        # the first call makes this thread's scratch arrays; a later call
+        # allocates only each pass's k array and numpy's cast buffers,
+        # where one array per temporary peaked at about 520 KiB
+        special_functions._log_gamma2_product(complex(1.5, 2.0))
+        tracemalloc.start()
+        try:
+            special_functions._log_gamma2_product(complex(1.7, -3.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
+
+    def test_threads_keep_their_own_scratch(self):
+        # more threads than cores, switching often: a scratch array shared
+        # between threads would mix one product's passes into another's
+        ws = [complex(1.0 + 0.5 * i, 3.0 - i) for i in range(6)]
+        serial = [special_functions._log_gamma2_product(w) for w in ws]
+        results = {}
+
+        def run(n):
+            order = [(n + i) % len(ws) for i in range(3 * len(ws))]
+            results[n] = [(i, special_functions._log_gamma2_product(ws[i])) for i in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(n,)) for n in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(results) == list(range(6))
+        for n, got in results.items():
+            assert all(value == serial[i] for i, value in got), n
 
     @pytest.mark.parametrize("t, cutoff", [
         (complex(0.0, 120.0), 10_000),

@@ -120,6 +120,13 @@ def test_run_verify_evaluates_each_product_once(product_calls):
     assert len(product_calls) <= 170  # 666 without the memo
 
 
+def test_run_verify_runs_every_product_right_of_one(product_calls):
+    # for Re w < 1 the product's log(1 + (w - 1)/k) takes the slow
+    # near-unit-circle path of the complex log
+    verify.run_verify()
+    assert product_calls and min(re for re, _, _ in product_calls) >= 1.0
+
+
 def test_memo_leaves_the_report_unchanged(report, monkeypatch):
     monkeypatch.setattr(verify, "_g2_memo", contextlib.nullcontext)
     assert repr(verify.run_verify()) == repr(report)

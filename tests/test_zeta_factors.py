@@ -27,7 +27,7 @@ from hypzeta.special_functions import (
     riemann_zeta,
 )
 from hypzeta.surface import Signature, constants
-from hypzeta import zeta_factors
+from hypzeta import special_functions, zeta_factors
 from hypzeta.verify import CUT_SAFE_POINTS
 from hypzeta.zeta_factors import (
     FactorValue,
@@ -461,6 +461,32 @@ class TestConstantsC:
             for m in sig.orders:
                 relation /= m
             assert abs(c0(sig, sc) - relation) < 1e-10 * abs(relation)
+
+
+@pytest.mark.filterwarnings("ignore::hypzeta.errors.DomainWarning")  # Z(s) given on Re s <= 1
+def test_factor_sweep_runs_every_product_right_of_one(monkeypatch):
+    """The factors at s and 1 - s across the strip Re s in [-3, 4], the
+    range the factor benchmark draws from, evaluate the double-gamma
+    product only on Re w >= 1."""
+    arguments = []
+    product = special_functions._log_gamma2_product
+
+    def recording(w):
+        arguments.append(w)
+        return product(w)
+
+    monkeypatch.setattr(special_functions, "_log_gamma2_product", recording)
+    for sig, sc in ((MODULAR, modular_model()), (COMPACT, trivial_model()),
+                    (TRIANGLE, trivial_model())):
+        for re in (-2.7, -1.4, -0.45, 0.2, 0.35, 0.7, 0.95, 1.6, 3.3):
+            for im in (-2.5, 0.4):
+                s = complex(re, im)
+                for x in (s, 1.0 - s):
+                    z_infty(sig, x)
+                    kappa(sig, sc, x)
+                    det_laplacian(sig, sc, x, complex(1.5, 0.5))
+                ruelle_fe_rhs(sig, sc, s)
+    assert arguments and min(w.real for w in arguments) >= 1.0
 
 
 class TestFactorValue:
