@@ -7,11 +7,6 @@ models, the determinant/functional-equation factors, an enumerated
 geodesic length spectrum for the modular group, and truncated Euler
 products with error estimates. The `hypzeta` CLI exposes each operation
 plus a reproducible `verify` identity suite.
-
-A `LengthSpectrum` has one constructor, `LengthSpectrum(np.array(rows).T,
-max_trace)` with rows (trace, count, norm, length); its group is always
-the modular group. `shells` is a read view of its table; the `shells=`
-constructor, `from_columns` and `group_label` are gone.
 """
 
 from .errors import (

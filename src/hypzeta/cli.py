@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 
 from . import euler_product, length_spectrum, verify, zeta_factors
 from .errors import HypzetaError
-from .scattering import BUILTIN_MODEL_LABELS, ScatteringModel, builtin_model
+from .scattering import ScatteringModel, modular_model, trivial_model
 from .surface import Signature, area, constants, order_R, order_Z, parse_signature
 
 __all__ = ["run", "main"]
@@ -122,26 +122,22 @@ def _max_trace(text: str) -> int:
     return value
 
 
-def _model_for(args, sig: Signature):
-    label = args.group
-    if label is None:
-        label = {0: "trivial", 1: "modular"}.get(sig.n)
-        if label is None:
-            raise UsageError(
-                f"no bundled scattering model has {sig.n} cusps; pass --group"
-            )
-    model = builtin_model(label)
-    if model.n != sig.n:
-        raise UsageError(
-            f"model {label!r} has {model.n} cusps but signature {sig.label()} has {sig.n}"
-        )
-    return model
+def _model_for(sig: Signature) -> ScatteringModel:
+    """The bundled model with sig's cusp count: trivial for 0, modular for 1."""
+    if sig.n == 0:
+        return trivial_model()
+    if sig.n == 1:
+        return modular_model()
+    raise UsageError(
+        f"signature {sig.label()} has {sig.n} cusps, but the CLI has scattering "
+        "models for 0 cusps (trivial) and 1 cusp (modular)"
+    )
 
 
 def _surface_report(args) -> tuple[Signature, ScatteringModel, Report]:
-    """Signature, resolved model and a Report naming both, for args.command."""
+    """Signature, its model and a Report naming both, for args.command."""
     sig = parse_signature(args.signature)
-    model = _model_for(args, sig)
+    model = _model_for(sig)
     return sig, model, Report(args.command, {"signature": sig.label(), "group": model.label})
 
 
@@ -162,28 +158,6 @@ def _spectrum_for(args, report: Report):
 # ---------------------------------------------------------------------------
 # subcommand handlers: populate a Report, return exit code
 # ---------------------------------------------------------------------------
-
-
-def _cmd_surface_info(args) -> tuple[Report, int]:
-    sig = parse_signature(args.signature)
-    report = Report("surface info", {"signature": sig.label()})
-    report.add("area", area(sig))
-    report.add("area_over_2pi", float(sig.normalized_area()))
-    try:
-        model = _model_for(args, sig)
-    except UsageError:
-        report.notes.append(
-            "no scattering model resolvable for this cusp count; "
-            "reporting geometric data only"
-        )
-        report.add("B", -float(sig.normalized_area()))
-        report.add("C", -sig.n * math.log(2.0))
-        return report, 0
-    c = constants(sig, model)
-    report.inputs["group"] = model.label
-    for name in ("A", "B", "C", "D", "log_E"):
-        report.add(name, getattr(c, name))
-    return report, 0
 
 
 def _cmd_orders(args) -> tuple[Report, int]:
@@ -259,9 +233,21 @@ def _cmd_ruelle_leading(args) -> tuple[Report, int]:
 
 
 def _cmd_constants(args) -> tuple[Report, int]:
-    sig, model, report = _surface_report(args)
+    """The determinant constants; past one cusp, the geometric ones only."""
+    sig = parse_signature(args.signature)
+    report = Report("constants", {"signature": sig.label()})
+    report.add("area", area(sig))
+    report.add("area_over_2pi", float(sig.normalized_area()))
+    try:
+        model = _model_for(sig)
+    except UsageError as exc:
+        report.notes.append(f"{exc}; reporting geometric data only")
+        report.add("B", -float(sig.normalized_area()))
+        report.add("C", -sig.n * math.log(2.0))
+        return report, 0
+    report.inputs["group"] = model.label
     c = constants(sig, model)
-    for name in ("area", "A", "B", "C", "D", "log_E"):
+    for name in ("A", "B", "C", "D", "log_E"):
         report.add(name, getattr(c, name))
     report.add("E", math.exp(c.log_E))
     report.add("c1", zeta_factors.c1(sig, model))
@@ -310,14 +296,8 @@ def _cmd_euler(args) -> tuple[Report, int]:
 
 
 def _cmd_verify(args) -> tuple[Report, int]:
-    outcome = verify.run_verify(tolerance=args.tolerance)
-    report = Report(
-        "verify",
-        {
-            "points_version": outcome["points_version"],
-            "tolerance_override": outcome["tolerance_override"],
-        },
-    )
+    outcome = verify.run_verify()
+    report = Report("verify", {"points_version": outcome["points_version"]})
     for name, checks in outcome["sections"].items():
         report.checks.extend({**c, "name": f"{name}: {c['name']}"} for c in checks)
     report.add("total_checks", outcome["total_checks"])
@@ -333,9 +313,9 @@ def _cmd_verify(args) -> tuple[Report, int]:
 def _add_common(sp, surface=False, s=False, euler=False):
     sp.add_argument("--json", action="store_true", help="emit the report as JSON")
     if surface:
-        sp.add_argument("--signature", required=True, help="surface as g,n,m1:m2:...:mv")
-        sp.add_argument("--group", choices=BUILTIN_MODEL_LABELS,
-                        help="scattering model (default: by cusp count)")
+        sp.add_argument("--signature", required=True,
+                        help="surface as g,n,m1:m2:...:mv; 0 cusps take the trivial "
+                             "scattering model, 1 cusp the modular one")
     if s:
         sp.add_argument("--s", required=True, help="evaluation point as RE,IM")
     if euler:
@@ -351,12 +331,6 @@ def build_parser() -> _Parser:
     fills a fresh namespace, so one run leaves nothing behind for the next."""
     parser = _Parser(prog="hypzeta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    surface_p = sub.add_parser("surface", help="surface-level data")
-    surface_sub = surface_p.add_subparsers(dest="surface_command", required=True)
-    info = surface_sub.add_parser("info", help="area and determinant constants")
-    _add_common(info, surface=True)
-    info.set_defaults(handler=_cmd_surface_info)
 
     orders = sub.add_parser("orders", help="order tables for Z and R")
     _add_common(orders, surface=True)
@@ -380,7 +354,7 @@ def build_parser() -> _Parser:
     _add_common(leading, surface=True)
     leading.set_defaults(handler=_cmd_ruelle_leading)
 
-    consts = sub.add_parser("constants", help="A, B, C, D, E, c0, c1")
+    consts = sub.add_parser("constants", help="area, A, B, C, D, E, c0, c1")
     _add_common(consts, surface=True)
     consts.set_defaults(handler=_cmd_constants)
 
@@ -401,8 +375,6 @@ def build_parser() -> _Parser:
 
     verify_p = sub.add_parser("verify", help="run the full identity suite")
     _add_common(verify_p)
-    verify_p.add_argument("--tolerance", type=float,
-                          help="override every non-exact check tolerance")
     verify_p.set_defaults(handler=_cmd_verify)
 
     return parser

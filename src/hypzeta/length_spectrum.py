@@ -302,10 +302,16 @@ def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSp
     exact, since every class below it is counted at that trace of a
     longer prefix and neither letter lowers it. The words are not kept;
     `LengthSpectrum.classes` walks again to list them. Raises
-    CapacityError when more than max_classes classes appear.
+    CapacityError when more than max_classes classes appear, before the
+    walk when N (log N - 1) > max_classes with N = max_trace - 2: the
+    words L^a R^b with ab <= N are that many distinct classes at least
+    (sum_a floor(N/a) > N (log N - 1)), at trace ab + 2.
     """
     if max_trace < 3:
         raise ValueError("max_trace must be at least 3")
+    n = max_trace - 2
+    if n * (math.log(n) - 1.0) > max_classes:
+        raise _capacity_error(max_classes, max_trace)
     counts = _walk(max_trace, max_classes)
     rows = [(trace, n, *_norm_and_length(trace)) for trace, n in enumerate(counts) if n]
     return LengthSpectrum(np.array(rows).T, max_trace)

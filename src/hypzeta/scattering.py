@@ -23,7 +23,6 @@ __all__ = [
     "modular_model",
     "trivial_model",
     "builtin_model",
-    "BUILTIN_MODEL_LABELS",
     "phi_leading_at_zero",
 ]
 
@@ -154,15 +153,12 @@ def trivial_model() -> ScatteringModel:
     )
 
 
-BUILTIN_MODEL_LABELS = ("modular", "trivial")
-
-
 def builtin_model(label: str) -> ScatteringModel:
     if label == "modular":
         return modular_model()
     if label == "trivial":
         return trivial_model()
-    raise ValueError(f"unknown model {label!r}; choose from {BUILTIN_MODEL_LABELS}")
+    raise ValueError(f"unknown model {label!r}; choose 'modular' or 'trivial'")
 
 
 def phi_leading_at_zero(model: ScatteringModel) -> tuple[int, float]:

@@ -12,6 +12,7 @@ pole orders.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,16 +33,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Signature:
-    """Surface type (g; n; m_1, ..., m_v): genus, cusps, cone orders."""
+    """Surface type (g; n; m_1, ..., m_v): genus, cusps, cone orders.
+
+    Each entry must be an integer that `operator.index` takes, so 2.5 or
+    "2" raises TypeError rather than being truncated; all are stored as int.
+    """
 
     g: int
     n: int
     orders: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "g", operator.index(self.g))
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "orders", tuple(operator.index(m) for m in self.orders))
         if self.g < 0 or self.n < 0:
             raise ValueError("genus and cusp count must be non-negative")
-        object.__setattr__(self, "orders", tuple(int(m) for m in self.orders))
         if any(m < 2 for m in self.orders):
             raise ValueError("every cone order must be >= 2")
         total = Fraction(2 * self.g - 2 + self.n)

@@ -172,7 +172,8 @@ def signature_corpus(count: int = 30) -> list[Signature]:
 # ---------------------------------------------------------------------------
 
 
-def special_function_checks(tol: float = 1e-10) -> list[Check]:
+def special_function_checks() -> list[Check]:
+    tol = 1e-10
     checks = []
     # reflection formula on a 100-point grid avoiding integers
     pts = []
@@ -218,7 +219,8 @@ def special_function_checks(tol: float = 1e-10) -> list[Check]:
     return checks
 
 
-def scattering_checks(tol: float = 1e-9) -> list[Check]:
+def scattering_checks() -> list[Check]:
+    tol = 1e-9
     checks = []
     model = modular_model()
     checks.append(_check("modular phi(1/2) = -1", model.phi(0.5), -1.0, 1e-10))
@@ -296,7 +298,8 @@ def _factor_identities_at(sig: Signature, sc: ScatteringModel, s: complex,
             for key, (lhs, rhs) in sorted(sides.items())]
 
 
-def factor_identity_checks(tol: float = 1e-9) -> list[Check]:
+def factor_identity_checks() -> list[Check]:
+    tol = 1e-9
     checks = []
     for sig, sc in identity_pairs():
         rows = [_factor_identities_at(sig, sc, s, tol) for s in CUT_SAFE_POINTS]
@@ -418,7 +421,7 @@ def _double_sum_oracle(spectrum, s, tail: float = 1e-12) -> complex:
     return cmath.exp(total)
 
 
-def constants_checks(tol: float = 1e-10) -> list[Check]:
+def constants_checks() -> list[Check]:
     checks = []
     for sig, sc in [(Signature(0, 1, (2, 3)), modular_model()),
                     (Signature(2, 0), trivial_model())]:
@@ -427,7 +430,7 @@ def constants_checks(tol: float = 1e-10) -> list[Check]:
         relation = -c1_val * (2.0 * math.pi) ** (2 - 2 * sig.g - sig.n) * sc.phi_tilde_0
         for m in sig.orders:
             relation /= m
-        checks.append(_rel_check(f"c0 against c1 relation [{sig.label()}]", c0_val, relation, tol))
+        checks.append(_rel_check(f"c0 against c1 relation [{sig.label()}]", c0_val, relation, 1e-10))
         checks.append(_check(f"c1 > 0 [{sig.label()}]", float(c1_val > 0), 1.0, 0))
     for label in ("modular", "trivial"):
         model = builtin_model(label)
@@ -439,21 +442,12 @@ def constants_checks(tol: float = 1e-10) -> list[Check]:
     return checks
 
 
-def run_verify(tolerance: float | None = None) -> dict:
+def run_verify() -> dict:
     """Run the whole suite; returns a JSON-ready report dictionary.
 
-    `tolerance` overrides every identity tolerance when given (exact
-    integer checks, recorded with tolerance 0, are kept exact). The
-    sections share one double-gamma memo, so each product argument of
+    The sections share one double-gamma memo, so each product argument of
     log_barnes_gamma2 is evaluated once per run.
     """
-
-    def retol(c: Check) -> Check:
-        if tolerance is None:
-            return c
-        tol = 0.0 if c.tolerance == 0 else tolerance
-        return replace(c, tolerance=tol, passed=bool(c.abs_diff <= tol))
-
     with _g2_memo():
         sections = {
             "special_functions": special_function_checks(),
@@ -464,12 +458,10 @@ def run_verify(tolerance: float | None = None) -> dict:
             "euler_product": euler_checks(),
             "constants": constants_checks(),
         }
-    sections = {name: [retol(c) for c in checks] for name, checks in sections.items()}
     all_checks = [c for section in sections.values() for c in section]
     failed = [c for c in all_checks if not c.passed]
     return {
         "points_version": POINTS_VERSION,
-        "tolerance_override": tolerance,
         "sections": {name: [asdict(c) for c in checks] for name, checks in sections.items()},
         "total_checks": len(all_checks),
         "failed_checks": len(failed),

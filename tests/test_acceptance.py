@@ -137,8 +137,7 @@ def test_criterion_06_modular_reproduction():
     ok &= abs(coeff + math.pi / 3.0) <= 1e-9
     buffer = io.StringIO()
     with redirect_stdout(buffer):
-        code = cli_run(["ruelle-leading", "--signature", "0,1,2:3",
-                        "--group", "modular", "--json"])
+        code = cli_run(["ruelle-leading", "--signature", "0,1,2:3", "--json"])
     ok &= code == 0
     report = json.loads(buffer.getvalue())
     results = {item["name"]: item["value"] for item in report["results"]}

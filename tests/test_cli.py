@@ -48,7 +48,7 @@ def result_of(report, name):
 
 class TestExitCodes:
     def test_success(self):
-        code, out, _ = invoke(["surface", "info", "--signature", "0,1,2:3"])
+        code, out, _ = invoke(["constants", "--signature", "0,1,2:3"])
         assert code == 0 and "area" in out
 
     def test_usage_error_bad_signature(self):
@@ -70,14 +70,11 @@ class TestExitCodes:
         assert payload["error"]["kind"] == "DomainError"
 
     def test_pole_is_numerical_error(self):
-        code, _, err = invoke(
-            ["kappa", "--signature", "0,1,2:3", "--group", "modular", "--s", "2,0"]
-        )
+        code, _, err = invoke(["kappa", "--signature", "0,1,2:3", "--s", "2,0"])
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["det-laplacian", "--signature", "2,0,", "--group", "trivial",
-         "--s", "3,15", "--z-value", "1,0"],
+        ["det-laplacian", "--signature", "2,0,", "--s", "3,15", "--z-value", "1,0"],
         # |kappa| = e^749 here; at 0.3,280 on 0,1,2:3 it is finite (see below)
         ["kappa", "--signature", "2,1,", "--s", "0.7,200"],
     ])
@@ -128,8 +125,7 @@ class TestParserReuse:
 class TestOrders:
     def test_paper_example_row(self):
         code, report, _ = invoke_json(
-            ["orders", "--signature", "0,1,2:3", "--group", "modular",
-             "--from", "-6", "--to", "1"]
+            ["orders", "--signature", "0,1,2:3", "--from", "-6", "--to", "1"]
         )
         assert code == 0
         table = result_of(report, "orders")
@@ -149,9 +145,7 @@ class TestOrders:
 
 class TestRuelleLeading:
     def test_modular_json(self):
-        code, report, _ = invoke_json(
-            ["ruelle-leading", "--signature", "0,1,2:3", "--group", "modular"]
-        )
+        code, report, _ = invoke_json(["ruelle-leading", "--signature", "0,1,2:3"])
         assert code == 0
         assert result_of(report, "order") == -2
         assert abs(result_of(report, "coefficient") - 9.0 / math.pi ** 2) < 1e-10
@@ -238,8 +232,7 @@ class TestSpectrum:
 class TestJsonContract:
     def test_round_trip_lossless(self):
         code, out, _ = invoke(
-            ["kappa", "--signature", "0,1,2:3", "--group", "modular",
-             "--s", "0.3,0.2", "--json"]
+            ["kappa", "--signature", "0,1,2:3", "--s", "0.3,0.2", "--json"]
         )
         assert code == 0
         payload = json.loads(out)
@@ -282,13 +275,26 @@ class TestVerifyCommand:
             "factor_identities: kappa(1/2) = phi(1/2) [(1;1;2)]",
         } <= signed
 
-    def test_fails_with_absurd_tolerance(self):
-        code, report, err = invoke_json(["verify", "--tolerance", "1e-18"])
+    @pytest.fixture
+    def failing_sections(self, monkeypatch):
+        """Make two sections fail: one worst-of-grid check, one without a point."""
+        from hypzeta import verify
+
+        reflection = verify._worst(
+            (s, verify._check("gamma reflection", 1.0, 1.0 + abs(s), 1e-10))
+            for s in (0.25 + 1.5j, 0.5 - 2.0j)
+        )
+        leading = verify._check("modular phi~(0) = stored phi_tilde_0", -1.0, -math.pi / 3, 1e-9)
+        monkeypatch.setattr(verify, "special_function_checks", lambda: [reflection])
+        monkeypatch.setattr(verify, "scattering_checks", lambda: [leading])
+
+    def test_fails_with_absurd_tolerance(self, failing_sections):
+        code, report, err = invoke_json(["verify"])
         assert code == 3
         assert result_of(report, "failed_checks") > 0
 
-    def test_fail_line_names_the_sample_point(self):
-        code, out, _ = invoke(["verify", "--tolerance", "1e-18"])
+    def test_fail_line_names_the_sample_point(self, failing_sections):
+        code, out, _ = invoke(["verify"])
         assert code == 3
         fail_lines = [line for line in out.splitlines() if "FAIL " in line]
         assert any("FAIL special_functions: gamma reflection at s=(" in line
@@ -316,7 +322,10 @@ class TestOptionsPlumbing:
         ["orders", "--signature", "0,1,2:3", "--from", "-1", "--to", "1", "--rel-tol", "1"],
         ["kappa", "--signature", "0,1,2:3", "--s", "0.3,0.2", "--gamma2-cutoff", "64"],
         ["zeta", "--s", "2,0", "--config", "CONFIG"],
-    ], ids=["orders-rel-tol", "kappa-gamma2-cutoff", "zeta-config"])
+        ["kappa", "--signature", "0,1,2:3", "--s", "0.3,0.2", "--group", "modular"],
+        ["verify", "--tolerance", "1e-18"],
+    ], ids=["orders-rel-tol", "kappa-gamma2-cutoff", "zeta-config", "kappa-group",
+            "verify-tolerance"])
     def test_retired_flags_are_usage_errors(self, argv, tmp_path):
         config = tmp_path / "opts.cfg"
         config.write_text("euler_max_trace = 25\n")
@@ -328,12 +337,19 @@ class TestOptionsPlumbing:
         code, _, _ = invoke(["zeta", "--s", "2,0", "--rel-tol", "-1"])
         assert code == 1
 
+    def test_retired_surface_info_is_usage_error(self):
+        code, out, err = invoke(["surface", "info", "--signature", "0,1,2:3"])
+        assert code == 1 and "invalid choice" in err and out == ""
+
+    def test_two_cusps_have_no_model(self):
+        code, out, err = invoke(["kappa", "--signature", "0,2,2:2", "--s", "0.3,0.2"])
+        assert code == 1 and "2 cusps" in err and "--group" not in err and out == ""
+
 
 class TestDetLaplacian:
     def test_euler_backed(self):
         code, report, _ = invoke_json(
-            ["det-laplacian", "--signature", "0,1,2:3", "--group", "modular",
-             "--s", "2,0", "--max-trace", "40"]
+            ["det-laplacian", "--signature", "0,1,2:3", "--s", "2,0", "--max-trace", "40"]
         )
         assert code == 0
         value = result_of(report, "det_laplacian")
@@ -342,8 +358,7 @@ class TestDetLaplacian:
 
     def test_probe_value_with_domain_note(self):
         code, report, _ = invoke_json(
-            ["det-laplacian", "--signature", "2,0,", "--group", "trivial",
-             "--s", "0.75,0", "--z-value", "1,0"]
+            ["det-laplacian", "--signature", "2,0,", "--s", "0.75,0", "--z-value", "1,0"]
         )
         assert code == 0
         assert report["inputs"]["z_source"] == "probe"
@@ -389,13 +404,15 @@ class TestNegativeRealPart:
 
 
 class TestSurfaceInfo:
+    """`constants` reports the surface data, the geometric part at any cusp count."""
+
     def test_defaults_model_from_cusp_count(self):
-        code, report, _ = invoke_json(["surface", "info", "--signature", "0,1,2:3"])
+        code, report, _ = invoke_json(["constants", "--signature", "0,1,2:3"])
         assert code == 0 and report["inputs"]["group"] == "modular"
         assert result_of(report, "A") == 2
 
     def test_two_cusp_surface_reports_geometry_only(self):
-        code, report, _ = invoke_json(["surface", "info", "--signature", "0,2,2:2"])
+        code, report, _ = invoke_json(["constants", "--signature", "0,2,2:2"])
         assert code == 0
         assert any("geometric data only" in note for note in report["notes"])
         names = {item["name"] for item in report["results"]}

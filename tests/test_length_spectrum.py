@@ -224,6 +224,17 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_spectrum(60, max_classes=10)
 
+    def test_capacity_refused_before_the_walk_allocates(self):
+        # the walk's per-trace list alone would take 40 MB here
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                enumerate_spectrum(5_000_000, max_classes=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_capacity_boundary_at_the_benchmark_bound(self):
         with pytest.raises(CapacityError):
             enumerate_spectrum(800, max_classes=52_090)

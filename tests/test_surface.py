@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +56,19 @@ class TestSignature:
     def test_bad_cone_order_rejected(self):
         with pytest.raises(ValueError):
             Signature(1, 1, (1,))
+
+    @pytest.mark.parametrize("g,n,orders", [
+        (0.5, 1, (2, 3)), (0, 1, (2.5, 3)), (0, 1, (3.0, 2)), (0, 1, ("2", 3)),
+        (0, 1.0, (2, 3)), ("1", 1, ()),
+    ])
+    def test_non_integral_entries_rejected(self, g, n, orders):
+        with pytest.raises(TypeError):
+            Signature(g, n, orders)
+
+    def test_numpy_integers_stored_as_int(self):
+        sig = Signature(np.int64(0), np.int64(1), (np.int64(2), np.int64(3)))
+        assert sig == MODULAR
+        assert all(type(x) is int for x in (sig.g, sig.n, *sig.orders))
 
     def test_parse_round_trip(self):
         sig = parse_signature("0,1,2:3")
