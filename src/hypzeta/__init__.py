@@ -55,6 +55,7 @@ from .surface import (
     SurfaceConstants,
     area,
     constants,
+    geometric_constants,
     order_R,
     order_Z,
     parse_signature,
@@ -84,8 +85,8 @@ __all__ = [
     "phi_leading_at_zero", "trivial_model",
     "digamma", "gauss_multiplication_defect",
     "log_barnes_gamma2", "log_gamma", "riemann_zeta", "zeta_prime_minus_one",
-    "Signature", "SurfaceConstants", "area", "constants", "order_R", "order_Z",
-    "parse_signature",
+    "Signature", "SurfaceConstants", "area", "constants", "geometric_constants",
+    "order_R", "order_Z", "parse_signature",
     "FactorValue", "c0", "c1", "det_laplacian", "kappa", "ruelle_fe_rhs",
     "ruelle_leading_at_zero", "z_ell", "z_infty",
     "__version__",

@@ -23,7 +23,8 @@ from datetime import datetime, timezone
 from . import euler_product, length_spectrum, verify, zeta_factors
 from .errors import HypzetaError
 from .scattering import ScatteringModel, modular_model, trivial_model
-from .surface import Signature, area, constants, order_R, order_Z, parse_signature
+from .surface import (Signature, constants, geometric_constants, order_R, order_Z,
+                      parse_signature)
 
 __all__ = ["run", "main"]
 
@@ -236,14 +237,15 @@ def _cmd_constants(args) -> tuple[Report, int]:
     """The determinant constants; past one cusp, the geometric ones only."""
     sig = parse_signature(args.signature)
     report = Report("constants", {"signature": sig.label()})
-    report.add("area", area(sig))
+    surface_area, b_const, c_const = geometric_constants(sig)
+    report.add("area", surface_area)
     report.add("area_over_2pi", float(sig.normalized_area()))
     try:
         model = _model_for(sig)
     except UsageError as exc:
         report.notes.append(f"{exc}; reporting geometric data only")
-        report.add("B", -float(sig.normalized_area()))
-        report.add("C", -sig.n * math.log(2.0))
+        report.add("B", b_const)
+        report.add("C", c_const)
         return report, 0
     report.inputs["group"] = model.label
     c = constants(sig, model)
@@ -268,8 +270,12 @@ def _cmd_spectrum(args) -> tuple[Report, int]:
 
 
 def _print_spectrum_csv(report: Report):
+    """The shells as CSV: a `trace,count,length,norm` header, then one row
+    per shell with each float written as its repr."""
     shells = next(item["value"] for item in report.results if item["name"] == "shells")
-    print(length_spectrum._csv((row.values() for row in shells), "\n"), end="")
+    lines = ["trace,count,length,norm"]
+    lines += (f"{row['trace']},{row['count']},{row['length']!r},{row['norm']!r}" for row in shells)
+    print("\n".join(lines))
 
 
 def _cmd_euler(args) -> tuple[Report, int]:

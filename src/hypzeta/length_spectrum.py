@@ -7,16 +7,18 @@ invariant is the trace of the word's matrix product, and a class is
 named by its canonical word, the lexicographically minimal rotation.
 `enumerate_spectrum` counts the classes of each trace up to a bound by
 a prenecklace walk on one letter array; `LengthSpectrum` holds them as
-one table of trace shells, which `write_cache` and `read_cache` store
-as CSV with a metadata sidecar.
+one table of trace shells. A shell's length 2 arccosh(trace/2) and norm
+e^length follow from its trace, so `write_cache` stores only what the
+walk counts, a `trace,count` CSV with a metadata sidecar, and
+`read_cache` derives the rest as `enumerate_spectrum` does.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -45,11 +47,13 @@ __all__ = [
 ]
 
 GENERATOR_CONVENTION = "L=[[1,1],[0,1]],R=[[1,0],[1,1]]"
-CACHE_VERSION = "1"
-_CACHE_HEADER = ("trace", "count", "length", "norm")
-# relative distance of a cached length from 2 arccosh(trace / 2), and of a
-# cached norm from its exponential, that read_cache accepts
-_ROW_RTOL = 1e-12
+CACHE_VERSION = "2"
+_CACHE_HEADER = "trace,count"
+# a cache body as write_cache writes it, line ends read as "\n": rows of two
+# decimal integers of at least 1, with no sign, leading zero or other text.
+# The pattern, not numpy, refuses "4.5" (numpy < 2 parses it as an integer
+# with only a DeprecationWarning); 18 digits at most keep a field in int64.
+_CACHE_BODY = re.compile(r"(?:[1-9][0-9]{0,17},[1-9][0-9]{0,17}\n)+")
 # spells a path of letters, L = 0 and R = 1
 _LETTERS = bytes.maketrans(b"\0\1", b"LR")
 
@@ -81,11 +85,16 @@ def _is_aperiodic(word: str) -> bool:
     return (word + word).find(word, 1) == len(word)
 
 
-def _norm_and_length(trace: int) -> tuple[float, float]:
-    t = float(trace)
-    norm = ((t + math.sqrt(t * t - 4.0)) / 2.0) ** 2
-    length = 2.0 * math.acosh(t / 2.0)
-    return norm, length
+def _table(trace, count) -> np.ndarray:
+    """The 4 x n (trace, count, norm, length) table of the shells with these
+    traces and class counts. The norm ((t + sqrt(t^2 - 4)) / 2)^2 takes
+    correctly rounded operations only; the length 2 arccosh(t / 2) takes
+    libm's acosh, since np.arccosh's SIMD loops can differ from it in the
+    last bit by CPU, and the table would then depend on the machine."""
+    t = np.asarray(trace, dtype=float)
+    norm = ((t + np.sqrt(t * t - 4.0)) / 2.0) ** 2
+    length = 2.0 * np.fromiter(map(math.acosh, (t / 2.0).tolist()), float, t.size)
+    return np.array([t, count, norm, length])
 
 
 @dataclass(frozen=True)
@@ -194,7 +203,7 @@ def class_from_word(word: str) -> GeodesicClass:
         raise NonPrimitiveError(f"word {word!r} is a proper power")
     canon = canonical_rotation(word)
     trace = trace_of_word(canon)
-    norm, length = _norm_and_length(trace)
+    _, _, norm, length = _table([trace], [1])[:, 0].tolist()
     return GeodesicClass(word=canon, trace=trace, norm=norm, length=length)
 
 
@@ -312,30 +321,24 @@ def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSp
     n = max_trace - 2
     if n * (math.log(n) - 1.0) > max_classes:
         raise _capacity_error(max_classes, max_trace)
-    counts = _walk(max_trace, max_classes)
-    rows = [(trace, n, *_norm_and_length(trace)) for trace, n in enumerate(counts) if n]
-    return LengthSpectrum(np.array(rows).T, max_trace)
+    counts = np.array(_walk(max_trace, max_classes))
+    trace = np.flatnonzero(counts)
+    return LengthSpectrum(_table(trace, counts[trace]), max_trace)
 
 
 def _meta_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def _csv(rows, end: str) -> str:
-    """The header and one line per (trace, count, length, norm) row, each
-    ending in `end`: the cache's text, and `hypzeta spectrum`'s output."""
-    lines = [",".join(_CACHE_HEADER)]
-    lines += (f"{int(trace)},{int(count)},{length!r},{norm!r}"
-              for trace, count, length, norm in rows)
-    return end.join(lines) + end
-
-
 def write_cache(spectrum: LengthSpectrum, path: str | Path) -> None:
-    """Write the trace-level table as CSV (with CRLF line ends, as
-    `csv.writer` writes them) plus a JSON metadata sidecar."""
+    """Write the trace and class count of each shell as CSV, the header
+    `trace,count` and one row per shell with CRLF line ends (as
+    `csv.writer` writes them), plus a JSON metadata sidecar."""
     path = Path(path)
+    trace, count = spectrum.columns[:2].astype(np.int64).tolist()
     with path.open("w", newline="") as fh:
-        fh.write(_csv(spectrum.columns[[0, 1, 3, 2]].T.tolist(), "\r\n"))
+        fh.write(_CACHE_HEADER + "\r\n")
+        fh.write("".join(f"{t},{n}\r\n" for t, n in zip(trace, count)))
     with _meta_path(path).open("w") as fh:
         json.dump(_cache_meta(spectrum.max_trace), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -352,52 +355,32 @@ def _cache_meta(max_trace: int) -> dict:
 
 def _parse_rows(body: str, max_trace: int) -> np.ndarray | None:
     """The table (trace, count, norm, length rows) of a cache body, or None
-    unless every line is a row as `write_cache` writes it: four finite
-    fields; an integral count of at least 1; an integral trace from 3 to
-    max_trace, above the previous row's; the length and the norm of that
-    trace."""
-    if not body.strip():
+    unless every line is a row as `write_cache` writes it: two decimal
+    integers, a count of at least 1 and a trace from 3 to max_trace, above
+    the previous row's."""
+    if _CACHE_BODY.fullmatch(body) is None:
         return None
-    try:
-        # comments=None: a '#' is a malformed field, not a comment
-        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-    except ValueError:  # a short, long or unparsable row
+    rows = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",")
+    trace, count = rows.reshape(-1, 2).T
+    if trace[0] < 3 or trace[-1] > max_trace or (np.diff(trace) <= 0).any():
         return None
-    # loadtxt skips blank lines, so a blank line shows as a missing row
-    lines = body.count("\n") + (not body.endswith("\n"))
-    if rows.shape != (lines, 4) or not np.isfinite(rows).all():
-        return None
-    trace, count, length, norm = rows.T
-    if not (np.array_equal(rows[:, :2], np.round(rows[:, :2]))
-            and count.min() >= 1 and trace[0] >= 3 and trace[-1] <= max_trace
-            and (np.diff(trace) > 0).all()):
-        return None
-    expected = 2.0 * np.arccosh(trace / 2.0)
-    if ((np.abs(length - expected) > _ROW_RTOL * expected).any()
-            or (np.abs(norm * np.exp(-expected) - 1.0) > _ROW_RTOL).any()):
-        return None
-    return np.array([trace, count, norm, length])
+    return _table(trace, count)
 
 
 def read_cache(path: str | Path, max_trace: int) -> LengthSpectrum | None:
     """Load a cached spectrum; None (a miss) unless the metadata matches
-    exactly and every row passes `_parse_rows`."""
+    exactly, the version included, and every row passes `_parse_rows`.
+    Line ends may be CRLF or LF. A version-1 cache, which also stored each
+    shell's length and norm, is a miss, so the caller writes it anew."""
     path = Path(path)
-    meta_file = _meta_path(path)
-    if not path.exists() or not meta_file.exists():
-        return None
     try:
-        with meta_file.open() as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if meta != _cache_meta(max_trace):
-        return None
-    try:
+        meta = json.loads(_meta_path(path).read_text())
+        if meta != _cache_meta(max_trace):
+            return None
         header, _, body = path.read_text().partition("\n")
-    except (OSError, UnicodeDecodeError):
+    except (OSError, ValueError):  # a missing file, bad JSON or undecodable bytes
         return None
-    if header != ",".join(_CACHE_HEADER):
+    if header != _CACHE_HEADER:
         return None
     columns = _parse_rows(body, max_trace)
     if columns is None:

@@ -26,6 +26,7 @@ __all__ = [
     "area",
     "check_cusp_count",
     "constants",
+    "geometric_constants",
     "order_Z",
     "order_R",
 ]
@@ -117,6 +118,12 @@ def area(sig: Signature) -> float:
     return 2.0 * math.pi * float(sig.normalized_area())
 
 
+def geometric_constants(sig: Signature) -> tuple[float, float, float]:
+    """The constants that need no scattering model: the area |X|,
+    B = -|X| / (2 pi) and C = -n log 2."""
+    return area(sig), -float(sig.normalized_area()), -sig.n * math.log(2.0)
+
+
 def _elliptic_log_sum(sig: Signature) -> float:
     return sum((m * m - 1) / (6.0 * m) * math.log(m) for m in sig.orders)
 
@@ -135,6 +142,7 @@ def constants(sig: Signature, sc) -> SurfaceConstants:
     Requires sc.n == sig.n; A is taken from the scattering model.
     """
     check_cusp_count(sig, sc)
+    surface_area, b_const, c_const = geometric_constants(sig)
     chi = float(sig.normalized_area())  # |X| / (2 pi)
     log_2pi = math.log(2.0 * math.pi)
     ell = _elliptic_log_sum(sig)
@@ -147,10 +155,10 @@ def constants(sig: Signature, sc) -> SurfaceConstants:
     )
     log_e = ell + chi * (2.0 * ZETA_PRIME_MINUS_ONE - 0.25)
     return SurfaceConstants(
-        area=2.0 * math.pi * chi,
+        area=surface_area,
         A=a_const,
-        B=-chi,
-        C=-sig.n * math.log(2.0),
+        B=b_const,
+        C=c_const,
         D=d_const,
         log_E=log_e,
     )

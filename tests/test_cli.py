@@ -177,14 +177,16 @@ class TestSpectrum:
         cache = tmp_path / "spec.csv"
         invoke_json(["spectrum", "--max-trace", "10", "--cache", str(cache)])
         rows = cache.read_text().splitlines()
-        cache.write_text("\n".join(rows[:2] + ["4,2"] + rows[3:]) + "\n")
+        cache.write_text("\n".join(rows[:2] + ["4,2.0"] + rows[3:]) + "\n")
         code, report, _ = invoke_json(["zeta", "--s", "2,0", "--max-trace", "10",
                                        "--cache", str(cache)])
         assert code == 0 and report["inputs"]["cache_status"] == "miss"
 
-    @pytest.mark.parametrize("row", ["4,2,nan,nan", "4,-7,2.633915793849633,13.928203230275509"])
+    @pytest.mark.parametrize("row", ["4,2,nan,nan", "4,-7,2.633915793849633,13.928203230275509",
+                                     "4,nan", "4,-7"])
     def test_garbage_row_is_a_miss_and_rewritten(self, tmp_path, row):
-        # both rows once gave exit 0 with a NaN or a wrong Z(2)
+        # the four-field rows once gave exit 0 with a NaN or a wrong Z(2);
+        # the two-field rows are the same defects in the current format
         cache = tmp_path / "spec.csv"
         argv = ["zeta", "--s", "2,0", "--max-trace", "30", "--cache", str(cache)]
         _, clean, _ = invoke_json(argv)
@@ -195,6 +197,25 @@ class TestSpectrum:
         assert code == 0 and report["inputs"]["cache_status"] == "miss"
         assert result_of(report, "value") == result_of(clean, "value")
         assert cache.read_text() == written
+
+    def test_version_1_cache_is_a_miss_and_rewritten(self, tmp_path):
+        # the version-1 cache: trace,count,length,norm rows, lengths and norms as repr
+        cache = tmp_path / "spec.csv"
+        argv = ["zeta", "--s", "2,0", "--max-trace", "30", "--cache", str(cache)]
+        _, clean, _ = invoke_json(argv)
+        written, meta = cache.read_bytes(), cache.with_name("spec.csv.meta.json")
+        sidecar = meta.read_text()
+        spectrum = hypzeta.enumerate_spectrum(30)
+        rows = ["trace,count,length,norm"] + [
+            f"{int(trace)},{int(count)},{length!r},{norm!r}"
+            for trace, count, norm, length in spectrum.columns.T.tolist()]
+        cache.write_bytes("".join(row + "\r\n" for row in rows).encode())
+        meta.write_text(sidecar.replace('"version": "2"', '"version": "1"'))
+        code, report, _ = invoke_json(argv)
+        assert code == 0 and report["inputs"]["cache_status"] == "miss"
+        assert result_of(report, "value") == result_of(clean, "value")
+        assert cache.read_bytes() == written and meta.read_text() == sidecar
+        assert json.loads(sidecar)["version"] == "2"
 
     def test_hit_builds_no_trace_shell(self, tmp_path, no_trace_shell):
         argv = ["zeta", "--s", "2,0", "--max-trace", "60", "--cache", str(tmp_path / "s.csv")]
@@ -417,6 +438,15 @@ class TestSurfaceInfo:
         assert any("geometric data only" in note for note in report["notes"])
         names = {item["name"] for item in report["results"]}
         assert {"area", "B", "C"} <= names and "D" not in names
+
+    def test_two_cusp_geometry_values(self):
+        _, report, _ = invoke_json(["constants", "--signature", "0,2,2:2"])
+        assert report["results"] == [
+            {"name": "area", "value": 2.0 * math.pi},
+            {"name": "area_over_2pi", "value": 1.0},
+            {"name": "B", "value": -1.0},
+            {"name": "C", "value": -2.0 * math.log(2.0)},
+        ]
 
 
 class TestRuelleCommand:

@@ -15,6 +15,7 @@ from hypzeta.surface import (
     Signature,
     area,
     constants,
+    geometric_constants,
     order_R,
     order_Z,
     parse_signature,
@@ -99,6 +100,15 @@ class TestConstants:
         # no cusps, no cone points: log E = (area/2pi)(2 zeta'(-1) - 1/4)
         c = constants(COMPACT, trivial_model())
         assert abs(c.log_E - 2.0 * (2.0 * ZETA_PRIME_MINUS_ONE - 0.25)) < 1e-15
+
+    def test_geometric_constants_are_the_model_free_part(self):
+        for sig, model in ((MODULAR, modular_model()), (COMPACT, trivial_model())):
+            c = constants(sig, model)
+            assert geometric_constants(sig) == (c.area, c.B, c.C) == (
+                area(sig), -float(sig.normalized_area()), -sig.n * math.log(2.0))
+        # no bundled model has two cusps; the geometric part needs none
+        two_cusps = Signature(0, 2, (2, 2))
+        assert geometric_constants(two_cusps) == (2.0 * math.pi, -1.0, -2.0 * math.log(2.0))
 
     def test_cusp_count_mismatch(self):
         with pytest.raises(MismatchError):
