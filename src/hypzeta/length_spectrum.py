@@ -9,8 +9,9 @@ named by its canonical word, the lexicographically minimal rotation.
 a prenecklace walk on one letter array; `LengthSpectrum` holds them as
 one table of trace shells. A shell's length 2 arccosh(trace/2) and norm
 e^length follow from its trace, so `write_cache` stores only what the
-walk counts, a `trace,count` CSV with a metadata sidecar, and
-`read_cache` derives the rest as `enumerate_spectrum` does.
+walk counts, a `trace,count` CSV with a metadata sidecar that holds the
+rows' CRC-32, and `read_cache` derives the rest as `enumerate_spectrum`
+does.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import math
 import operator
 import re
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 GENERATOR_CONVENTION = "L=[[1,1],[0,1]],R=[[1,0],[1,1]]"
-CACHE_VERSION = "2"
+CACHE_VERSION = "3"
 _CACHE_HEADER = "trace,count"
 # a cache body as write_cache writes it, line ends read as "\n": rows of two
 # decimal integers of at least 1, with no sign, leading zero or other text.
@@ -333,22 +335,25 @@ def _meta_path(path: Path) -> Path:
 def write_cache(spectrum: LengthSpectrum, path: str | Path) -> None:
     """Write the trace and class count of each shell as CSV, the header
     `trace,count` and one row per shell with CRLF line ends (as
-    `csv.writer` writes them), plus a JSON metadata sidecar."""
+    `csv.writer` writes them), plus a JSON metadata sidecar that records
+    the CRC-32 of the rows."""
     path = Path(path)
     trace, count = spectrum.columns[:2].astype(np.int64).tolist()
-    with path.open("w", newline="") as fh:
-        fh.write(_CACHE_HEADER + "\r\n")
-        fh.write("".join(f"{t},{n}\r\n" for t, n in zip(trace, count)))
+    rows = "".join(f"{t},{n}\n" for t, n in zip(trace, count))
+    with path.open("w", newline="\r\n") as fh:
+        fh.write(_CACHE_HEADER + "\n" + rows)
     with _meta_path(path).open("w") as fh:
-        json.dump(_cache_meta(spectrum.max_trace), fh, indent=2, sort_keys=True)
+        json.dump(_cache_meta(spectrum.max_trace, rows), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _cache_meta(max_trace: int) -> dict:
+def _cache_meta(max_trace: int, rows: str) -> dict:
+    """The sidecar of a cache whose rows, with LF line ends, are `rows`."""
     return {
         "group": "modular",
         "max_trace": max_trace,
         "generator_convention": GENERATOR_CONVENTION,
+        "rows_crc32": zlib.crc32(rows.encode()),
         "version": CACHE_VERSION,
     }
 
@@ -369,18 +374,17 @@ def _parse_rows(body: str, max_trace: int) -> np.ndarray | None:
 
 def read_cache(path: str | Path, max_trace: int) -> LengthSpectrum | None:
     """Load a cached spectrum; None (a miss) unless the metadata matches
-    exactly, the version included, and every row passes `_parse_rows`.
-    Line ends may be CRLF or LF. A version-1 cache, which also stored each
-    shell's length and norm, is a miss, so the caller writes it anew."""
+    exactly, the version and the CRC-32 of the rows included, and every
+    row passes `_parse_rows`. Line ends may be CRLF or LF. A cache of an
+    earlier version (version 1 also stored each shell's length and norm,
+    version 2 no CRC) is a miss, so the caller writes it anew."""
     path = Path(path)
     try:
         meta = json.loads(_meta_path(path).read_text())
-        if meta != _cache_meta(max_trace):
-            return None
         header, _, body = path.read_text().partition("\n")
     except (OSError, ValueError):  # a missing file, bad JSON or undecodable bytes
         return None
-    if header != _CACHE_HEADER:
+    if header != _CACHE_HEADER or meta != _cache_meta(max_trace, body):
         return None
     columns = _parse_rows(body, max_trace)
     if columns is None:

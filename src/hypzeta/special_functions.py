@@ -226,6 +226,45 @@ def _digamma(z: complex) -> complex:
     return value + cmath.log(z) - 0.5 / z - series
 
 
+# kernel values already evaluated, keyed by kernel and argument, while a
+# _kernel_memo() scope is open; None outside one
+_KERNEL_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "hypzeta_kernel_memo", default=None
+)
+
+
+@contextlib.contextmanager
+def _kernel_memo():
+    """Scope in which log_gamma, riemann_zeta and the product behind
+    log_barnes_gamma2 each evaluate an argument once; `verify.run_verify`
+    runs in one, since its identities revisit their arguments.
+
+    Later calls in the scope reuse the value bit for bit; arguments that
+    differ only in the sign of a zero imaginary part, the two sides of a
+    cut, are kept apart. A kernel that raises stores nothing. The memo is
+    a fresh dict for each scope and is dropped when the scope closes,
+    whether its body returns or raises, so no value outlives it.
+    """
+    token = _KERNEL_MEMO.set({})
+    try:
+        yield
+    finally:
+        _KERNEL_MEMO.reset(token)
+
+
+def _memoized(kernel, s: complex) -> complex:
+    """kernel(s): from the open memo if it holds s, else evaluated, and
+    kept if a memo is open."""
+    memo = _KERNEL_MEMO.get()
+    if memo is None:
+        return kernel(s)
+    key = (kernel, s.real, s.imag, math.copysign(1.0, s.imag))
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = kernel(s)
+    return value
+
+
 def log_gamma(s: complex) -> complex:
     """Principal branch of log Gamma(s).
 
@@ -236,7 +275,7 @@ def log_gamma(s: complex) -> complex:
     s = _finite_complex(s)
     if _is_nonpositive_integer(s):
         raise PoleError(f"log_gamma pole at s={s}")
-    return _ensure_finite(_loggamma(s), "log_gamma")
+    return _ensure_finite(_memoized(_loggamma, s), "log_gamma")
 
 
 def digamma(s: complex) -> complex:
@@ -315,6 +354,11 @@ def riemann_zeta(s: complex) -> complex:
     s = _finite_complex(s)
     if abs(s - 1.0) < _POLE_TOL:
         raise PoleError("riemann_zeta pole at s=1")
+    return _memoized(_riemann_zeta, s)
+
+
+def _riemann_zeta(s: complex) -> complex:
+    """riemann_zeta(s) for a finite s off the pole."""
     if s.real >= 0.5:
         return _ensure_finite(_zeta_euler_maclaurin(s), "riemann_zeta")
     if abs(s) < _POLE_TOL:
@@ -449,27 +493,6 @@ def _log_gamma2_product(w: complex) -> complex:
     return total
 
 
-# log G2 products already evaluated, by argument, while a _g2_memo() scope
-# is open; None outside one
-_G2_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "hypzeta_g2_memo", default=None
-)
-
-
-@contextlib.contextmanager
-def _g2_memo():
-    """Scope in which log_barnes_gamma2 evaluates each product argument once.
-
-    The memo is a fresh dict for each scope and is dropped when the scope
-    closes, whether its body returns or raises, so no value outlives it.
-    """
-    token = _G2_MEMO.set({})
-    try:
-        yield
-    finally:
-        _G2_MEMO.reset(token)
-
-
 def log_barnes_gamma2(s: complex) -> complex:
     """log G2(s) for the double gamma function normalized by G2(1) = 1.
 
@@ -486,11 +509,6 @@ def log_barnes_gamma2(s: complex) -> complex:
     Raises PoleError at s = 0, -1, -2, ... (pole of order k+1 at -k), and
     ConvergenceError, before evaluating anything, where 160,000 terms do
     not suffice (|s - 1| beyond about 1,060 after the shift).
-
-    Inside one `verify.run_verify` call the product is evaluated once per
-    shifted argument and reused, bit for bit, by later calls in that run;
-    arguments that differ only in the sign of a zero imaginary part are
-    kept apart. Nothing is kept between runs or outside them.
     """
     s = _finite_complex(s)
     if _is_nonpositive_integer(s):
@@ -499,15 +517,7 @@ def log_barnes_gamma2(s: complex) -> complex:
     while s.real < 1.0:
         shift += log_gamma(s)
         s += 1.0
-    memo = _G2_MEMO.get()
-    if memo is None:
-        product = _log_gamma2_product(s)
-    else:
-        # Re s >= 1 here; the sign of a zero Im s is part of the key
-        key = (s.real, s.imag, math.copysign(1.0, s.imag))
-        product = memo.get(key)
-        if product is None:
-            product = memo[key] = _log_gamma2_product(s)
+    product = _memoized(_log_gamma2_product, s)
     return _ensure_finite(shift + product, "log_barnes_gamma2")
 
 

@@ -200,8 +200,12 @@ def order_Z(sig: Signature, n0: int, point) -> int:
 
 
 def order_R(sig: Signature, n0: int, point: int) -> int:
-    """Order of the Ruelle zeta function at an integer point."""
-    point = int(point)
+    """Order of the Ruelle zeta function at an integer point; DomainError
+    at any other point."""
+    nearest = round(float(point))
+    if abs(float(point) - nearest) > 5e-10:  # the tolerance of order_Z
+        raise DomainError(f"order of R is only defined at integers, got {point}")
+    point = nearest
     if point == 1:
         return 1
     if point >= 2:

@@ -26,7 +26,7 @@ from .scattering import (
     trivial_model,
 )
 from .special_functions import (
-    _g2_memo,
+    _kernel_memo,
     digamma,
     gauss_multiplication_defect,
     log_barnes_gamma2,
@@ -334,18 +334,20 @@ def order_checks() -> list[Check]:
     for point, expected in COMPACT_R_ORDERS.items():
         checks.append(_check(f"R order compact s={point}", order_R(compact, 0, point), expected, 0))
     corpus = signature_corpus()
-    nonneg = all(order_Z(sig, 0, -k) >= 0 for sig in corpus for k in range(1, 51))
+    # z_orders[sig][k] is the order of Z at -k, k = 0..50
+    z_orders = {sig: [order_Z(sig, 0, -k) for k in range(51)] for sig in corpus}
+    nonneg = all(order >= 0 for orders in z_orders.values() for order in orders[1:])
     checks.append(_check("Z orders at -k are non-negative (corpus, k <= 50)", float(nonneg), 1.0, 0))
     ok_even = True
     floor_ok = True
     linkage = True
-    for sig in corpus:
+    for sig, z in z_orders.items():
         lower = 2 * (2 * sig.g - 2 + sig.n)
         for k in range(2, 51):
             ok = order_R(sig, 0, -k)
             ok_even &= ok % 2 == 0
             floor_ok &= ok >= lower and ok >= -4
-            linkage &= ok == order_Z(sig, 0, -k) - order_Z(sig, 0, -k + 1)
+            linkage &= ok == z[k] - z[k - 1]
     checks.append(_check("R orders even (corpus)", float(ok_even), 1.0, 0))
     checks.append(_check("R orders >= max(2(2g-2+n), -4) (corpus)", float(floor_ok), 1.0, 0))
     checks.append(_check("R order equals difference of Z orders (corpus)", float(linkage), 1.0, 0))
@@ -445,10 +447,10 @@ def constants_checks() -> list[Check]:
 def run_verify() -> dict:
     """Run the whole suite; returns a JSON-ready report dictionary.
 
-    The sections share one double-gamma memo, so each product argument of
-    log_barnes_gamma2 is evaluated once per run.
+    The sections share one kernel memo, so log_gamma, riemann_zeta and the
+    product behind log_barnes_gamma2 each evaluate an argument once per run.
     """
-    with _g2_memo():
+    with _kernel_memo():
         sections = {
             "special_functions": special_function_checks(),
             "scattering": scattering_checks(),

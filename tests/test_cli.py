@@ -210,12 +210,42 @@ class TestSpectrum:
             f"{int(trace)},{int(count)},{length!r},{norm!r}"
             for trace, count, norm, length in spectrum.columns.T.tolist()]
         cache.write_bytes("".join(row + "\r\n" for row in rows).encode())
-        meta.write_text(sidecar.replace('"version": "2"', '"version": "1"'))
+        meta.write_text(sidecar.replace('"version": "3"', '"version": "1"'))
         code, report, _ = invoke_json(argv)
         assert code == 0 and report["inputs"]["cache_status"] == "miss"
         assert result_of(report, "value") == result_of(clean, "value")
         assert cache.read_bytes() == written and meta.read_text() == sidecar
-        assert json.loads(sidecar)["version"] == "2"
+        assert json.loads(sidecar)["version"] == "3"
+
+    def test_version_2_cache_is_a_miss_and_rewritten(self, tmp_path):
+        # the version-2 cache: the same rows, a sidecar without their CRC
+        cache = tmp_path / "spec.csv"
+        argv = ["zeta", "--s", "2,0", "--max-trace", "30", "--cache", str(cache)]
+        _, clean, _ = invoke_json(argv)
+        written, meta = cache.read_bytes(), cache.with_name("spec.csv.meta.json")
+        sidecar = meta.read_text()
+        record = json.loads(sidecar)
+        del record["rows_crc32"]
+        meta.write_text(json.dumps(dict(record, version="2"), indent=2, sort_keys=True) + "\n")
+        code, report, _ = invoke_json(argv)
+        assert code == 0 and report["inputs"]["cache_status"] == "miss"
+        assert result_of(report, "value") == result_of(clean, "value")
+        assert cache.read_bytes() == written and meta.read_text() == sidecar
+
+    def test_edited_count_is_a_miss(self, tmp_path):
+        # a well-formed row with a wrong count once read as a hit: Z(2) = 0.949851630394971
+        cache = tmp_path / "spec.csv"
+        argv = ["zeta", "--s", "2,0", "--max-trace", "10", "--cache", str(cache)]
+        _, clean, _ = invoke_json(argv)
+        written = cache.read_bytes()
+        assert b"\r\n4,2\r\n" in written
+        cache.write_bytes(written.replace(b"\r\n4,2\r\n", b"\r\n4,3\r\n"))
+        code, report, _ = invoke_json(argv)
+        assert code == 0 and report["inputs"]["cache_status"] == "miss"
+        fresh = hypzeta.selberg_Z(hypzeta.enumerate_spectrum(10), 2.0).value
+        assert result_of(report, "value") == result_of(clean, "value") == {"re": fresh.real, "im": fresh.imag}
+        assert result_of(report, "value")["re"] == 0.9551541049298284
+        assert cache.read_bytes() == written
 
     def test_hit_builds_no_trace_shell(self, tmp_path, no_trace_shell):
         argv = ["zeta", "--s", "2,0", "--max-trace", "60", "--cache", str(tmp_path / "s.csv")]
@@ -563,3 +593,19 @@ def test_cli_runs_without_scipy():
     src = str(Path(hypzeta.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+def test_cache_round_trip_loads_no_openssl(tmp_path):
+    # hashlib's OpenSSL binding adds about 3.6 MiB to a process's peak RSS
+    script = (
+        "import contextlib, io, sys\n"
+        "import hypzeta.cli\n"
+        "argv = ['zeta', '--s', '2,0', '--max-trace', '10', '--cache', sys.argv[1], '--json']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert hypzeta.cli.run(argv) == 0 and hypzeta.cli.run(argv) == 0\n"
+        "assert '_hashlib' not in sys.modules\n"
+    )
+    src = str(Path(hypzeta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "s.csv")], env=env, check=True)
+    assert (tmp_path / "s.csv.meta.json").exists()

@@ -4,9 +4,11 @@ import collections
 import csv
 import io
 import itertools
+import json
 import math
 import random
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from hypzeta.errors import CapacityError, NonPrimitiveError, SingleLetterError
 from hypzeta.length_spectrum import (
+    CACHE_VERSION,
     GENERATOR_CONVENTION,
     LengthSpectrum,
     canonical_rotation,
@@ -294,6 +297,17 @@ class TestNecklaceCount:
             necklace_count(1)
 
 
+def _write_rows(path, lines):
+    """Write `lines` as the cache file with LF line ends, and record the
+    CRC-32 of its rows in the sidecar, so only the rows can be refused."""
+    text = "\n".join(lines) + "\n"
+    path.write_text(text)
+    meta = path.with_name(path.name + ".meta.json")
+    record = json.loads(meta.read_text())
+    record["rows_crc32"] = zlib.crc32(text.partition("\n")[2].encode())
+    meta.write_text(json.dumps(record))
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         spectrum = enumerate_spectrum(15)
@@ -326,7 +340,9 @@ class TestCache:
         path = tmp_path / "spec.csv"
         write_cache(spectrum, path)
         meta = path.with_name(path.name + ".meta.json")
-        meta.write_text(meta.read_text().replace('"2"', '"0"'))
+        text = meta.read_text()
+        assert f'"version": "{CACHE_VERSION}"' in text
+        meta.write_text(text.replace(f'"{CACHE_VERSION}"', '"0"'))
         assert read_cache(path, 10) is None
 
     def test_missing_sidecar_rejected(self, tmp_path):
@@ -349,9 +365,34 @@ class TestCache:
         # the rows below are rewritten this way, so they are refused for the row
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
+        sidecar = path.with_name(path.name + ".meta.json").read_text()
         body = path.read_text().splitlines()
         path.write_text("\n".join(body) + "\n")
         assert read_cache(path, 10) == enumerate_spectrum(10)
+        _write_rows(path, body)
+        assert json.loads(path.with_name(path.name + ".meta.json").read_text()) == json.loads(sidecar)
+        assert read_cache(path, 10) == enumerate_spectrum(10)
+
+    def test_crc_of_the_rows_recorded(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        write_cache(enumerate_spectrum(10), path)
+        rows = path.read_bytes().replace(b"\r\n", b"\n").partition(b"\n")[2]
+        meta = json.loads(path.with_name(path.name + ".meta.json").read_text())
+        assert meta["version"] == "3"
+        assert meta["rows_crc32"] == zlib.crc32(rows)
+
+    @pytest.mark.parametrize("row", ["4,3", "4,1", "4,20"])
+    def test_edited_count_is_a_miss(self, tmp_path, row):
+        # well-formed rows the pattern passes: only the CRC refuses them
+        path = tmp_path / "spec.csv"
+        write_cache(enumerate_spectrum(10), path)
+        body = path.read_text().splitlines()
+        assert body[2] == "4,2"
+        body[2] = row
+        path.write_text("\n".join(body) + "\n")
+        assert read_cache(path, 10) is None
+        _write_rows(path, body)
+        assert read_cache(path, 10).mult(4) == int(row[2:])
 
     # each replaces the trace-4 row (4,2): a row short, long, not of
     # integers, not as the writer writes them, with a count below 1, a
@@ -376,7 +417,7 @@ class TestCache:
         write_cache(enumerate_spectrum(10), path)
         body = path.read_text().splitlines()
         body[2] = row
-        path.write_text("\n".join(body) + "\n")
+        _write_rows(path, body)
         assert read_cache(path, 10) is None
 
     def test_trace_below_three_rejected(self, tmp_path):
@@ -384,14 +425,13 @@ class TestCache:
         write_cache(enumerate_spectrum(10), path)
         body = path.read_text().splitlines()
         body[1] = "2,1"  # the first row; ascending order still holds
-        path.write_text("\n".join(body) + "\n")
+        _write_rows(path, body)
         assert read_cache(path, 10) is None
 
     def test_trace_above_max_trace_rejected(self, tmp_path):
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
-        with path.open("a", newline="") as fh:
-            fh.write("11,6\r\n")
+        _write_rows(path, path.read_text().splitlines() + ["11,6"])
         assert read_cache(path, 10) is None
 
     @pytest.mark.parametrize("row", ["4.5,2", "4,2.0", "4,2.5"])
@@ -406,7 +446,7 @@ class TestCache:
         assert read_cache(path, 10) == enumerate_spectrum(10)
         body = path.read_text().splitlines()
         body[2] = row
-        path.write_text("\n".join(body) + "\n")
+        _write_rows(path, body)
         assert read_cache(path, 10) is None
 
     def test_undecodable_body_rejected(self, tmp_path):
@@ -418,7 +458,7 @@ class TestCache:
     def test_empty_body_rejected(self, tmp_path):
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
-        path.write_text(path.read_text().splitlines()[0] + "\n")
+        _write_rows(path, path.read_text().splitlines()[:1])
         assert read_cache(path, 10) is None
 
     @pytest.mark.parametrize("max_trace", [3, 4, 12, 200, 800])

@@ -165,6 +165,16 @@ class TestOrders:
         with pytest.raises(DomainError):
             order_Z(MODULAR, 1, 0.3)
 
+    @pytest.mark.parametrize("point", [0.5, -1.5, 2.7, 0.3, -2.001])
+    def test_R_refuses_non_integers(self, point):
+        # truncated once: 0.5, -1.5 and 2.7 read the orders at 0, -1 and 2
+        with pytest.raises(DomainError, match="only defined at integers"):
+            order_R(MODULAR, 1, point)
+
+    def test_R_takes_integral_floats(self):
+        for point in range(-10, 4):
+            assert order_R(MODULAR, 1, float(point)) == order_R(MODULAR, 1, point)
+
     @given(signatures())
     @settings(max_examples=150, deadline=None)
     def test_Z_orders_nonnegative_at_negative_integers(self, sig):

@@ -96,28 +96,62 @@ def test_other_checks_carry_no_point(report):
 
 
 # ---------------------------------------------------------------------------
-# one double-gamma memo per run_verify call
+# one kernel memo per run_verify call
 # ---------------------------------------------------------------------------
+
+
+def _evaluations(monkeypatch, name):
+    """Arguments of every evaluation of special_functions.<name> while the
+    test runs; a kernel's calls of itself (log-gamma reflects into itself)
+    are part of one evaluation."""
+    calls = []
+    kernel = getattr(special_functions, name)
+    depth = 0
+
+    def counting(w):
+        nonlocal depth
+        if depth == 0:
+            calls.append((w.real, w.imag, math.copysign(1.0, w.imag)))
+        depth += 1
+        try:
+            return kernel(w)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(special_functions, name, counting)
+    return calls
 
 
 @pytest.fixture
 def product_calls(monkeypatch):
     """Arguments of every G2 product evaluated while the test runs."""
-    calls = []
-    product = special_functions._log_gamma2_product
+    return _evaluations(monkeypatch, "_log_gamma2_product")
 
-    def counting(w):
-        calls.append((w.real, w.imag, math.copysign(1.0, w.imag)))
-        return product(w)
 
-    monkeypatch.setattr(special_functions, "_log_gamma2_product", counting)
-    return calls
+@pytest.fixture
+def log_gamma_calls(monkeypatch):
+    """Arguments of every log-gamma evaluation while the test runs."""
+    return _evaluations(monkeypatch, "_loggamma")
+
+
+@pytest.fixture
+def zeta_sums(monkeypatch):
+    """Arguments of every Euler-Maclaurin zeta sum while the test runs."""
+    return _evaluations(monkeypatch, "_zeta_euler_maclaurin")
 
 
 def test_run_verify_evaluates_each_product_once(product_calls):
     verify.run_verify()
     assert len(product_calls) == len(set(product_calls))
     assert len(product_calls) <= 170  # 666 without the memo
+
+
+def test_run_verify_evaluates_each_log_gamma_and_zeta_sum_once(log_gamma_calls, zeta_sums):
+    verify.run_verify()
+    assert len(log_gamma_calls) == len(set(log_gamma_calls))
+    assert len(log_gamma_calls) <= 1670  # 4,491 without the memo
+    assert len(zeta_sums) == len(set(zeta_sums))
+    assert len(zeta_sums) <= 254  # 678 without the memo
 
 
 def test_run_verify_runs_every_product_right_of_one(product_calls):
@@ -128,39 +162,51 @@ def test_run_verify_runs_every_product_right_of_one(product_calls):
 
 
 def test_memo_leaves_the_report_unchanged(report, monkeypatch):
-    monkeypatch.setattr(verify, "_g2_memo", contextlib.nullcontext)
+    monkeypatch.setattr(verify, "_kernel_memo", contextlib.nullcontext)
     assert repr(verify.run_verify()) == repr(report)
 
 
-def test_memo_keeps_signed_zeros_apart(product_calls):
+def test_memo_keeps_signed_zeros_apart(product_calls, log_gamma_calls):
     points = [complex(-0.5, 0.0), complex(-0.5, -0.0), complex(-2.5, 0.0),
               complex(-2.5, -0.0), complex(1.5, 0.0), complex(1.5, -0.0)]
     outside = [repr(log_barnes_gamma2(s)) for s in points]
-    del product_calls[:]
-    with special_functions._g2_memo():
+    outside_gamma = [repr(log_gamma(s)) for s in points]
+    del product_calls[:], log_gamma_calls[:]
+    with special_functions._kernel_memo():
         inside = [repr(log_barnes_gamma2(s)) for s in points]
-    assert inside == outside
+        # at -0.5 and -2.5 served from the memo, which the shifts filled
+        inside_gamma = [repr(log_gamma(s)) for s in points]
+    assert inside == outside and inside_gamma == outside_gamma
     # every point shifts to 1.5 +- 0j: one product evaluation for each sign
     assert sorted(product_calls) == [(1.5, 0.0, -1.0), (1.5, 0.0, 1.0)]
+    # one log-gamma evaluation for each side of each cut
+    assert len(log_gamma_calls) == len(set(log_gamma_calls))
+    assert {(re, 0.0, sign) for re in (-0.5, -2.5) for sign in (1.0, -1.0)} <= set(log_gamma_calls)
     # the two sides of the cut at -0.5 and -2.5 take different branches
     for plus, minus in ((0, 1), (2, 3)):
         assert log_barnes_gamma2(points[plus]) != log_barnes_gamma2(points[minus])
+        assert log_gamma(points[plus]) != log_gamma(points[minus])
 
 
-def _assert_memo_closed(product_calls):
-    assert special_functions._G2_MEMO.get() is None
-    del product_calls[:]
+def _assert_memo_closed(product_calls, log_gamma_calls):
+    assert special_functions._KERNEL_MEMO.get() is None
+    # an argument the run evaluated is evaluated again
+    s = complex(*log_gamma_calls[-1][:2])
+    del product_calls[:], log_gamma_calls[:]
     log_barnes_gamma2(complex(1.4, -5.0))
     log_barnes_gamma2(complex(1.4, -5.0))
     assert len(product_calls) == 2
+    log_gamma(s)
+    log_gamma(s)
+    assert len(log_gamma_calls) == 2
 
 
-def test_memo_closes_when_run_verify_returns(product_calls):
+def test_memo_closes_when_run_verify_returns(product_calls, log_gamma_calls):
     verify.run_verify()
-    _assert_memo_closed(product_calls)
+    _assert_memo_closed(product_calls, log_gamma_calls)
 
 
-def test_memo_closes_when_a_section_raises(product_calls, monkeypatch):
+def test_memo_closes_when_a_section_raises(product_calls, log_gamma_calls, monkeypatch):
     def broken():
         raise RuntimeError("section failed")
 
@@ -168,4 +214,35 @@ def test_memo_closes_when_a_section_raises(product_calls, monkeypatch):
     with pytest.raises(RuntimeError, match="section failed"):
         verify.run_verify()
     assert product_calls  # the sections before it ran under the memo
-    _assert_memo_closed(product_calls)
+    _assert_memo_closed(product_calls, log_gamma_calls)
+
+
+# ---------------------------------------------------------------------------
+# the corpus order table of order_checks
+# ---------------------------------------------------------------------------
+
+
+def _order_checks_with_one_wrong(monkeypatch, label, k, delta):
+    """order_checks with verify.order_Z off by delta at -k for one signature."""
+    (sig,) = [sig for sig in verify.signature_corpus() if sig.label() == label]
+    order_Z = verify.order_Z
+
+    def wrong(s, n0, point):
+        return order_Z(s, n0, point) + (delta if (s, point) == (sig, -k) else 0)
+
+    monkeypatch.setattr(verify, "order_Z", wrong)
+    return {c.name: c.passed for c in verify.order_checks()}
+
+
+@pytest.mark.parametrize("k", [1, 2, 27, 50])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_linkage_reads_the_order_table(monkeypatch, k, delta):
+    passed = _order_checks_with_one_wrong(monkeypatch, "(0;1;2,3)", k, delta)
+    assert not passed["R order equals difference of Z orders (corpus)"]
+    assert passed["Z orders at -k are non-negative (corpus, k <= 50)"]
+
+
+def test_non_negativity_reads_the_order_table(monkeypatch):
+    # the order of Z at -1 is 0 on (0;0;2,3,7)
+    passed = _order_checks_with_one_wrong(monkeypatch, "(0;0;2,3,7)", 1, -1)
+    assert not passed["Z orders at -k are non-negative (corpus, k <= 50)"]
