@@ -18,17 +18,13 @@ from .errors import (
     FitError,
     HypzetaError,
     MismatchError,
-    NonPrimitiveError,
     PoleError,
-    SingleLetterError,
     SingularFactorError,
 )
 from .euler_product import TruncatedValue, ruelle_R, selberg_Z
 from .length_spectrum import (
-    GeodesicClass,
     LengthSpectrum,
     TraceShell,
-    class_from_word,
     enumerate_spectrum,
     necklace_count,
     read_cache,
@@ -77,9 +73,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError", "ConvergenceError", "DomainError", "DomainWarning",
     "EmptySpectrumError", "FitError", "HypzetaError", "MismatchError",
-    "NonPrimitiveError", "PoleError", "SingleLetterError", "SingularFactorError",
+    "PoleError", "SingularFactorError",
     "TruncatedValue", "ruelle_R", "selberg_Z",
-    "GeodesicClass", "LengthSpectrum", "TraceShell", "class_from_word",
+    "LengthSpectrum", "TraceShell",
     "enumerate_spectrum", "necklace_count", "read_cache", "write_cache",
     "ScatteringModel", "builtin_model", "modular_model", "modular_phi",
     "phi_leading_at_zero", "trivial_model",

@@ -42,14 +42,6 @@ class CapacityError(HypzetaError):
     """An enumeration exceeded its configured size limit."""
 
 
-class NonPrimitiveError(HypzetaError):
-    """A cyclic word is a proper power and names no primitive class."""
-
-
-class SingleLetterError(HypzetaError):
-    """A one-letter word is parabolic (trace 2) and names no hyperbolic class."""
-
-
 class EmptySpectrumError(HypzetaError):
     """An operation requires a non-empty length spectrum."""
 

@@ -2,9 +2,9 @@
 
 Primitive hyperbolic conjugacy classes of the modular group biject with
 aperiodic cyclic words over the parabolic generators
-L = [[1,1],[0,1]] and R = [[1,0],[1,1]] that use both letters; the class
-invariant is the trace of the word's matrix product, and a class is
-named by its canonical word, the lexicographically minimal rotation.
+L = [[1,1],[0,1]] and R = [[1,0],[1,1]] that use both letters, and so
+with their lexicographically minimal rotations, the Lyndon words; the
+class invariant is the trace of the word's matrix product.
 `enumerate_spectrum` counts the classes of each trace up to a bound by
 a prenecklace walk on one letter array; `LengthSpectrum` holds them as
 one table of trace shells. A shell's length 2 arccosh(trace/2) and norm
@@ -27,23 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    NonPrimitiveError,
-    SingleLetterError,
-)
+from .errors import CapacityError
 
 __all__ = [
-    "GeodesicClass",
     "TraceShell",
     "LengthSpectrum",
     "GENERATOR_CONVENTION",
     "CACHE_VERSION",
-    "class_from_word",
-    "canonical_rotation",
     "necklace_count",
     "enumerate_spectrum",
-    "trace_of_word",
     "write_cache",
     "read_cache",
 ]
@@ -56,35 +48,6 @@ _CACHE_HEADER = "trace,count"
 # The pattern, not numpy, refuses "4.5" (numpy < 2 parses it as an integer
 # with only a DeprecationWarning); 18 digits at most keep a field in int64.
 _CACHE_BODY = re.compile(r"(?:[1-9][0-9]{0,17},[1-9][0-9]{0,17}\n)+")
-# spells a path of letters, L = 0 and R = 1
-_LETTERS = bytes.maketrans(b"\0\1", b"LR")
-
-
-def _word_matrix(word: str) -> tuple[int, int, int, int]:
-    a, b, c, d = 1, 0, 0, 1
-    for ch in word:
-        if ch == "L":
-            a, b, c, d = a, a + b, c, c + d
-        elif ch == "R":
-            a, b, c, d = a + b, b, c + d, d
-        else:
-            raise ValueError(f"word may only contain L and R, got {ch!r}")
-    return a, b, c, d
-
-
-def trace_of_word(word: str) -> int:
-    a, _, _, d = _word_matrix(word)
-    return a + d
-
-
-def canonical_rotation(word: str) -> str:
-    """Lexicographically minimal rotation (L sorts before R)."""
-    doubled = word + word
-    return min(doubled[i : i + len(word)] for i in range(len(word)))
-
-
-def _is_aperiodic(word: str) -> bool:
-    return (word + word).find(word, 1) == len(word)
 
 
 def _table(trace, count) -> np.ndarray:
@@ -97,16 +60,6 @@ def _table(trace, count) -> np.ndarray:
     norm = ((t + np.sqrt(t * t - 4.0)) / 2.0) ** 2
     length = 2.0 * np.fromiter(map(math.acosh, (t / 2.0).tolist()), float, t.size)
     return np.array([t, count, norm, length])
-
-
-@dataclass(frozen=True)
-class GeodesicClass:
-    """One primitive hyperbolic class: canonical word, trace, norm, length."""
-
-    word: str
-    trace: int
-    norm: float
-    length: float
 
 
 @dataclass(frozen=True)
@@ -124,11 +77,9 @@ class LengthSpectrum:
 
     `columns` is a read-only copy of the 4 x n float64 table it is given:
     the trace, class count, norm and length of each trace shell, in
-    ascending trace order. `shells` is a read view of it, and `classes`
-    lists every class's word when the table is the one `enumerate_spectrum`
-    gives for max_trace (None otherwise). `max_trace` is any integer
-    `operator.index` takes (TypeError otherwise). The group is always
-    the modular group.
+    ascending trace order; `shells` is a read view of it. `max_trace` is
+    any integer `operator.index` takes (TypeError otherwise). The group
+    is always the modular group.
     """
 
     def __init__(self, columns: np.ndarray, max_trace: int) -> None:
@@ -171,43 +122,6 @@ class LengthSpectrum:
     def min_length(self) -> float:
         return float(self.columns[3, 0]) if self.columns.shape[1] else math.inf
 
-    @cached_property
-    def classes(self) -> tuple[GeodesicClass, ...] | None:
-        """Every class in (trace, word) order, as the walk to max_trace
-        records them; None unless the table is `enumerate_spectrum`'s."""
-        if self.max_trace < 3:  # enumerate_spectrum's domain
-            return None
-        words: list[list[str]] = [[] for _ in range(self.max_trace + 1)]
-        try:
-            counts = _walk(self.max_trace, self.class_count, words)
-        except CapacityError:
-            return None
-        if self.columns[:2].T.tolist() != [[trace, n] for trace, n in enumerate(counts) if n]:
-            return None
-        return tuple(
-            GeodesicClass(word, int(trace), norm, length)
-            for trace, _, norm, length in self.columns.T.tolist()
-            for word in sorted(words[int(trace)])
-        )
-
-
-def class_from_word(word: str) -> GeodesicClass:
-    """Build the class named by a cyclic word, canonicalizing the rotation.
-
-    Raises SingleLetterError for L^k / R^k (parabolic, trace 2) and
-    NonPrimitiveError for proper powers.
-    """
-    if not word:
-        raise ValueError("empty word")
-    if len(set(word)) == 1:
-        raise SingleLetterError(f"word {word!r} is a power of a single generator")
-    if not _is_aperiodic(word):
-        raise NonPrimitiveError(f"word {word!r} is a proper power")
-    canon = canonical_rotation(word)
-    trace = trace_of_word(canon)
-    _, _, norm, length = _table([trace], [1])[:, 0].tolist()
-    return GeodesicClass(word=canon, trace=trace, norm=norm, length=length)
-
 
 def _moebius(n: int) -> int:
     result = 1
@@ -236,9 +150,8 @@ def _capacity_error(max_classes: int, max_trace: int) -> CapacityError:
     return CapacityError(f"more than {max_classes} classes below trace {max_trace}")
 
 
-def _walk(max_trace: int, max_classes: int, words: list[list[str]] | None = None) -> list[int]:
-    """Classes per trace (index 0 to max_trace) of the prenecklace walk; with
-    `words`, each class's word is also appended to words[trace].
+def _walk(max_trace: int, max_classes: int) -> list[int]:
+    """Classes per trace (index 0 to max_trace) of the prenecklace walk.
 
     The walk starts at the prefix L and extends it in place by its
     periodic letter. Where that letter is L, the child R is a new Lyndon
@@ -268,9 +181,6 @@ def _walk(max_trace: int, max_classes: int, words: list[list[str]] | None = None
             # trace t, and the child L keeps the period unless cut
             counts[t] += 1
             found += 1
-            if words is not None:
-                prefix = path[:n].translate(_LETTERS).decode()
-                words[t].append(prefix + "R")
             # the cut of the child L, 2a + b + c + d
             u = t + a + c
             if t + b > max_trace:
@@ -285,9 +195,6 @@ def _walk(max_trace: int, max_classes: int, words: list[list[str]] | None = None
                 found += (max_trace - t) // b
                 for v in range(t + b, max_trace + 1, b):
                     counts[v] += 1
-                if words is not None:
-                    for j, v in enumerate(range(t + b, max_trace + 1, b), 2):
-                        words[v].append(prefix + "R" * j)
                 if u > max_trace:
                     break
             path[n] = 0
@@ -311,13 +218,15 @@ def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSp
     is counted in one stride. A prefix [[a,b],[c,d]] is cut once
     a + b + d, its trace with R appended, exceeds max_trace; the cut is
     exact, since every class below it is counted at that trace of a
-    longer prefix and neither letter lowers it. The words are not kept;
-    `LengthSpectrum.classes` walks again to list them. Raises
-    CapacityError when more than max_classes classes appear, before the
-    walk when N (log N - 1) > max_classes with N = max_trace - 2: the
-    words L^a R^b with ab <= N are that many distinct classes at least
-    (sum_a floor(N/a) > N (log N - 1)), at trace ab + 2.
+    longer prefix and neither letter lowers it. The words are not kept.
+    `max_trace` is any integer `operator.index` takes (TypeError
+    otherwise). Raises CapacityError when more than max_classes classes
+    appear, before the walk when N (log N - 1) > max_classes with
+    N = max_trace - 2: the words L^a R^b with ab <= N are that many
+    distinct classes at least (sum_a floor(N/a) > N (log N - 1)), at
+    trace ab + 2.
     """
+    max_trace = operator.index(max_trace)
     if max_trace < 3:
         raise ValueError("max_trace must be at least 3")
     n = max_trace - 2

@@ -164,9 +164,17 @@ def constants(sig: Signature, sc) -> SurfaceConstants:
     )
 
 
+def _finite_point(point) -> float:
+    """float(point), raising DomainError unless it is finite."""
+    x = float(point)
+    if not math.isfinite(x):
+        raise DomainError(f"order is only defined at finite points, got {point}")
+    return x
+
+
 def _as_twice_integer(point) -> int:
     """Map an integer or half-integer input to round(2*point), else raise."""
-    doubled = 2.0 * float(point)
+    doubled = 2.0 * _finite_point(point)
     if abs(doubled - round(doubled)) > 1e-9:
         raise DomainError(f"order is only defined at integers and half-integers, got {point}")
     return int(round(doubled))
@@ -202,8 +210,9 @@ def order_Z(sig: Signature, n0: int, point) -> int:
 def order_R(sig: Signature, n0: int, point: int) -> int:
     """Order of the Ruelle zeta function at an integer point; DomainError
     at any other point."""
-    nearest = round(float(point))
-    if abs(float(point) - nearest) > 5e-10:  # the tolerance of order_Z
+    x = _finite_point(point)
+    nearest = round(x)
+    if abs(x - nearest) > 5e-10:  # the tolerance of order_Z
         raise DomainError(f"order of R is only defined at integers, got {point}")
     point = nearest
     if point == 1:

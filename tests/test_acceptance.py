@@ -15,14 +15,11 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from word_oracle import canonical_rotation, is_primitive, trace_of_word
+
 from hypzeta.cli import run as cli_run
 from hypzeta.euler_product import ruelle_R, selberg_Z
-from hypzeta.length_spectrum import (
-    canonical_rotation,
-    enumerate_spectrum,
-    necklace_count,
-    trace_of_word,
-)
+from hypzeta.length_spectrum import enumerate_spectrum, necklace_count
 from hypzeta.scattering import builtin_model, modular_model, phi_leading_at_zero, trivial_model
 from hypzeta.special_functions import (
     gauss_multiplication_defect,
@@ -175,7 +172,7 @@ def test_criterion_08_length_spectrum():
     for ell in range(2, 12):
         for bits in itertools.product("LR", repeat=ell):
             word = "".join(bits)
-            if len(set(word)) < 2 or (word + word).find(word, 1) != len(word):
+            if not is_primitive(word):
                 continue
             canon = canonical_rotation(word)
             if canon in oracle:
@@ -194,9 +191,8 @@ def test_criterion_08_length_spectrum():
         seen = set()
         for bits in itertools.product("LR", repeat=ell):
             word = "".join(bits)
-            if len(set(word)) < 2 or (word + word).find(word, 1) != len(word):
-                continue
-            seen.add(canonical_rotation(word))
+            if is_primitive(word):
+                seen.add(canonical_rotation(word))
         ok &= necklace_count(ell) == len(seen)
     start = time.perf_counter()
     big = enumerate_spectrum(200)

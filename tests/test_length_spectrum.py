@@ -1,4 +1,4 @@
-"""Length-spectrum tests: enumeration vs brute force, words, caching."""
+"""Length-spectrum tests: enumeration vs word oracles, caching."""
 
 import collections
 import csv
@@ -15,38 +15,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypzeta.errors import CapacityError, NonPrimitiveError, SingleLetterError
+from word_oracle import (
+    brute_force_classes,
+    canonical_rotation,
+    is_primitive,
+    lyndon_words,
+    trace_of_word,
+)
+
+from hypzeta.errors import CapacityError
 from hypzeta.length_spectrum import (
     CACHE_VERSION,
     GENERATOR_CONVENTION,
     LengthSpectrum,
-    canonical_rotation,
-    class_from_word,
     enumerate_spectrum,
     necklace_count,
     read_cache,
-    trace_of_word,
     write_cache,
 )
 
 
-def brute_force_classes(max_trace):
-    """Oracle: all binary words up to length max_trace - 1, canonicalized."""
-    seen = {}
-    for ell in range(2, max_trace):
-        for bits in itertools.product("LR", repeat=ell):
-            word = "".join(bits)
-            if len(set(word)) < 2:
-                continue
-            if (word + word).find(word, 1) != len(word):
-                continue
-            canon = canonical_rotation(word)
-            if canon in seen:
-                continue
-            trace = trace_of_word(canon)
-            if trace <= max_trace:
-                seen[canon] = trace
-    return seen
+def counts_per_trace(classes):
+    """{trace: number of classes} of an oracle's (word, trace) pairs."""
+    return dict(collections.Counter(trace for _, trace in classes))
+
+
+def program_counts(spectrum):
+    """{trace: number of classes} of a spectrum's table."""
+    trace, count = spectrum.columns[:2].astype(int).tolist()
+    return dict(zip(trace, count))
 
 
 def shell_counts_by_word_count(max_trace):
@@ -62,7 +59,7 @@ def shell_counts_by_word_count(max_trace):
     stack = [("L", 1, 1, 0, 1), ("R", 1, 0, 1, 1)]
     while stack:
         word, a, b, c, d = stack.pop()
-        if "L" in word and "R" in word and (word + word).find(word, 1) == len(word):
+        if is_primitive(word):
             aperiodic[a + d, len(word)] += 1
         if len(word) == max_trace - 1:
             continue
@@ -81,38 +78,38 @@ words = st.text(alphabet="LR", min_size=1, max_size=12)
 
 
 class TestClassFromWord:
+    """The word oracle's class of a cyclic word, which every exhaustive
+    oracle below rests on: its canonical rotation and trace."""
+
     def test_llr_matrix(self):
-        cls = class_from_word("LLR")
-        assert cls.trace == 4
         # matrix of LLR is [[3,2],[1,1]]
         assert trace_of_word("LLR") == 4
+        assert canonical_rotation("RLL") == canonical_rotation("LRL") == "LLR"
 
     def test_square_rejected(self):
-        with pytest.raises(NonPrimitiveError):
-            class_from_word("LRLR")
+        assert not is_primitive("LRLR")
+        assert "LRLR" not in brute_force_classes(12)
 
     def test_single_letter_rejected(self):
-        with pytest.raises(SingleLetterError):
-            class_from_word("LLLL")
-        with pytest.raises(SingleLetterError):
-            class_from_word("R")
+        assert not is_primitive("LLLL") and not is_primitive("R")
+        assert not any(len(set(word)) < 2 for word in brute_force_classes(12))
 
     def test_norm_length_consistency(self):
-        cls = class_from_word("LR")
-        assert cls.trace == 3
-        assert abs(cls.length - 2.0 * math.acosh(1.5)) < 1e-15
-        assert abs(cls.length - math.log(cls.norm)) < 1e-12
-        assert cls.norm > 1.0 and cls.length > 0.0
+        (trace,), (count,), (norm,), (length,) = enumerate_spectrum(3).columns
+        assert trace == trace_of_word("LR") == 3 and count == 1
+        assert abs(length - 2.0 * math.acosh(1.5)) < 1e-15
+        assert abs(length - math.log(norm)) < 1e-12
+        assert norm > 1.0 and length > 0.0
 
     @given(words)
     @settings(max_examples=300, deadline=None)
     def test_rotations_map_to_same_class(self, word):
-        if len(set(word)) < 2 or (word + word).find(word, 1) != len(word):
+        if not is_primitive(word):
             return
-        base = class_from_word(word)
+        base = canonical_rotation(word), trace_of_word(word)
         for i in range(len(word)):
             rotated = word[i:] + word[:i]
-            assert class_from_word(rotated) == base
+            assert (canonical_rotation(rotated), trace_of_word(rotated)) == base
 
     @given(words)
     @settings(max_examples=300, deadline=None)
@@ -153,29 +150,31 @@ class TestEnumeration:
     def test_minimal_spectrum(self):
         spectrum = enumerate_spectrum(3)
         assert spectrum.class_count == 1
-        cls = spectrum.classes[0]
-        assert cls.word == "LR" and cls.trace == 3
-        assert abs(cls.length - 1.9248473002384139) < 1e-12
+        assert brute_force_classes(3) == {"LR": 3}
+        assert spectrum.columns[:2].tolist() == [[3.0], [1.0]]
+        assert abs(spectrum.min_length - 1.9248473002384139) < 1e-12
 
     def test_trace_four(self):
         spectrum = enumerate_spectrum(4)
-        assert {c.word for c in spectrum.classes} == {"LR", "LLR", "LRR"}
+        assert set(brute_force_classes(4)) == {"LR", "LLR", "LRR"}
         assert spectrum.mult(3) == 1 and spectrum.mult(4) == 2
 
     def test_trace_six(self):
         spectrum = enumerate_spectrum(6)
-        assert spectrum.mult(5) == 2
-        words5 = {c.word for c in spectrum.classes if c.trace == 5}
+        oracle = brute_force_classes(6)
+        words5 = {word for word, trace in oracle.items() if trace == 5}
         assert words5 == {"LLLR", "LRRR"}
-        assert spectrum.mult(6) >= 2
-        words6 = {c.word for c in spectrum.classes if c.trace == 6}
+        assert spectrum.mult(5) == 2
+        words6 = {word for word, trace in oracle.items() if trace == 6}
         assert {"LLRR", "LLLLR"} <= words6
+        assert spectrum.mult(6) == len(words6)
 
     @pytest.mark.parametrize("max_trace", [3, 5, 8, 10, 12, 13])
     def test_matches_brute_force(self, max_trace):
         spectrum = enumerate_spectrum(max_trace)
         oracle = brute_force_classes(max_trace)
-        assert {c.word: c.trace for c in spectrum.classes} == oracle
+        assert program_counts(spectrum) == counts_per_trace(oracle.items())
+        assert spectrum.class_count == len(oracle)
 
     @pytest.mark.parametrize("max_trace", [30, 60, 100])
     def test_shell_counts_match_word_counting(self, max_trace):
@@ -188,15 +187,12 @@ class TestEnumeration:
     def test_words_longer_than_a_machine_word(self):
         # L^k R has trace k + 2: at max_trace 100 the longest word has 99 letters
         spectrum = enumerate_spectrum(100)
-        longest = max(spectrum.classes, key=lambda cls: len(cls.word))
-        assert longest.word == "L" * 98 + "R" and longest.trace == 100
-        assert all(class_from_word(c.word) == c for c in spectrum.classes if len(c.word) > 64)
-
-    def test_classes_built_on_first_access(self):
-        spectrum = enumerate_spectrum(20)
-        assert "classes" not in vars(spectrum)
-        assert spectrum.classes is spectrum.classes
-        assert len(spectrum.classes) == spectrum.class_count
+        oracle = list(lyndon_words(100))
+        assert max(len(word) for word, _ in oracle) == 99
+        longest = sorted(pair for pair in oracle if len(pair[0]) == 99)
+        assert longest == [("L" * 98 + "R", 100), ("L" + "R" * 98, 100)]
+        assert all(trace_of_word(word) == trace for word, trace in oracle if len(word) > 64)
+        assert program_counts(spectrum) == counts_per_trace(oracle)
 
     def test_capacity_error_on_first_words(self):
         # the words L^k R alone exceed the limit
@@ -205,8 +201,8 @@ class TestEnumeration:
 
     def test_classes_sorted(self):
         spectrum = enumerate_spectrum(12)
-        keys = [(c.trace, c.word) for c in spectrum.classes]
-        assert keys == sorted(keys)
+        traces = sorted(set(brute_force_classes(12).values()))
+        assert spectrum.columns[0].tolist() == traces
 
     def test_min_trace_at_each_length(self):
         # underpins the completeness cutoff: min trace at length ell is ell+1
@@ -214,7 +210,7 @@ class TestEnumeration:
             best = min(
                 trace_of_word(w)
                 for w in ("".join(b) for b in itertools.product("LR", repeat=ell))
-                if len(set(w)) > 1 and (w + w).find(w, 1) == len(w)
+                if is_primitive(w)
             )
             assert best == ell + 1
 
@@ -253,10 +249,9 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("max_trace", [*range(3, 14), 100, 800])
     def test_counts_are_the_classes_per_trace(self, max_trace):
-        # the counting walk and the word-recording walk of `classes` agree
+        # the striding walk and the oracle's plain prenecklace walk agree
         spectrum = enumerate_spectrum(max_trace)
-        per_trace = collections.Counter(cls.trace for cls in spectrum.classes)
-        assert {sh.trace: sh.count for sh in spectrum.shells} == per_trace
+        assert program_counts(spectrum) == counts_per_trace(lyndon_words(max_trace))
 
     def test_walk_keeps_no_words(self):
         enumerate_spectrum(40)  # warm up imports and caches outside the trace
@@ -273,6 +268,16 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_spectrum(2)
 
+    @pytest.mark.parametrize("max_trace", [10.5, 12.0, math.inf, math.nan, "12"])
+    def test_non_integral_bound_refused(self, max_trace):
+        with pytest.raises(TypeError):
+            enumerate_spectrum(max_trace)
+
+    def test_numpy_integer_bound(self):
+        spectrum = enumerate_spectrum(np.int64(12))
+        assert type(spectrum.max_trace) is int
+        assert spectrum == enumerate_spectrum(12)
+
 
 class TestNecklaceCount:
     def test_small_values(self):
@@ -282,14 +287,8 @@ class TestNecklaceCount:
 
     def test_exhaustive_match(self):
         for ell in range(2, 13):
-            seen = set()
-            for bits in itertools.product("LR", repeat=ell):
-                word = "".join(bits)
-                if len(set(word)) < 2:
-                    continue
-                if (word + word).find(word, 1) != len(word):
-                    continue
-                seen.add(canonical_rotation(word))
+            words = ("".join(bits) for bits in itertools.product("LR", repeat=ell))
+            seen = {canonical_rotation(word) for word in words if is_primitive(word)}
             assert necklace_count(ell) == len(seen)
 
     def test_rejects_short(self):
@@ -315,7 +314,7 @@ class TestCache:
         write_cache(spectrum, path)
         loaded = read_cache(path, 15)
         assert loaded is not None
-        assert loaded.classes == spectrum.classes
+        assert loaded == spectrum
         assert loaded.shells == spectrum.shells
         assert loaded.max_trace == 15
 
@@ -507,11 +506,15 @@ def test_complete_at_the_benchmark_bound(enumerated_800):
     """Every nonnegative matrix of SL(2,Z) with trace t >= 3 is one word using
     both letters, u^k for one primitive u, and the class of u has |u|
     rotations; so sum |u| over (u, k) with tr(u^k) = t counts the matrices,
-    sum over 1 <= a < t of d(a(t-a) - 1) with d the divisor count."""
+    sum over 1 <= a < t of d(a(t-a) - 1) with d the divisor count. The
+    words u are the oracle's, whose classes per trace are the program's."""
     max_trace = enumerated_800.max_trace
     letters_by_trace = collections.Counter()
-    for cls in enumerated_800.classes:
-        letters_by_trace[cls.trace] += len(cls.word)
+    classes_by_trace = collections.Counter()
+    for word, trace in lyndon_words(max_trace):
+        letters_by_trace[trace] += len(word)
+        classes_by_trace[trace] += 1
+    assert program_counts(enumerated_800) == classes_by_trace
     words = np.zeros(max_trace + 1, dtype=np.int64)
     for trace, letters in letters_by_trace.items():
         # tr(u^(k+1)) = tr(u) tr(u^k) - tr(u^(k-1)), with tr(u^0) = 2
@@ -569,21 +572,13 @@ class TestColumnarTable:
         assert rebuilt == enumerated
         assert rebuilt.columns.dtype == np.float64 and not rebuilt.columns.flags.writeable
         assert rebuilt.shells == enumerated.shells
-        assert rebuilt.classes == enumerated.classes
-
-    @pytest.mark.parametrize("delta, max_trace", [(-1, 30), (1, 30), (0, 31)])
-    def test_no_classes_for_another_table(self, delta, max_trace):
-        # one count lowered (the walk finds more than class_count) or
-        # raised, or the table of a lower bound
-        table = enumerate_spectrum(30).columns.copy()
-        table[1, 5] += delta
-        assert LengthSpectrum(table, max_trace=max_trace).classes is None
 
     def test_integral_bound_of_any_int_type(self):
         enumerated = enumerate_spectrum(12)
         spectrum = LengthSpectrum(enumerated.columns, np.int64(12))
         assert type(spectrum.max_trace) is int
-        assert spectrum == enumerated and spectrum.classes == enumerated.classes
+        assert spectrum == enumerated
+        assert all(spectrum.mult(t) == enumerated.mult(t) for t in range(3, 13))
 
     @pytest.mark.parametrize("max_trace", [12.0, "12"])
     def test_non_integral_bound_refused(self, max_trace):

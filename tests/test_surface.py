@@ -171,6 +171,12 @@ class TestOrders:
         with pytest.raises(DomainError, match="only defined at integers"):
             order_R(MODULAR, 1, point)
 
+    @pytest.mark.parametrize("order", [order_Z, order_R])
+    @pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_refused(self, order, point):
+        with pytest.raises(DomainError, match="finite"):
+            order(MODULAR, 1, point)
+
     def test_R_takes_integral_floats(self):
         for point in range(-10, 4):
             assert order_R(MODULAR, 1, float(point)) == order_R(MODULAR, 1, point)
