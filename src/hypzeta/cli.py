@@ -47,14 +47,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _encode(value):
+def _complex_json(value):
+    """json's `default` hook: a complex as {"re": ..., "im": ...}."""
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -72,10 +69,10 @@ class Report:
         return {
             "command": self.command,
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "inputs": _encode(self.inputs),
-            "results": _encode(self.results),
-            "checks": _encode(self.checks),
-            "notes": list(self.notes),
+            "inputs": self.inputs,
+            "results": self.results,
+            "checks": self.checks,
+            "notes": self.notes,
         }
 
 
@@ -376,7 +373,8 @@ def build_parser() -> _Parser:
 
     ruelle_p = sub.add_parser("ruelle", help="truncated Ruelle product (Re s > 1)")
     _add_common(ruelle_p, s=True, euler=True)
-    ruelle_p.add_argument("--method", choices=("quotient", "direct"), default="quotient")
+    ruelle_p.add_argument("--method", choices=("direct", "quotient"), default="direct",
+                          help="direct product (default), or Z(s)/Z(s+1) as a cross-check")
     ruelle_p.set_defaults(handler=_cmd_euler)
 
     verify_p = sub.add_parser("verify", help="run the full identity suite")
@@ -405,7 +403,7 @@ def run(argv=None) -> int:
     except (HypzetaError, ArithmeticError) as exc:
         return _fail(argv, exc, 2, "numerical failure", type(exc).__name__)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report.to_dict(), default=_complex_json))
     elif report.command == "spectrum":
         _print_spectrum_csv(report)
         for note in report.notes:

@@ -207,14 +207,14 @@ def ruelle_R(
     spectrum: LengthSpectrum,
     s: complex,
     *,
-    method: str = "quotient",
+    method: str = "direct",
 ) -> TruncatedValue:
     """Truncated Ruelle zeta value on Re s > 1.
 
-    method="quotient" divides the two truncated Selberg values with
-    first-order error propagation; method="direct" evaluates the single
-    product over classes. The two paths agree within the combined error
-    estimates on the convergence region.
+    method="direct" evaluates the single product over classes;
+    method="quotient", the reference it is checked against, divides the
+    two truncated Selberg values with first-order error propagation. The
+    two paths agree within the combined error estimates on Re s > 1.
     """
     s = _require_usable(spectrum, s)
     if method == "direct":

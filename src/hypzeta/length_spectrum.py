@@ -219,14 +219,15 @@ def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSp
     a + b + d, its trace with R appended, exceeds max_trace; the cut is
     exact, since every class below it is counted at that trace of a
     longer prefix and neither letter lowers it. The words are not kept.
-    `max_trace` is any integer `operator.index` takes (TypeError
-    otherwise). Raises CapacityError when more than max_classes classes
-    appear, before the walk when N (log N - 1) > max_classes with
+    `max_trace` and `max_classes` are any integers `operator.index` takes
+    (TypeError otherwise). Raises CapacityError when more than max_classes
+    classes appear, before the walk when N (log N - 1) > max_classes with
     N = max_trace - 2: the words L^a R^b with ab <= N are that many
     distinct classes at least (sum_a floor(N/a) > N (log N - 1)), at
     trace ab + 2.
     """
     max_trace = operator.index(max_trace)
+    max_classes = operator.index(max_classes)
     if max_trace < 3:
         raise ValueError("max_trace must be at least 3")
     n = max_trace - 2

@@ -389,7 +389,7 @@ def euler_checks() -> list[Check]:
         float(z60.abs_error_estimate < z40.abs_error_estimate), 1.0, 0,
     ))
     for s in (1.5, 2.0, 3.0, complex(1.5, 1.0), complex(2.0, 5.0), complex(3.0, 1.0)):
-        quotient = euler_product.ruelle_R(spectrum, s)
+        quotient = euler_product.ruelle_R(spectrum, s, method="quotient")
         direct = euler_product.ruelle_R(spectrum, s, method="direct")
         budget = quotient.abs_error_estimate + direct.abs_error_estimate
         checks.append(_check(

@@ -106,11 +106,11 @@ class TestNonFiniteInput:
 class TestParserReuse:
     def test_method_default_restored(self):
         argv = ["--s", "2,0", "--max-trace", "20"]
-        code, direct, _ = invoke_json(["ruelle", "--method", "direct"] + argv)
-        assert code == 0 and direct["inputs"]["method"] == "direct"
-        code, quotient, _ = invoke_json(["ruelle"] + argv)
+        code, quotient, _ = invoke_json(["ruelle", "--method", "quotient"] + argv)
         assert code == 0 and quotient["inputs"]["method"] == "quotient"
-        assert result_of(quotient, "k_cutoff_used") > 0
+        code, direct, _ = invoke_json(["ruelle"] + argv)
+        assert code == 0 and direct["inputs"]["method"] == "direct"
+        assert result_of(direct, "k_cutoff_used") == 0
 
     def test_usage_error_does_not_leak(self, tmp_path):
         code, _, err = invoke(["zeta", "--s", "2,0", "--max-trace", "20", "--bogus"])
@@ -292,6 +292,39 @@ class TestJsonContract:
         assert set(kappa_value) == {"re", "im"}
         s_echo = payload["inputs"]["s"]
         assert s_echo == {"re": 0.3, "im": 0.2}
+
+    @pytest.mark.parametrize("argv", [
+        ["zeta", "--s", "2,1", "--max-trace", "40"],
+        ["ruelle", "--s", "2,1", "--max-trace", "40"],
+        ["spectrum", "--max-trace", "40"],
+        ["orders", "--signature", "0,1,2:3", "--from", "-3", "--to", "1"],
+        ["verify"],
+        ["zeta", "--s", "nan"],
+    ])
+    def test_report_is_one_line(self, argv):
+        code, out, _ = invoke(argv + ["--json"])
+        assert code in (0, 1)
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert json.loads(out)
+
+    def test_nested_complex_values_decode(self):
+        code, report, _ = invoke_json(
+            ["det-laplacian", "--signature", "0,1,2:3", "--s", "2,0.5", "--max-trace", "40"]
+        )
+        assert code == 0
+        assert set(result_of(report, "Z")) == {"re", "im"}
+        code, report, _ = invoke_json(["verify"])
+        check = next(c for c in report["checks"]
+                     if c["name"] == "special_functions: gamma reflection")
+        for key in ("lhs", "rhs", "s"):
+            assert set(check[key]) == {"re", "im"}, (key, check[key])
+
+    def test_only_complex_gets_encoded(self):
+        from hypzeta.cli import _complex_json
+
+        assert json.dumps([1j], default=_complex_json) == '[{"re": 0.0, "im": 1.0}]'
+        with pytest.raises(TypeError):
+            json.dumps({"x": {1, 2}}, default=_complex_json)
 
     def test_every_check_carries_tolerance(self):
         code, report, _ = invoke_json(["verify"])
@@ -481,7 +514,9 @@ class TestSurfaceInfo:
 
 class TestRuelleCommand:
     def test_methods_agree(self):
-        _, quotient, _ = invoke_json(["ruelle", "--s", "2,0", "--max-trace", "40"])
+        _, quotient, _ = invoke_json(
+            ["ruelle", "--s", "2,0", "--max-trace", "40", "--method", "quotient"]
+        )
         _, direct, _ = invoke_json(
             ["ruelle", "--s", "2,0", "--max-trace", "40", "--method", "direct"]
         )
@@ -490,6 +525,12 @@ class TestRuelleCommand:
         budget = (result_of(quotient, "abs_error_estimate")
                   + result_of(direct, "abs_error_estimate"))
         assert abs(complex(a["re"], a["im"]) - complex(b["re"], b["im"])) <= budget
+
+    def test_default_is_direct(self):
+        argv = ["ruelle", "--s", "1.5,2", "--max-trace", "40"]
+        _, bare, _ = invoke_json(argv)
+        _, direct, _ = invoke_json(argv + ["--method", "direct"])
+        assert bare["results"] == direct["results"]
 
     def test_boundary_flagged(self):
         code, report, _ = invoke_json(["ruelle", "--s", "1.05,0", "--max-trace", "20"])

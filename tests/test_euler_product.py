@@ -227,7 +227,7 @@ class TestStaircase:
         selberg_Z(sp800, 2.0)  # warm up the spectrum's cached counts
         tracemalloc.start()
         try:
-            out = ruelle_R(sp800, complex(1.2, 3.0))
+            out = ruelle_R(sp800, complex(1.2, 3.0), method="quotient")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -296,11 +296,13 @@ class TestNonFinite:
             ruelle_R(sp40, s)
         with pytest.raises(DomainError):
             ruelle_R(sp40, s, method="direct")
+        with pytest.raises(DomainError):
+            ruelle_R(sp40, s, method="quotient")
 
 
 class TestRuelleR:
     def test_two_path_at_two(self, sp40):
-        quotient = ruelle_R(sp40, 2.0)
+        quotient = ruelle_R(sp40, 2.0, method="quotient")
         direct = ruelle_R(sp40, 2.0, method="direct")
         budget = quotient.abs_error_estimate + direct.abs_error_estimate
         assert abs(quotient.value - direct.value) <= budget
@@ -309,7 +311,7 @@ class TestRuelleR:
         for re in (1.5, 2.0, 3.0):
             for im in (0.0, 1.0, 5.0):
                 s = complex(re, im)
-                quotient = ruelle_R(sp40, s)
+                quotient = ruelle_R(sp40, s, method="quotient")
                 direct = ruelle_R(sp40, s, method="direct")
                 budget = quotient.abs_error_estimate + direct.abs_error_estimate
                 assert abs(quotient.value - direct.value) <= budget

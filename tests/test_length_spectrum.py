@@ -239,6 +239,16 @@ class TestEnumeration:
             enumerate_spectrum(800, max_classes=52_090)
         assert enumerate_spectrum(800, max_classes=52_091).class_count == 52_091
 
+    @pytest.mark.parametrize("max_classes", [math.nan, 1.5])
+    def test_capacity_must_be_an_integer(self, max_classes):
+        # a nan cap would fail both capacity comparisons and never refuse
+        with pytest.raises(TypeError):
+            enumerate_spectrum(200, max_classes=max_classes)
+
+    def test_capacity_takes_a_numpy_integer(self):
+        spectrum = enumerate_spectrum(800, max_classes=np.int64(52_091))
+        assert spectrum.class_count == 52_091
+
     @pytest.mark.parametrize("max_trace", [60, 100])
     def test_capacity_boundary_inside_a_run(self, max_trace):
         # the last classes the walk finds are counted as runs of R letters
