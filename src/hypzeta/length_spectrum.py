@@ -9,16 +9,17 @@ class invariant is the trace of the word's matrix product.
 a prenecklace walk on one letter array; `LengthSpectrum` holds them as
 one table of trace shells. A shell's length 2 arccosh(trace/2) and norm
 e^length follow from its trace, so `write_cache` stores only what the
-walk counts, a `trace,count` CSV with a metadata sidecar that holds the
-rows' CRC-32, and `read_cache` derives the rest as `enumerate_spectrum`
-does.
+walk counts: one `trace,count` CSV whose first line records the format
+version, group, trace bound, generator convention and the rows' CRC-32.
+`read_cache` derives the rest as `enumerate_spectrum` does, each length
+taken from one process-wide table of libm arccosh values.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import operator
+import os
 import re
 import zlib
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 GENERATOR_CONVENTION = "L=[[1,1],[0,1]],R=[[1,0],[1,1]]"
-CACHE_VERSION = "3"
+CACHE_VERSION = "4"
 _CACHE_HEADER = "trace,count"
 # a cache body as write_cache writes it, line ends read as "\n": rows of two
 # decimal integers of at least 1, with no sign, leading zero or other text.
@@ -50,15 +51,36 @@ _CACHE_HEADER = "trace,count"
 _CACHE_BODY = re.compile(r"(?:[1-9][0-9]{0,17},[1-9][0-9]{0,17}\n)+")
 
 
+# _LENGTHS[t] is libm's 2 acosh(t / 2), for t from 2 to the largest trace a
+# table has needed so far (nan below 2). It is read-only and only grows, by
+# a new array, so a table taken from it never changes.
+_LENGTHS = np.full(2, math.nan)
+_LENGTHS.flags.writeable = False
+
+
+def _lengths(max_trace: int) -> np.ndarray:
+    """The length table, grown first to max_trace if it ends below it."""
+    global _LENGTHS
+    table = _LENGTHS
+    if table.size <= max_trace:
+        grown = [2.0 * math.acosh(t / 2.0) for t in range(table.size, max_trace + 1)]
+        table = np.concatenate([table, grown])
+        table.flags.writeable = False
+        _LENGTHS = table
+    return table
+
+
 def _table(trace, count) -> np.ndarray:
     """The 4 x n (trace, count, norm, length) table of the shells with these
-    traces and class counts. The norm ((t + sqrt(t^2 - 4)) / 2)^2 takes
-    correctly rounded operations only; the length 2 arccosh(t / 2) takes
-    libm's acosh, since np.arccosh's SIMD loops can differ from it in the
-    last bit by CPU, and the table would then depend on the machine."""
+    ascending integer traces and class counts. The norm
+    ((t + sqrt(t^2 - 4)) / 2)^2 takes correctly rounded operations only;
+    the length 2 arccosh(t / 2) is looked up in `_LENGTHS`, libm's acosh
+    computed once per trace and process, since np.arccosh's SIMD loops can
+    differ from it in the last bit by CPU, and the table would then depend
+    on the machine."""
     t = np.asarray(trace, dtype=float)
     norm = ((t + np.sqrt(t * t - 4.0)) / 2.0) ** 2
-    length = 2.0 * np.fromiter(map(math.acosh, (t / 2.0).tolist()), float, t.size)
+    length = _lengths(int(trace[-1]))[trace]
     return np.array([t, count, norm, length])
 
 
@@ -238,34 +260,33 @@ def enumerate_spectrum(max_trace: int, max_classes: int = 1_000_000) -> LengthSp
     return LengthSpectrum(_table(trace, counts[trace]), max_trace)
 
 
-def _meta_path(path: Path) -> Path:
-    return path.with_name(path.name + ".meta.json")
+def _first_line(max_trace: int, rows: str) -> str:
+    """The first line of a cache whose rows, with LF line ends, are `rows`."""
+    return (f"# hypzeta spectrum cache v{CACHE_VERSION} group=modular max_trace={max_trace}"
+            f" generator_convention={GENERATOR_CONVENTION} rows_crc32={zlib.crc32(rows.encode())}")
 
 
 def write_cache(spectrum: LengthSpectrum, path: str | Path) -> None:
-    """Write the trace and class count of each shell as CSV, the header
-    `trace,count` and one row per shell with CRLF line ends (as
-    `csv.writer` writes them), plus a JSON metadata sidecar that records
-    the CRC-32 of the rows."""
+    """Write the trace and class count of each shell as CSV with CRLF line
+    ends (as `csv.writer` writes them): the `_first_line` of the spectrum's
+    bound and rows, the header `trace,count`, then one row per shell. The
+    file is written beside the path, under a name with the process id, and
+    renamed onto it, so a reader finds the old cache or the new one, never
+    part of one. A version-3 metadata sidecar, `<path>.meta.json`, is
+    removed."""
     path = Path(path)
     trace, count = spectrum.columns[:2].astype(np.int64).tolist()
     rows = "".join(f"{t},{n}\n" for t, n in zip(trace, count))
-    with path.open("w", newline="\r\n") as fh:
-        fh.write(_CACHE_HEADER + "\n" + rows)
-    with _meta_path(path).open("w") as fh:
-        json.dump(_cache_meta(spectrum.max_trace, rows), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _cache_meta(max_trace: int, rows: str) -> dict:
-    """The sidecar of a cache whose rows, with LF line ends, are `rows`."""
-    return {
-        "group": "modular",
-        "max_trace": max_trace,
-        "generator_convention": GENERATOR_CONVENTION,
-        "rows_crc32": zlib.crc32(rows.encode()),
-        "version": CACHE_VERSION,
-    }
+    text = f"{_first_line(spectrum.max_trace, rows)}\n{_CACHE_HEADER}\n{rows}"
+    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w", newline="\r\n") as fh:
+            fh.write(text)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    path.with_name(path.name + ".meta.json").unlink(missing_ok=True)
 
 
 def _parse_rows(body: str, max_trace: int) -> np.ndarray | None:
@@ -283,18 +304,23 @@ def _parse_rows(body: str, max_trace: int) -> np.ndarray | None:
 
 
 def read_cache(path: str | Path, max_trace: int) -> LengthSpectrum | None:
-    """Load a cached spectrum; None (a miss) unless the metadata matches
-    exactly, the version and the CRC-32 of the rows included, and every
-    row passes `_parse_rows`. Line ends may be CRLF or LF. A cache of an
-    earlier version (version 1 also stored each shell's length and norm,
-    version 2 no CRC) is a miss, so the caller writes it anew."""
-    path = Path(path)
+    """Load a cached spectrum with one file read; None (a miss) unless the
+    first line is the one `write_cache` writes for max_trace and the rows
+    below the header, so the version, group, generator convention and the
+    CRC-32 of the rows all match, and every row passes `_parse_rows`. Line
+    ends may be CRLF or LF. `max_trace` is any integer `operator.index`
+    takes (TypeError otherwise, before the file is opened). A cache of an
+    earlier version is a miss, so the caller writes it anew: version 1 also
+    stored each shell's length and norm, version 2 had no CRC, and versions
+    1 to 3 kept their metadata in a `<path>.meta.json` sidecar."""
+    max_trace = operator.index(max_trace)
     try:
-        meta = json.loads(_meta_path(path).read_text())
-        header, _, body = path.read_text().partition("\n")
-    except (OSError, ValueError):  # a missing file, bad JSON or undecodable bytes
+        text = Path(path).read_text()
+    except (OSError, ValueError):  # a missing file or undecodable bytes
         return None
-    if header != _CACHE_HEADER or meta != _cache_meta(max_trace, body):
+    first, _, rest = text.partition("\n")
+    header, _, body = rest.partition("\n")
+    if header != _CACHE_HEADER or first != _first_line(max_trace, body):
         return None
     columns = _parse_rows(body, max_trace)
     if columns is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from . import euler_product, length_spectrum, zeta_factors
 from .scattering import (
@@ -464,7 +464,7 @@ def run_verify() -> dict:
     failed = [c for c in all_checks if not c.passed]
     return {
         "points_version": POINTS_VERSION,
-        "sections": {name: [asdict(c) for c in checks] for name, checks in sections.items()},
+        "sections": {name: [dict(vars(c)) for c in checks] for name, checks in sections.items()},
         "total_checks": len(all_checks),
         "failed_checks": len(failed),
         "passed": not failed,

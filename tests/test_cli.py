@@ -177,7 +177,8 @@ class TestSpectrum:
         cache = tmp_path / "spec.csv"
         invoke_json(["spectrum", "--max-trace", "10", "--cache", str(cache)])
         rows = cache.read_text().splitlines()
-        cache.write_text("\n".join(rows[:2] + ["4,2.0"] + rows[3:]) + "\n")
+        assert rows[3] == "4,2"
+        cache.write_text("\n".join(rows[:3] + ["4,2.0"] + rows[4:]) + "\n")
         code, report, _ = invoke_json(["zeta", "--s", "2,0", "--max-trace", "10",
                                        "--cache", str(cache)])
         assert code == 0 and report["inputs"]["cache_status"] == "miss"
@@ -192,45 +193,48 @@ class TestSpectrum:
         _, clean, _ = invoke_json(argv)
         written = cache.read_text()
         rows = written.splitlines()
-        cache.write_text("\n".join(rows[:2] + [row] + rows[3:]) + "\n")
+        assert rows[3] == "4,2"
+        cache.write_text("\n".join(rows[:3] + [row] + rows[4:]) + "\n")
         code, report, _ = invoke_json(argv)
         assert code == 0 and report["inputs"]["cache_status"] == "miss"
         assert result_of(report, "value") == result_of(clean, "value")
         assert cache.read_text() == written
 
     def test_version_1_cache_is_a_miss_and_rewritten(self, tmp_path):
-        # the version-1 cache: trace,count,length,norm rows, lengths and norms as repr
+        # the version-1 cache: trace,count,length,norm rows, lengths and norms
+        # as repr, and a JSON sidecar
         cache = tmp_path / "spec.csv"
         argv = ["zeta", "--s", "2,0", "--max-trace", "30", "--cache", str(cache)]
         _, clean, _ = invoke_json(argv)
         written, meta = cache.read_bytes(), cache.with_name("spec.csv.meta.json")
-        sidecar = meta.read_text()
+        assert written.startswith(b"# hypzeta spectrum cache v4 group=modular max_trace=30 ")
         spectrum = hypzeta.enumerate_spectrum(30)
         rows = ["trace,count,length,norm"] + [
             f"{int(trace)},{int(count)},{length!r},{norm!r}"
             for trace, count, norm, length in spectrum.columns.T.tolist()]
         cache.write_bytes("".join(row + "\r\n" for row in rows).encode())
-        meta.write_text(sidecar.replace('"version": "3"', '"version": "1"'))
+        meta.write_text(json.dumps({"generator_convention": "L=[[1,1],[0,1]],R=[[1,0],[1,1]]",
+                                    "group": "modular", "max_trace": 30, "version": "1"}))
         code, report, _ = invoke_json(argv)
         assert code == 0 and report["inputs"]["cache_status"] == "miss"
         assert result_of(report, "value") == result_of(clean, "value")
-        assert cache.read_bytes() == written and meta.read_text() == sidecar
-        assert json.loads(sidecar)["version"] == "3"
+        assert cache.read_bytes() == written and not meta.exists()
 
     def test_version_2_cache_is_a_miss_and_rewritten(self, tmp_path):
-        # the version-2 cache: the same rows, a sidecar without their CRC
+        # the version-2 cache: the header and rows alone, and a JSON sidecar
+        # without their CRC
         cache = tmp_path / "spec.csv"
         argv = ["zeta", "--s", "2,0", "--max-trace", "30", "--cache", str(cache)]
         _, clean, _ = invoke_json(argv)
         written, meta = cache.read_bytes(), cache.with_name("spec.csv.meta.json")
-        sidecar = meta.read_text()
-        record = json.loads(sidecar)
-        del record["rows_crc32"]
-        meta.write_text(json.dumps(dict(record, version="2"), indent=2, sort_keys=True) + "\n")
+        cache.write_bytes(written.partition(b"\r\n")[2])
+        meta.write_text(json.dumps({"generator_convention": "L=[[1,1],[0,1]],R=[[1,0],[1,1]]",
+                                    "group": "modular", "max_trace": 30, "version": "2"},
+                                   indent=2, sort_keys=True) + "\n")
         code, report, _ = invoke_json(argv)
         assert code == 0 and report["inputs"]["cache_status"] == "miss"
         assert result_of(report, "value") == result_of(clean, "value")
-        assert cache.read_bytes() == written and meta.read_text() == sidecar
+        assert cache.read_bytes() == written and not meta.exists()
 
     def test_edited_count_is_a_miss(self, tmp_path):
         # a well-formed row with a wrong count once read as a hit: Z(2) = 0.949851630394971
@@ -649,4 +653,5 @@ def test_cache_round_trip_loads_no_openssl(tmp_path):
     src = str(Path(hypzeta.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", script, str(tmp_path / "s.csv")], env=env, check=True)
-    assert (tmp_path / "s.csv.meta.json").exists()
+    assert (tmp_path / "s.csv").read_bytes().startswith(b"# hypzeta spectrum cache v4 ")
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]

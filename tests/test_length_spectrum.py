@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import tracemalloc
 import zlib
@@ -23,6 +24,7 @@ from word_oracle import (
     trace_of_word,
 )
 
+from hypzeta import length_spectrum
 from hypzeta.errors import CapacityError
 from hypzeta.length_spectrum import (
     CACHE_VERSION,
@@ -306,15 +308,19 @@ class TestNecklaceCount:
             necklace_count(1)
 
 
-def _write_rows(path, lines):
-    """Write `lines` as the cache file with LF line ends, and record the
-    CRC-32 of its rows in the sidecar, so only the rows can be refused."""
-    text = "\n".join(lines) + "\n"
-    path.write_text(text)
-    meta = path.with_name(path.name + ".meta.json")
-    record = json.loads(meta.read_text())
-    record["rows_crc32"] = zlib.crc32(text.partition("\n")[2].encode())
-    meta.write_text(json.dumps(record))
+def first_line(max_trace, rows):
+    """The first line of a version-4 cache whose rows, with LF line ends,
+    are `rows`: the format spelled out here, apart from the program's."""
+    return (f"# hypzeta spectrum cache v4 group=modular max_trace={max_trace}"
+            f" generator_convention={GENERATOR_CONVENTION} rows_crc32={zlib.crc32(rows.encode())}")
+
+
+def _write_rows(path, lines, max_trace=10):
+    """Write `lines` as the cache file with LF line ends, its first line
+    replaced by the one the writer gives the rows below the header, so only
+    the header and rows can be refused."""
+    rows = "".join(line + "\n" for line in lines[2:])
+    path.write_text("\n".join([first_line(max_trace, rows), *lines[1:]]) + "\n")
 
 
 class TestCache:
@@ -328,45 +334,126 @@ class TestCache:
         assert loaded.shells == spectrum.shells
         assert loaded.max_trace == 15
 
-    @pytest.mark.parametrize("max_trace", [3, 4, 12, 200, 800])
+    @pytest.mark.parametrize("max_trace", [3, 4, 12, 40, 200, 800])
     def test_round_trip_bit_identical(self, tmp_path, max_trace):
         spectrum = enumerate_spectrum(max_trace)
         write_cache(spectrum, tmp_path / "spec.csv")
         loaded = read_cache(tmp_path / "spec.csv", max_trace)
         assert np.array_equal(loaded.columns, spectrum.columns)
+        assert loaded == spectrum
 
     def test_metadata_mismatch_rejected(self, tmp_path):
         spectrum = enumerate_spectrum(15)
         path = tmp_path / "spec.csv"
         write_cache(spectrum, path)
         assert read_cache(path, 16) is None
-        meta = path.with_name(path.name + ".meta.json")
-        meta.write_text(meta.read_text().replace('"group": "modular"', '"group": "other"'))
+        lines = path.read_text().splitlines()
+        assert " group=modular " in lines[0]
+        lines[0] = lines[0].replace(" group=modular ", " group=other ")
+        path.write_text("\n".join(lines) + "\n")
         assert read_cache(path, 15) is None
 
     def test_corrupt_metadata_rejected(self, tmp_path):
         spectrum = enumerate_spectrum(10)
         path = tmp_path / "spec.csv"
         write_cache(spectrum, path)
-        meta = path.with_name(path.name + ".meta.json")
-        text = meta.read_text()
-        assert f'"version": "{CACHE_VERSION}"' in text
-        meta.write_text(text.replace(f'"{CACHE_VERSION}"', '"0"'))
+        text = path.read_text()
+        assert text.startswith(f"# hypzeta spectrum cache v{CACHE_VERSION} ")
+        path.write_text(text.replace(f" v{CACHE_VERSION} ", " v0 ", 1))
         assert read_cache(path, 10) is None
 
-    def test_missing_sidecar_rejected(self, tmp_path):
+    def test_missing_first_line_rejected(self, tmp_path):
         spectrum = enumerate_spectrum(10)
         path = tmp_path / "spec.csv"
         write_cache(spectrum, path)
-        path.with_name(path.name + ".meta.json").unlink()
+        path.write_text("\n".join(path.read_text().splitlines()[1:]) + "\n")
         assert read_cache(path, 10) is None
+
+    # each field of the first line, as write_cache writes it for T = 10, and
+    # a tampered value of it
+    @pytest.mark.parametrize("field, tampered", [
+        (" v4 ", " v3 "),
+        (" group=modular ", " group=Gamma0(2) "),
+        (" max_trace=10 ", " max_trace=11 "),
+        (f" generator_convention={GENERATOR_CONVENTION} ",
+         " generator_convention=L=[[1,0],[1,1]],R=[[1,1],[0,1]] "),
+        (" rows_crc32=", " rows_crc32=1"),
+    ])
+    def test_tampered_first_line_field_is_a_miss(self, tmp_path, field, tampered):
+        path = tmp_path / "spec.csv"
+        write_cache(enumerate_spectrum(10), path)
+        lines = path.read_text().splitlines()
+        assert lines[0].count(field) == 1
+        lines[0] = lines[0].replace(field, tampered)
+        path.write_text("\n".join(lines) + "\n")
+        assert read_cache(path, 10) is None
+
+    def test_version_3_pair_is_a_miss_and_rewritten(self, tmp_path):
+        # the version-3 cache: the header and rows alone, and a JSON sidecar
+        path = tmp_path / "spec.csv"
+        spectrum = enumerate_spectrum(10)
+        write_cache(spectrum, path)
+        written = path.read_bytes()
+        rows = "".join(line + "\n" for line in path.read_text().splitlines()[2:])
+        path.write_bytes(b"trace,count\r\n" + rows.replace("\n", "\r\n").encode())
+        sidecar = tmp_path / "spec.csv.meta.json"
+        sidecar.write_text(json.dumps({
+            "generator_convention": GENERATOR_CONVENTION, "group": "modular", "max_trace": 10,
+            "rows_crc32": zlib.crc32(rows.encode()), "version": "3"}, indent=2, sort_keys=True) + "\n")
+        assert read_cache(path, 10) is None
+        write_cache(spectrum, path)
+        assert path.read_bytes() == written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.csv"]
+        assert read_cache(path, 10) == spectrum
+
+    def test_rewrite_replaces_the_file(self, tmp_path):
+        # a reader holding the old file keeps it whole; the new one leaves no
+        # partial file beside it
+        path = tmp_path / "spec.csv"
+        write_cache(enumerate_spectrum(10), path)
+        with path.open("rb") as old:
+            write_cache(enumerate_spectrum(12), path)
+            assert old.read().startswith(b"# hypzeta spectrum cache v4 group=modular max_trace=10 ")
+        assert read_cache(path, 12) == enumerate_spectrum(12)
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.csv"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "spec.csv"
+        write_cache(enumerate_spectrum(10), path)
+        written = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_cache(enumerate_spectrum(12), path)
+        assert path.read_bytes() == written
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.csv"]
+
+    @pytest.mark.parametrize("max_trace", [800.0, "800"])
+    def test_non_integral_bound_refused(self, tmp_path, enumerated_800, max_trace):
+        path = tmp_path / "spec.csv"
+        write_cache(enumerated_800, path)
+        with pytest.raises(TypeError):
+            read_cache(path, max_trace)
+        # refused before the file is opened: a missing one raises as well
+        with pytest.raises(TypeError):
+            read_cache(tmp_path / "absent.csv", max_trace)
+
+    def test_numpy_integer_bound(self, tmp_path, enumerated_800):
+        path = tmp_path / "spec.csv"
+        write_cache(enumerated_800, path)
+        loaded = read_cache(path, np.int64(800))
+        assert type(loaded.max_trace) is int
+        assert loaded == enumerated_800
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
         body = path.read_text().splitlines()
         for header in ("count,trace", "trace,count,length,norm", "trace,count,"):
-            body[0] = header
+            body[1] = header
             path.write_text("\n".join(body) + "\n")
             assert read_cache(path, 10) is None
 
@@ -374,21 +461,20 @@ class TestCache:
         # the rows below are rewritten this way, so they are refused for the row
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
-        sidecar = path.with_name(path.name + ".meta.json").read_text()
         body = path.read_text().splitlines()
         path.write_text("\n".join(body) + "\n")
         assert read_cache(path, 10) == enumerate_spectrum(10)
         _write_rows(path, body)
-        assert json.loads(path.with_name(path.name + ".meta.json").read_text()) == json.loads(sidecar)
+        assert path.read_text().splitlines() == body
         assert read_cache(path, 10) == enumerate_spectrum(10)
 
     def test_crc_of_the_rows_recorded(self, tmp_path):
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
-        rows = path.read_bytes().replace(b"\r\n", b"\n").partition(b"\n")[2]
-        meta = json.loads(path.with_name(path.name + ".meta.json").read_text())
-        assert meta["version"] == "3"
-        assert meta["rows_crc32"] == zlib.crc32(rows)
+        first, header, rows = path.read_bytes().replace(b"\r\n", b"\n").split(b"\n", 2)
+        assert header == b"trace,count"
+        assert first.decode() == first_line(10, rows.decode())
+        assert first.endswith(b" rows_crc32=%d" % zlib.crc32(rows))
 
     @pytest.mark.parametrize("row", ["4,3", "4,1", "4,20"])
     def test_edited_count_is_a_miss(self, tmp_path, row):
@@ -396,8 +482,8 @@ class TestCache:
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
         body = path.read_text().splitlines()
-        assert body[2] == "4,2"
-        body[2] = row
+        assert body[3] == "4,2"
+        body[3] = row
         path.write_text("\n".join(body) + "\n")
         assert read_cache(path, 10) is None
         _write_rows(path, body)
@@ -425,7 +511,7 @@ class TestCache:
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
         body = path.read_text().splitlines()
-        body[2] = row
+        body[3] = row
         _write_rows(path, body)
         assert read_cache(path, 10) is None
 
@@ -433,7 +519,7 @@ class TestCache:
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
         body = path.read_text().splitlines()
-        body[1] = "2,1"  # the first row; ascending order still holds
+        body[2] = "2,1"  # the first row; ascending order still holds
         _write_rows(path, body)
         assert read_cache(path, 10) is None
 
@@ -454,7 +540,7 @@ class TestCache:
         write_cache(enumerate_spectrum(10), path)
         assert read_cache(path, 10) == enumerate_spectrum(10)
         body = path.read_text().splitlines()
-        body[2] = row
+        body[3] = row
         _write_rows(path, body)
         assert read_cache(path, 10) is None
 
@@ -467,27 +553,46 @@ class TestCache:
     def test_empty_body_rejected(self, tmp_path):
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
-        _write_rows(path, path.read_text().splitlines()[:1])
+        _write_rows(path, path.read_text().splitlines()[:2])
         assert read_cache(path, 10) is None
 
     @pytest.mark.parametrize("max_trace", [3, 4, 12, 200, 800])
     def test_file_is_the_csv_writer_rendering(self, tmp_path, max_trace):
+        # below the first line, which holds commas of its own
         spectrum = enumerate_spectrum(max_trace)
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(("trace", "count"))
         for sh in spectrum.shells:
             writer.writerow([sh.trace, sh.count])
+        rows = expected.getvalue().partition("\r\n")[2].replace("\r\n", "\n")
         path = tmp_path / "spec.csv"
         write_cache(spectrum, path)
-        assert path.read_bytes() == expected.getvalue().encode()
-        assert path.read_bytes().count(b"\r\n") == spectrum.columns.shape[1] + 1
+        assert path.read_bytes() == (first_line(max_trace, rows) + "\r\n" + expected.getvalue()).encode()
+        assert path.read_bytes().count(b"\r\n") == spectrum.columns.shape[1] + 2
 
     def test_generator_convention_recorded(self, tmp_path):
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
-        meta = path.with_name(path.name + ".meta.json").read_text()
-        assert GENERATOR_CONVENTION in meta
+        first = path.read_text().partition("\n")[0]
+        assert f" generator_convention={GENERATOR_CONVENTION} " in first
+
+
+@pytest.mark.parametrize("bounds", [(800, 40, 2000), (2000, 40, 800)])
+def test_length_table_is_libm_acosh(monkeypatch, bounds):
+    # the table a fresh process starts from, grown by each enumeration in turn
+    empty = np.full(2, math.nan)
+    empty.flags.writeable = False
+    monkeypatch.setattr(length_spectrum, "_LENGTHS", empty)
+    for max_trace in bounds:
+        spectrum = enumerate_spectrum(max_trace)
+        trace, length = spectrum.columns[0].tolist(), spectrum.columns[3]
+        expected = np.array([2.0 * math.acosh(t / 2.0) for t in trace])
+        assert expected.tobytes() == length.tobytes()
+    table = length_spectrum._LENGTHS
+    assert table.size == 2001 and not table.flags.writeable
+    expected = np.array([2.0 * math.acosh(t / 2.0) for t in range(2, 2001)])
+    assert expected.tobytes() == table[2:].tobytes()
 
 
 @pytest.fixture(scope="module")
