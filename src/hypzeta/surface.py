@@ -185,9 +185,10 @@ def order_Z(sig: Signature, n0: int, point) -> int:
 
     Covered points: s = 1 (simple zero), s = 0, the negative half-integers
     (pole of order n), the negative integers, and the integers >= 2 where
-    the Euler product is regular and non-vanishing. n0 is the order of the
-    scattering determinant at s = 0.
+    the Euler product is regular and non-vanishing. n0, the order of the
+    scattering determinant at s = 0, goes through `operator.index`.
     """
+    n0 = operator.index(n0)
     twice = _as_twice_integer(point)
     if twice % 2 != 0:
         if twice < 0:
@@ -209,7 +210,8 @@ def order_Z(sig: Signature, n0: int, point) -> int:
 
 def order_R(sig: Signature, n0: int, point: int) -> int:
     """Order of the Ruelle zeta function at an integer point; DomainError
-    at any other point."""
+    at any other point. n0 goes through `operator.index`, as in order_Z."""
+    n0 = operator.index(n0)
     x = _finite_point(point)
     nearest = round(x)
     if abs(x - nearest) > 5e-10:  # the tolerance of order_Z

@@ -381,6 +381,22 @@ class TestVerifyCommand:
         assert code == 3
         assert result_of(report, "failed_checks") > 0
 
+    def test_wrong_stored_coefficient_gives_a_full_report(self, monkeypatch):
+        from dataclasses import replace
+
+        from hypzeta import verify
+
+        _, clean, _ = invoke_json(["verify"])
+        model = verify.modular_model()
+        monkeypatch.setattr(verify, "modular_model",
+                            lambda: replace(model, phi_tilde_0=model.phi_tilde_0 + 1e-4))
+        code, report, _ = invoke_json(["verify"])
+        assert code == 3
+        assert [c["name"] for c in report["checks"]] == [c["name"] for c in clean["checks"]]
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert "scattering: modular phi~(0) = stored phi_tilde_0" in failed
+        assert result_of(report, "failed_checks") == len(failed)
+
     def test_fail_line_names_the_sample_point(self, failing_sections):
         code, out, _ = invoke(["verify"])
         assert code == 3

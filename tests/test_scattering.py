@@ -86,13 +86,13 @@ class TestLeadingAtZero:
         model = modular_model()
         assert model.phi_tilde_0 == pytest.approx(-math.pi / 3.0, abs=0)
 
-    def test_fit_error_on_wrong_sign(self):
+    def test_fit_returned_for_wrong_stored_sign(self):
+        # the fit reads phi alone; verify compares it with the stored sign
         wrong = ScatteringModel(
             n=1, phi=modular_phi, n0=1, phi_tilde_0=math.pi / 3.0,
-            phi_half=-1.0, A=2, label="wrong sign",
+            A=2, label="wrong sign",
         )
-        with pytest.raises(FitError, match="contradicts stored"):
-            phi_leading_at_zero(wrong)
+        assert phi_leading_at_zero(wrong) == phi_leading_at_zero(modular_model())
 
     def test_trivial_model(self):
         n0, coeff = phi_leading_at_zero(trivial_model())
@@ -103,13 +103,31 @@ class TestLeadingAtZero:
         model = modular_model()
         assert model.n0 <= model.n
 
-    def test_fit_error_on_contradicting_model(self):
+    def test_fit_returned_for_contradicting_model(self):
         bad = ScatteringModel(
             n=1, phi=modular_phi, n0=0, phi_tilde_0=1.0,
-            phi_half=-1.0, A=2, label="bad",
+            A=2, label="bad",
         )
-        with pytest.raises(FitError):
-            phi_leading_at_zero(bad)
+        n0, coeff = phi_leading_at_zero(bad)
+        assert n0 == 1 and n0 != bad.n0
+        assert abs(coeff + math.pi / 3.0) < 1e-9
+
+    def test_fit_error_on_non_integer_slope(self):
+        # |phi| ~ |s|^(1/2): the slope locks onto no integer
+        model = ScatteringModel(
+            n=1, phi=lambda s: cmath.sqrt(s), n0=1, phi_tilde_0=1.0,
+            A=2, label="half power",
+        )
+        with pytest.raises(FitError, match="slope fit"):
+            phi_leading_at_zero(model)
+
+    def test_fit_error_on_non_real_coefficient(self):
+        model = ScatteringModel(
+            n=1, phi=lambda s: 1j * s, n0=1, phi_tilde_0=1.0,
+            A=2, label="imaginary",
+        )
+        with pytest.raises(FitError, match="not real"):
+            phi_leading_at_zero(model)
 
 
 class TestModelValidation:
@@ -121,26 +139,36 @@ class TestModelValidation:
 
     def test_modular_parity_data(self):
         model = modular_model()
-        assert model.A == 2 and model.phi_half == -1.0
-        assert (-1.0) ** (model.A // 2) == model.phi_half
+        assert model.A == 2
         assert model.parity == -1 and trivial_model().parity == 1
+        # (-1)^(A/2) = phi(1/2), with phi(1/2) from the determinant itself
+        assert abs(model.phi(0.5) - model.parity) < 1e-12
 
     def test_odd_A_rejected(self):
         with pytest.raises(ValueError):
             ScatteringModel(n=1, phi=modular_phi, n0=1, phi_tilde_0=1.0,
-                            phi_half=-1.0, A=1, label="x")
+                            A=1, label="x")
 
     def test_A_range_enforced(self):
         with pytest.raises(ValueError):
             ScatteringModel(n=1, phi=modular_phi, n0=1, phi_tilde_0=1.0,
-                            phi_half=1.0, A=4, label="x")
+                            A=4, label="x")
 
-    def test_sign_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            ScatteringModel(n=1, phi=modular_phi, n0=1, phi_tilde_0=1.0,
-                            phi_half=1.0, A=2, label="x")
+    @pytest.mark.parametrize("field", ["n", "n0", "A"])
+    @pytest.mark.parametrize("bad", [2.0, 1.5, float("nan"), "2"])
+    def test_integer_fields_take_index(self, field, bad):
+        data = dict(n=1, phi=modular_phi, n0=1, phi_tilde_0=1.0, A=2, label="x")
+        data[field] = bad
+        with pytest.raises(TypeError):
+            ScatteringModel(**data)
 
-    def test_phi_half_values(self):
-        with pytest.raises(ValueError):
-            ScatteringModel(n=1, phi=modular_phi, n0=1, phi_tilde_0=1.0,
-                            phi_half=0.5, A=2, label="x")
+    def test_integer_fields_stored_as_int(self):
+        model = ScatteringModel(n=True, phi=modular_phi, n0=False, phi_tilde_0=1.0,
+                                A=0, label="x")
+        assert (type(model.n), type(model.n0), type(model.A)) == (int, int, int)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_leading_coefficient_finite_and_non_zero(self, bad):
+        with pytest.raises(ValueError, match="finite and non-zero"):
+            ScatteringModel(n=1, phi=modular_phi, n0=1, phi_tilde_0=bad,
+                            A=2, label="x")

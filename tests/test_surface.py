@@ -177,6 +177,14 @@ class TestOrders:
         with pytest.raises(DomainError, match="finite"):
             order(MODULAR, 1, point)
 
+    @pytest.mark.parametrize("order, n0, point", [
+        (order_Z, math.nan, 0), (order_Z, 1.0, 0), (order_Z, "1", -1),
+        (order_R, 1.5, -1), (order_R, math.inf, 0), (order_R, 1.0, 2),
+    ])
+    def test_non_integral_n0_refused(self, order, n0, point):
+        with pytest.raises(TypeError):
+            order(MODULAR, n0, point)
+
     def test_R_takes_integral_floats(self):
         for point in range(-10, 4):
             assert order_R(MODULAR, 1, float(point)) == order_R(MODULAR, 1, point)

@@ -95,6 +95,17 @@ def test_other_checks_carry_no_point(report):
     assert not names & set(SIDES)
 
 
+def test_budget_checks_record_both_values(report):
+    rows = [c for c in report["sections"]["euler_product"]
+            if c["name"].startswith("Ruelle two-path agreement")
+            or c["name"] == "trace-cutoff stability at s=2"]
+    assert len(rows) == 7
+    for row in rows:
+        assert row["tolerance"] > 0, row["name"]
+        assert row["passed"] == (row["abs_diff"] <= row["tolerance"]), row["name"]
+        assert row["lhs"] != 1.0 and row["abs_diff"] == abs(row["lhs"] - row["rhs"])
+
+
 # ---------------------------------------------------------------------------
 # one kernel memo per run_verify call
 # ---------------------------------------------------------------------------

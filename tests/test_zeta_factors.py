@@ -408,7 +408,7 @@ class TestRuelleLeading:
     def test_three_cusp_sphere_with_hypothetical_model(self):
         model = ScatteringModel(
             n=3, phi=lambda s: 1.0 + 0.0j, n0=0, phi_tilde_0=1.0,
-            phi_half=1.0, A=0, label="hypothetical",
+            A=0, label="hypothetical",
         )
         order, coeff = ruelle_leading_at_zero(Signature(0, 3), model)
         assert order == 1
