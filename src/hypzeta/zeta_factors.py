@@ -47,11 +47,11 @@ __all__ = [
 ]
 
 
-def _exp(log_value: complex) -> complex:
-    """cmath.exp, raising DomainError where the value leaves double range:
-    where it overflows, and where it underflows to 0."""
+def _exp(log_value: complex, exp=cmath.exp) -> complex:
+    """exp (cmath's unless given), raising DomainError where the value
+    leaves double range: where it overflows, and where it underflows to 0."""
     try:
-        value = cmath.exp(log_value)
+        value = exp(log_value)
     except OverflowError:
         raise DomainError(f"exp({log_value}) overflows a double") from None
     if value == 0:
@@ -286,18 +286,26 @@ def ruelle_leading_at_zero(sig: Signature, sc: ScatteringModel) -> tuple[int, fl
     paper's printed (-1)^(A/2 + 1) prefactor times (-1)^(A/2); for the
     modular surface, phi_tilde_0 = -pi/3 gives +9/pi^2, the limit of
     s^2 R(s) that the transfer-operator oracle in tests confirms.
+    Raises DomainError where the coefficient overflows a double; with
+    2g - 2 + n >= -2 and |phi_tilde_0| finite it cannot underflow to 0.
     """
     check_cusp_count(sig, sc)
     euler = 2 * sig.g - 2 + sig.n
     order = euler - sc.n0
-    coeff = -(2.0 * math.pi) ** euler / sc.phi_tilde_0
-    for m in sig.orders:
-        coeff *= m
+    try:
+        coeff = -(2.0 * math.pi) ** euler / sc.phi_tilde_0
+        for m in sig.orders:
+            coeff *= m
+    except OverflowError:
+        coeff = math.inf
+    if math.isinf(coeff):
+        raise DomainError("the Ruelle leading coefficient at 0 leaves double range")
     return order, coeff
 
 
 def c1(sig: Signature, sc: ScatteringModel) -> float:
-    """Constant with det'(Laplacian) = c1 * Z'(1)."""
+    """Constant with det'(Laplacian) = c1 * Z'(1); raises DomainError
+    where it overflows or underflows to 0."""
     c = constants(sig, sc)
     chi = _chi(sig)
     log_total = (
@@ -308,11 +316,12 @@ def c1(sig: Signature, sc: ScatteringModel) -> float:
     for m in sig.orders:
         for k in range(1, m):
             log_total += (2 * k - 1 - m) / m * math.lgamma(k / m)
-    return math.exp(log_total)
+    return _exp(log_total, math.exp)
 
 
 def c0(sig: Signature, sc: ScatteringModel) -> float:
-    """Constant with det'(Laplacian) = c0 * (renormalized Z at 0)."""
+    """Constant with det'(Laplacian) = c0 * (renormalized Z at 0); raises
+    DomainError where it overflows or underflows to 0."""
     c = constants(sig, sc)
     chi = _chi(sig)
     log_total = (
@@ -324,4 +333,7 @@ def c0(sig: Signature, sc: ScatteringModel) -> float:
         log_total -= (m - 1) / m * math.log(m)
         for k in range(1, m):
             log_total += (2 * k + 1 - m) / m * math.lgamma(k / m)
-    return -sc.phi_tilde_0 * math.exp(log_total)
+    value = -sc.phi_tilde_0 * _exp(log_total, math.exp)
+    if math.isinf(value) or value == 0:
+        raise DomainError(f"c0 = {value} leaves double range")
+    return value

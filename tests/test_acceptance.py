@@ -15,11 +15,11 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from word_oracle import canonical_rotation, is_primitive, trace_of_word
+from word_oracle import canonical_rotation, is_primitive, necklace_count, trace_of_word
 
 from hypzeta.cli import run as cli_run
 from hypzeta.euler_product import ruelle_R, selberg_Z
-from hypzeta.length_spectrum import enumerate_spectrum, necklace_count
+from hypzeta.length_spectrum import enumerate_spectrum
 from hypzeta.scattering import builtin_model, modular_model, phi_leading_at_zero, trivial_model
 from hypzeta.special_functions import (
     gauss_multiplication_defect,

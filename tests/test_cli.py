@@ -77,6 +77,11 @@ class TestExitCodes:
         ["det-laplacian", "--signature", "2,0,", "--s", "3,15", "--z-value", "1,0"],
         # |kappa| = e^749 here; at 0.3,280 on 0,1,2:3 it is finite (see below)
         ["kappa", "--signature", "2,1,", "--s", "0.7,200"],
+        # the Ruelle leading coefficient: (2 pi)^398, and a product of orders
+        ["ruelle-leading", "--signature", "200,0,"],
+        ["ruelle-leading", "--signature", "0,0," + ":".join([str(10**200)] * 3)],
+        ["constants", "--signature", "400,0,"],  # c0 underflows to 0
+        ["constants", "--signature", "0,0,100000:100000:100000"],  # E overflows
     ])
     def test_overflow_is_numerical_error(self, argv):
         code, out, err = invoke(argv + ["--json"])

@@ -21,6 +21,7 @@ from word_oracle import (
     canonical_rotation,
     is_primitive,
     lyndon_words,
+    necklace_count,
     trace_of_word,
 )
 
@@ -31,7 +32,6 @@ from hypzeta.length_spectrum import (
     GENERATOR_CONVENTION,
     LengthSpectrum,
     enumerate_spectrum,
-    necklace_count,
     read_cache,
     write_cache,
 )
@@ -146,6 +146,25 @@ class TestClassFromWord:
                 x[2] * qi + x[3] * ti,
             )
             assert y[0] + y[3] == a + d
+
+
+class TestNecklaceCount:
+    """The word oracle's Moebius count of the classes of each word length."""
+
+    def test_small_values(self):
+        assert necklace_count(2) == 1  # {LR}
+        assert necklace_count(3) == 2  # {LLR, LRR}
+        assert necklace_count(6) == 9  # (64 - 8 - 4 + 2)/6
+
+    def test_exhaustive_match(self):
+        for ell in range(2, 13):
+            words = ("".join(bits) for bits in itertools.product("LR", repeat=ell))
+            seen = {canonical_rotation(word) for word in words if is_primitive(word)}
+            assert necklace_count(ell) == len(seen)
+
+    def test_rejects_short(self):
+        with pytest.raises(ValueError):
+            necklace_count(1)
 
 
 class TestEnumeration:
@@ -289,23 +308,6 @@ class TestEnumeration:
         spectrum = enumerate_spectrum(np.int64(12))
         assert type(spectrum.max_trace) is int
         assert spectrum == enumerate_spectrum(12)
-
-
-class TestNecklaceCount:
-    def test_small_values(self):
-        assert necklace_count(2) == 1  # {LR}
-        assert necklace_count(3) == 2  # {LLR, LRR}
-        assert necklace_count(6) == 9  # (64 - 8 - 4 + 2)/6
-
-    def test_exhaustive_match(self):
-        for ell in range(2, 13):
-            words = ("".join(bits) for bits in itertools.product("LR", repeat=ell))
-            seen = {canonical_rotation(word) for word in words if is_primitive(word)}
-            assert necklace_count(ell) == len(seen)
-
-    def test_rejects_short(self):
-        with pytest.raises(ValueError):
-            necklace_count(1)
 
 
 def first_line(max_trace, rows):

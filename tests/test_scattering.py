@@ -129,6 +129,22 @@ class TestLeadingAtZero:
         with pytest.raises(FitError, match="not real"):
             phi_leading_at_zero(model)
 
+    @pytest.mark.parametrize("phi, message", [
+        (lambda s: 0j, "0 or not finite at a fit radius"),
+        (lambda s: complex(math.nan, 0.0), "0 or not finite at a fit radius"),
+        (lambda s: complex(math.inf, 0.0), "0 or not finite at a fit radius"),
+        # |phi| = e^-460.5 |s|^-85 is finite at every radius; 1e-4^-85 is not
+        (lambda s: complex(math.copysign(1.0, s.real)
+                           * math.exp(-85.0 * math.log(abs(s.real)) - 460.5)),
+         "leaves double range"),
+        # phi = e^720 s^70 is finite at every radius; its coefficient e^720 is not
+        (lambda s: complex(math.exp(70.0 * math.log(abs(s.real)) + 720.0)), "not finite"),
+    ], ids=["zero", "nan", "inf", "steep-pole", "steep-zero"])
+    def test_fit_error_outside_double_range(self, phi, message):
+        model = ScatteringModel(n=0, phi=phi, n0=0, phi_tilde_0=1.0, A=0, label="degenerate")
+        with pytest.raises(FitError, match=message):
+            phi_leading_at_zero(model)
+
 
 class TestModelValidation:
     def test_builtin_labels(self):

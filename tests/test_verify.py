@@ -7,7 +7,7 @@ import math
 import mpmath as mp
 import pytest
 
-from hypzeta import special_functions, verify
+from hypzeta import special_functions, verify, zeta_factors
 from hypzeta.scattering import modular_model
 from hypzeta.special_functions import (
     digamma,
@@ -52,8 +52,8 @@ def _sides_at(name, s):
         return SIDES[name](s)
     for sig, sc in verify.identity_pairs():
         for check in verify._factor_identities_at(sig, sc, s, 1e-9):
-            if check.name == name:
-                return check.lhs, check.rhs
+            if check["name"] == name:
+                return check["lhs"], check["rhs"]
     raise KeyError(name)
 
 
@@ -77,10 +77,11 @@ def _mp_phi_logderiv(z):
 
 def test_phi_logderiv_sides_against_mpmath():
     checks = verify.scattering_checks()
-    (check,) = [c for c in checks if c.name == "phi'/phi symmetry under s -> 1-s"]
-    assert check.tolerance == 1e-9
-    s = mp.mpc(check.s.real, check.s.imag)
-    for ours, ref in ((check.lhs, _mp_phi_logderiv(s)), (check.rhs, _mp_phi_logderiv(1 - s))):
+    (check,) = [c for c in checks if c["name"] == "phi'/phi symmetry under s -> 1-s"]
+    assert check["tolerance"] == 1e-9
+    s = mp.mpc(check["s"].real, check["s"].imag)
+    for ours, ref in ((check["lhs"], _mp_phi_logderiv(s)),
+                      (check["rhs"], _mp_phi_logderiv(1 - s))):
         assert abs(ours - ref) <= 1e-10
     # every sample point, not only the reported worst one
     for z in (0.3 + 0.4j, 0.7 - 1.2j, 0.41 + 2.0j):
@@ -93,6 +94,27 @@ def test_other_checks_carry_no_point(report):
              if c["s"] is None}
     assert "zeta(2) = pi^2/6" in names and "modular n0 from slope fit" in names
     assert not names & set(SIDES)
+
+
+def test_rows_are_plain_dicts_with_seven_keys(report):
+    keys = ["name", "lhs", "rhs", "abs_diff", "tolerance", "passed", "s"]
+    rows = [c for checks in report["sections"].values() for c in checks]
+    assert len(rows) == report["total_checks"] == 128
+    for row in rows:
+        assert type(row) is dict and list(row) == keys, row
+
+
+def test_c0_c1_relation_reads_the_leading_coefficient(monkeypatch):
+    leading = zeta_factors.ruelle_leading_at_zero
+
+    def off(sig, sc):
+        order, coeff = leading(sig, sc)
+        return order, coeff * (1.0 + 1e-6)
+
+    monkeypatch.setattr(zeta_factors, "ruelle_leading_at_zero", off)
+    rows = {c["name"]: c["passed"] for c in verify.constants_checks()}
+    assert not rows["c0 against c1 relation [(0;1;2,3)]"]
+    assert not rows["c0 against c1 relation [(2;0;)]"]
 
 
 def test_budget_checks_record_both_values(report):
@@ -242,7 +264,7 @@ def _order_checks_with_one_wrong(monkeypatch, label, k, delta):
         return order_Z(s, n0, point) + (delta if (s, point) == (sig, -k) else 0)
 
     monkeypatch.setattr(verify, "order_Z", wrong)
-    return {c.name: c.passed for c in verify.order_checks()}
+    return {c["name"]: c["passed"] for c in verify.order_checks()}
 
 
 @pytest.mark.parametrize("k", [1, 2, 27, 50])

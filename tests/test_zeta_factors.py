@@ -362,6 +362,11 @@ class TestCuspCount:
             call(MODULAR, trivial_model())
 
 
+def _trivial_with(phi_tilde_0):
+    return ScatteringModel(n=0, phi=lambda s: 1.0 + 0.0j, n0=0,
+                           phi_tilde_0=phi_tilde_0, A=0, label="trivial")
+
+
 class TestOverflow:
     @pytest.mark.parametrize("call", [
         lambda: z_infty(COMPACT, 3.0 + 40.0j),
@@ -370,7 +375,18 @@ class TestOverflow:
         lambda: det_laplacian(COMPACT, trivial_model(), 3.0 + 15.0j, 1.0),
         # finite factors whose product overflows to nan
         lambda: det_laplacian(Signature(2, 1), modular_model(), -3.0 + 14.0825j, 1.0),
-    ], ids=["z_infty", "kappa", "det_laplacian-exp", "det_laplacian-nan"])
+        # (2 pi)^398; the product of three orders; an order past double
+        # range; the quotient by phi~(0)
+        lambda: ruelle_leading_at_zero(Signature(200, 0), trivial_model()),
+        lambda: ruelle_leading_at_zero(Signature(0, 0, (10**200,) * 3), trivial_model()),
+        lambda: ruelle_leading_at_zero(Signature(0, 0, (10**400,) * 3), trivial_model()),
+        lambda: ruelle_leading_at_zero(COMPACT, _trivial_with(1e-308)),
+        # log c1 and log c0 are about 5.8e5
+        lambda: c1(Signature(0, 0, (10**5,) * 3), trivial_model()),
+        lambda: c0(Signature(0, 0, (10**5,) * 3), trivial_model()),
+    ], ids=["z_infty", "kappa", "det_laplacian-exp", "det_laplacian-nan",
+            "leading-genus-200", "leading-orders-1e200", "leading-orders-1e400",
+            "leading-tiny-phi", "c1", "c0"])
     def test_domain_error(self, call):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DomainWarning)
@@ -385,6 +401,12 @@ class TestOverflow:
         with pytest.raises(DomainError, match="underflows"):
             FactorValue.from_log(-800.0 + 1.0j)
         assert FactorValue.from_log(-700.0).value.real > 0.0
+        # on (400;0;) log c0 is below -745 while c1 = e^270 stays in range
+        with pytest.raises(DomainError, match="underflows"):
+            c0(Signature(400, 0), trivial_model())
+        # a subnormal phi~(0) takes -phi~(0) e^(log c0) to 0 after the exp
+        with pytest.raises(DomainError, match="leaves double range"):
+            c0(COMPACT, _trivial_with(5e-324))
 
     def test_kappa_finite_past_zeta_reflection_overflow(self):
         # sin(pi s / 2) and Gamma(1 - s) in zeta's reflection each overflow here
@@ -413,6 +435,13 @@ class TestRuelleLeading:
         order, coeff = ruelle_leading_at_zero(Signature(0, 3), model)
         assert order == 1
         assert abs(coeff + 2.0 * math.pi) < 1e-12
+
+    def test_finite_values_near_the_edge_unchanged(self):
+        # just inside double range the coefficient is returned, pinned bit for bit
+        assert ruelle_leading_at_zero(Signature(180, 0), trivial_model()) == (
+            358, -5.602641994639105e+285)
+        assert ruelle_leading_at_zero(Signature(0, 0, (10**100,) * 3), trivial_model()) == (
+            -2, -2.5330295910584447e+298)
 
 
 class TestConstantsC:
@@ -450,6 +479,10 @@ class TestConstantsC:
     def test_compact_pinned(self):
         assert abs(c1(COMPACT, trivial_model()) - C1_COMPACT) < 1e-13
         assert abs(c0(COMPACT, trivial_model()) - C0_COMPACT) < 1e-13
+
+    def test_finite_values_near_the_edge_unchanged(self):
+        # just inside double range c1 is returned, pinned bit for bit
+        assert c1(Signature(400, 0), trivial_model()) == 1.4893626415673929e+117
 
     def test_c0_c1_relation_everywhere(self):
         for sig, sc in [(MODULAR, modular_model()), (COMPACT, trivial_model()),

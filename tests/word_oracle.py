@@ -3,7 +3,8 @@
 A primitive hyperbolic class of the modular group is a cyclic word in
 L = [[1,1],[0,1]] and R = [[1,0],[1,1]] that uses both letters and is no
 proper power; its canonical name is its minimal rotation (L before R),
-a Lyndon word, and its invariant the trace of the word's matrix.
+a Lyndon word, and its invariant the trace of the word's matrix. The
+number of such words of each length is Moebius's divisor sum.
 """
 
 import itertools
@@ -65,3 +66,26 @@ def lyndon_words(max_trace):
             stack.append((word + "R", len(word) + 1, a + b, b, c + d, d))
         else:
             stack.append((word + "R", p, a + b, b, c + d, d))
+
+
+def _moebius(n):
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if n > 1:
+        result = -result
+    return result
+
+
+def necklace_count(length):
+    """Aperiodic binary necklaces of the given length using both letters."""
+    if length < 2:
+        raise ValueError("length must be at least 2")
+    total = sum(_moebius(d) * 2 ** (length // d) for d in range(1, length + 1) if length % d == 0)
+    return total // length
