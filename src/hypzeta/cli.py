@@ -23,13 +23,15 @@ from datetime import datetime, timezone
 from . import euler_product, length_spectrum, verify, zeta_factors
 from .errors import HypzetaError
 from .scattering import ScatteringModel, modular_model, trivial_model
-from .surface import (Signature, constants, geometric_constants, order_R, order_Z,
+from .surface import (Signature, area, constants, geometric_constants, order_R, order_Z,
                       parse_signature)
 
 __all__ = ["run", "main"]
 
 
 _DEFAULT_MAX_TRACE = 40
+# most points an `orders` table spans, as enumerate_spectrum's default capacity
+_MAX_ORDER_POINTS = 1_000_000
 
 
 class UsageError(Exception):
@@ -148,7 +150,11 @@ def _spectrum_for(args, report: Report):
             return cached
     spectrum = length_spectrum.enumerate_spectrum(args.max_trace)
     if cache:
-        length_spectrum.write_cache(spectrum, cache)
+        try:
+            length_spectrum.write_cache(spectrum, cache)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write the spectrum cache {cache!r}: {exc.strerror or exc}") from None
         report.inputs["cache_status"] = "miss"
     return spectrum
 
@@ -163,6 +169,9 @@ def _cmd_orders(args) -> tuple[Report, int]:
     lo, hi = args.from_point, args.to_point
     if lo > hi:
         raise UsageError("--from must not exceed --to")
+    if hi - lo >= _MAX_ORDER_POINTS:
+        raise UsageError(
+            f"--from to --to spans {hi - lo + 1:,} points, more than {_MAX_ORDER_POINTS:,}")
     report.inputs.update({"from": lo, "to": hi})
     table = []
     for point in range(lo, hi + 1):
@@ -234,19 +243,19 @@ def _cmd_constants(args) -> tuple[Report, int]:
     """The determinant constants; past one cusp, the geometric ones only."""
     sig = parse_signature(args.signature)
     report = Report("constants", {"signature": sig.label()})
-    surface_area, b_const, c_const = geometric_constants(sig)
-    report.add("area", surface_area)
+    report.add("area", area(sig))
     report.add("area_over_2pi", float(sig.normalized_area()))
     try:
         model = _model_for(sig)
     except UsageError as exc:
         report.notes.append(f"{exc}; reporting geometric data only")
-        report.add("B", b_const)
-        report.add("C", c_const)
+        for name, value in zip(("B", "C"), geometric_constants(sig)):
+            report.add(name, value)
         return report, 0
     report.inputs["group"] = model.label
+    report.add("A", model.A)
     c = constants(sig, model)
-    for name in ("A", "B", "C", "D", "log_E"):
+    for name in ("B", "C", "D", "log_E"):
         report.add(name, getattr(c, name))
     report.add("E", zeta_factors._exp(c.log_E, math.exp))
     report.add("c1", zeta_factors.c1(sig, model))

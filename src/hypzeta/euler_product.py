@@ -46,12 +46,11 @@ class TruncatedValue:
 
     `k_tail_error` and `trace_tail_error` are the relative parts of the
     estimate: the terms cut at k > k_cutoff_used and the shells beyond
-    max_trace_used; abs_error_estimate = |value| * (their sum).
+    the spectrum's max_trace; abs_error_estimate = |value| * (their sum).
     """
 
     value: complex
     abs_error_estimate: float
-    max_trace_used: int
     k_cutoff_used: int
     k_tail_error: float
     trace_tail_error: float
@@ -181,7 +180,6 @@ def selberg_Z(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
     return TruncatedValue(
         value=value,
         abs_error_estimate=abs(value) * (k_tail + trace_tail),
-        max_trace_used=spectrum.max_trace,
         k_cutoff_used=cutoff,
         k_tail_error=k_tail,
         trace_tail_error=trace_tail,
@@ -196,7 +194,6 @@ def _ruelle_direct(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
     return TruncatedValue(
         value=value,
         abs_error_estimate=abs(value) * trace_tail,
-        max_trace_used=spectrum.max_trace,
         k_cutoff_used=0,
         k_tail_error=0.0,
         trace_tail_error=trace_tail,
@@ -230,7 +227,6 @@ def ruelle_R(
     return TruncatedValue(
         value=value,
         abs_error_estimate=abs(value) * rel,
-        max_trace_used=spectrum.max_trace,
         k_cutoff_used=za.k_cutoff_used,
         k_tail_error=za.k_tail_error + zb.k_tail_error,
         trace_tail_error=za.trace_tail_error + zb.trace_tail_error,

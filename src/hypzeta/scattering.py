@@ -167,7 +167,7 @@ def phi_leading_at_zero(model: ScatteringModel) -> tuple[int, float]:
     n0 and phi_tilde_0 are not consulted; verify compares them with the
     fit. Raises FitError only if the fit fails: phi is 0 or not finite at
     a fit radius, the slope does not lock onto an integer within 0.01, or
-    the coefficient is not a finite real number.
+    the coefficient is not a finite, non-zero real number.
     """
     radii = (1e-2, 1e-3, 1e-4)
     plus = [model.phi(complex(r, 0.0)) for r in radii]
@@ -192,4 +192,6 @@ def phi_leading_at_zero(model: ScatteringModel) -> tuple[int, float]:
         raise FitError(f"leading coefficient {coeff_c} is not finite")
     if abs(coeff_c.imag) > 1e-8 * max(1.0, abs(coeff_c)):
         raise FitError(f"leading coefficient {coeff_c} is not real")
+    if coeff_c.real == 0:
+        raise FitError(f"leading coefficient of phi at 0 is 0 at order {order}")
     return order, coeff_c.real

@@ -10,7 +10,8 @@ G2(s) = Gamma(s) * G2(s+1), the constant zeta'(-1), and a self-test
 defect for the Gauss multiplication formula.
 
 Truncations are sized from the argument, never set by the caller: the
-zeta sum length grows with |Im s|, and the double-gamma product
+zeta sum length grows with |Im s|, which is refused with DomainError
+beyond 10^6 (8 MB per array of the sum), and the double-gamma product
 length doubles from 10,000 terms until its remainder bound meets 1e-11,
 up to a ceiling of 160,000 terms (about |s - 1| <= 1,060 after the
 recursion shift); beyond it G2 raises ConvergenceError.
@@ -50,6 +51,7 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 ZETA_PRIME_MINUS_ONE = -0.16542114370045092921391966024278
 
 _POLE_TOL = 1e-12
+_ZETA_MAX_IMAG = 1e6  # the zeta sum holds |Im s| + 20 terms: 8 MB per array here
 
 
 def _is_nonpositive_integer(s: complex, tol: float = _POLE_TOL) -> bool:
@@ -346,14 +348,17 @@ def riemann_zeta(s: complex) -> complex:
     and for Re s >= 1/2 with |Im s| <= 250; to ~1e-11 for Re s in [-3, 4]
     and |Im s| <= 3,000, where the phases |Im s| log k of the sum and
     |Im s| log |Im s| of the factor are rounded in double precision.
-    Raises PoleError at s = 1, and DomainError where the result itself
-    leaves double range. Returns exactly 0 at the trivial zeros
+    Raises PoleError at s = 1, and DomainError for |Im s| > 10^6, before
+    the sum is allocated, and where the result itself leaves double
+    range. Returns exactly 0 at the trivial zeros
     s = -2, -4, ..., where the reflection formula would multiply a
     rounded sin(pi s / 2) by a huge gamma factor.
     """
     s = _finite_complex(s)
     if abs(s - 1.0) < _POLE_TOL:
         raise PoleError("riemann_zeta pole at s=1")
+    if abs(s.imag) > _ZETA_MAX_IMAG:
+        raise DomainError(f"riemann_zeta takes |Im s| <= 1e6 (got s = {s})")
     return _memoized(_riemann_zeta, s)
 
 

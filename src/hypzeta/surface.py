@@ -99,14 +99,13 @@ def parse_signature(text: str) -> Signature:
 class SurfaceConstants:
     """Constants of the closed-form Laplacian determinant for one surface.
 
-    area    hyperbolic area |X|
-    A       cusp parity constant (always an even integer)
     B, C, D coefficients of the exponential factor exp(B(s-1/2)^2 + C(s-1/2) + D)
     log_E   log of the positive constant tying det'(Laplacian) to Z'(1)
+
+    The area is `area(sig)`, and the parity constant A is the scattering
+    model's `A`.
     """
 
-    area: float
-    A: int
     B: float
     C: float
     D: float
@@ -118,10 +117,10 @@ def area(sig: Signature) -> float:
     return 2.0 * math.pi * float(sig.normalized_area())
 
 
-def geometric_constants(sig: Signature) -> tuple[float, float, float]:
-    """The constants that need no scattering model: the area |X|,
-    B = -|X| / (2 pi) and C = -n log 2."""
-    return area(sig), -float(sig.normalized_area()), -sig.n * math.log(2.0)
+def geometric_constants(sig: Signature) -> tuple[float, float]:
+    """The constants that need no scattering model: B = -|X| / (2 pi)
+    and C = -n log 2."""
+    return -float(sig.normalized_area()), -sig.n * math.log(2.0)
 
 
 def _elliptic_log_sum(sig: Signature) -> float:
@@ -139,29 +138,21 @@ def check_cusp_count(sig: Signature, sc) -> None:
 def constants(sig: Signature, sc) -> SurfaceConstants:
     """All determinant-formula constants for a surface with scattering data sc.
 
-    Requires sc.n == sig.n; A is taken from the scattering model.
+    Requires sc.n == sig.n; D reads the model's A.
     """
     check_cusp_count(sig, sc)
-    surface_area, b_const, c_const = geometric_constants(sig)
+    b_const, c_const = geometric_constants(sig)
     chi = float(sig.normalized_area())  # |X| / (2 pi)
     log_2pi = math.log(2.0 * math.pi)
     ell = _elliptic_log_sum(sig)
-    a_const = sc.A
     d_const = (
         ell
         + 0.5 * sig.n * log_2pi
         - chi * (0.5 * log_2pi - 2.0 * ZETA_PRIME_MINUS_ONE)
-        - 0.5 * a_const * math.log(2.0)
+        - 0.5 * sc.A * math.log(2.0)
     )
     log_e = ell + chi * (2.0 * ZETA_PRIME_MINUS_ONE - 0.25)
-    return SurfaceConstants(
-        area=surface_area,
-        A=a_const,
-        B=b_const,
-        C=c_const,
-        D=d_const,
-        log_E=log_e,
-    )
+    return SurfaceConstants(B=b_const, C=c_const, D=d_const, log_E=log_e)
 
 
 def _finite_point(point) -> float:

@@ -6,9 +6,9 @@ failure is reproducible from the report alone. The sample points for
 branch-sensitive identities are versioned data: they were screened so
 that principal-branch evaluation of both sides agrees there.
 
-Also reproduces the modular-surface constants: the scattering value at
-1/2, the order and signed leading coefficient of phi at 0, and the
-signed Ruelle leading coefficient at 0.
+Also reproduces the scattering constants: phi(1/2) = (-1)^(A/2) for
+each bundled model, the order and signed leading coefficient of the
+modular phi at 0, and the signed Ruelle leading coefficient at 0.
 """
 
 from __future__ import annotations
@@ -184,7 +184,6 @@ def special_function_checks() -> list[dict]:
     ))
     # zeta spot values
     checks.append(_check("zeta(-1) = -1/12", riemann_zeta(-1.0), -1.0 / 12.0, 1e-12))
-    checks.append(_check("zeta(0) = -1/2", riemann_zeta(0.0), -0.5, 1e-12))
     checks.append(_check("zeta(2) = pi^2/6", riemann_zeta(2.0), math.pi ** 2 / 6.0, 1e-12))
     # digamma against a central difference of log_gamma
     h = 1e-4
@@ -200,7 +199,9 @@ def scattering_checks() -> list[dict]:
     tol = 1e-9
     checks = []
     model = modular_model()
-    checks.append(_check("modular phi(1/2) = -1", model.phi(0.5), -1.0, 1e-10))
+    # the stored A against the determinant: (-1)^(A/2) = phi(1/2)
+    for sc in (model, trivial_model()):
+        checks.append(_check(f"phi(1/2) = (-1)^(A/2) [{sc.label}]", sc.phi(0.5), sc.parity, 1e-10))
     # phi(s) phi(1-s) = 1 on a 50-point grid away from poles
     pts = []
     for i in range(50):
@@ -336,10 +337,6 @@ def spectrum_checks() -> list[dict]:
     spectrum = length_spectrum.enumerate_spectrum(12)
     for trace, count in SPECTRUM_MULTIPLICITY.items():
         checks.append(_check(f"multiplicity of trace {trace}", spectrum.mult(trace), count, 0))
-    checks.append(_check(
-        "minimum geodesic length = 2 arccosh(3/2)",
-        spectrum.min_length, 2.0 * math.acosh(1.5), 1e-12,
-    ))
     return checks
 
 

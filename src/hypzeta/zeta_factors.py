@@ -80,15 +80,15 @@ def _chi(sig: Signature) -> float:
     return float(sig.normalized_area())
 
 
+def _log_base(s: complex) -> complex:
+    """log of Z_inf's base (2 pi)^s G2(s)^2 / Gamma(s)."""
+    return s * math.log(2.0 * math.pi) + 2.0 * log_barnes_gamma2(s) - log_gamma(s)
+
+
 def z_infty(sig: Signature, s: complex) -> FactorValue:
     """Archimedean factor ((2 pi)^s G2(s)^2 / Gamma(s)) ^ (area / 2 pi)."""
     s = _finite_complex(s)
-    log_base = (
-        s * math.log(2.0 * math.pi)
-        + 2.0 * log_barnes_gamma2(s)
-        - log_gamma(s)
-    )
-    return FactorValue.from_log(_chi(sig) * log_base)
+    return FactorValue.from_log(_chi(sig) * _log_base(s))
 
 
 # int_0^1 (2u - 1) log Gamma(u) du: Re log Z_ell falls by about this much
@@ -176,7 +176,7 @@ def det_laplacian(
         + c.C * half
         + c.D
     )
-    value = (2.0 * s - 1.0) ** (c.A // 2) * _exp(log_rest) * complex(Z_value)
+    value = (2.0 * s - 1.0) ** (sc.A // 2) * _exp(log_rest) * complex(Z_value)
     if not cmath.isfinite(value):
         raise DomainError(f"det_laplacian leaves double range at s={s}")
     return value
@@ -201,10 +201,10 @@ def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
     """Functional-equation multiplier kappa with Z(1-s) = kappa(s) Z(s).
 
     Assembled in log space from the cusp exponential, phi(s), the
-    double-gamma block, the cusp gamma ratio, and the cone-point sine
-    product. At s = 1/2 every factor but phi is 1, so
-    kappa(1/2) = phi(1/2) = (-1)^(A/2). Raises SingularFactorError naming
-    whichever factor is singular at s.
+    double-gamma block (Z_inf's log base at s less that at 1 - s), the
+    cusp gamma ratio, and the cone-point sine product. At s = 1/2 every
+    factor but phi is 1, so kappa(1/2) = phi(1/2) = (-1)^(A/2). Raises
+    SingularFactorError naming whichever factor is singular at s.
     """
     s = _finite_complex(s)
     c = constants(sig, sc)
@@ -216,13 +216,7 @@ def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
     if phi_val == 0:
         raise SingularFactorError("scattering determinant", f"phi({s}) = 0")
     try:
-        gamma2_block = (
-            (2.0 * s - 1.0) * math.log(2.0 * math.pi)
-            + 2.0 * log_barnes_gamma2(s)
-            - 2.0 * log_barnes_gamma2(1.0 - s)
-            + log_gamma(1.0 - s)
-            - log_gamma(s)
-        )
+        gamma2_block = _log_base(s) - _log_base(1.0 - s)
     except PoleError as exc:
         raise SingularFactorError("double-gamma block", str(exc)) from None
     try:
@@ -303,16 +297,20 @@ def ruelle_leading_at_zero(sig: Signature, sc: ScatteringModel) -> tuple[int, fl
     return order, coeff
 
 
+def _log_c_common(sig: Signature, sc: ScatteringModel, sign: float) -> float:
+    """The part of log c1 (sign +1) and log c0 (sign -1) outside the cone
+    sums: (n - A/2) log 2 + sign (area / 4 pi) log 2 pi + log E."""
+    return (
+        (sig.n - sc.A / 2.0) * math.log(2.0)
+        + sign * 0.5 * _chi(sig) * math.log(2.0 * math.pi)
+        + constants(sig, sc).log_E
+    )
+
+
 def c1(sig: Signature, sc: ScatteringModel) -> float:
     """Constant with det'(Laplacian) = c1 * Z'(1); raises DomainError
     where it overflows or underflows to 0."""
-    c = constants(sig, sc)
-    chi = _chi(sig)
-    log_total = (
-        (sig.n - c.A / 2.0) * math.log(2.0)
-        + 0.5 * chi * math.log(2.0 * math.pi)
-        + c.log_E
-    )
+    log_total = _log_c_common(sig, sc, 1.0)
     for m in sig.orders:
         for k in range(1, m):
             log_total += (2 * k - 1 - m) / m * math.lgamma(k / m)
@@ -322,13 +320,7 @@ def c1(sig: Signature, sc: ScatteringModel) -> float:
 def c0(sig: Signature, sc: ScatteringModel) -> float:
     """Constant with det'(Laplacian) = c0 * (renormalized Z at 0); raises
     DomainError where it overflows or underflows to 0."""
-    c = constants(sig, sc)
-    chi = _chi(sig)
-    log_total = (
-        (sig.n - c.A / 2.0) * math.log(2.0)
-        - 0.5 * chi * math.log(2.0 * math.pi)
-        + c.log_E
-    )
+    log_total = _log_c_common(sig, sc, -1.0)
     for m in sig.orders:
         log_total -= (m - 1) / m * math.log(m)
         for k in range(1, m):

@@ -82,6 +82,8 @@ class TestExitCodes:
         ["ruelle-leading", "--signature", "0,0," + ":".join([str(10**200)] * 3)],
         ["constants", "--signature", "400,0,"],  # c0 underflows to 0
         ["constants", "--signature", "0,0,100000:100000:100000"],  # E overflows
+        # phi reads zeta at 2s - 1, past its |Im s| bound of 10^6
+        ["kappa", "--signature", "0,1,2:3", "--s", "0.3,1e300"],
     ])
     def test_overflow_is_numerical_error(self, argv):
         code, out, err = invoke(argv + ["--json"])
@@ -147,6 +149,14 @@ class TestOrders:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("lo, hi", [("-3", "10000000000"), ("0", "1000000")])
+    def test_span_past_a_million_points_rejected(self, lo, hi):
+        code, out, err = invoke(
+            ["orders", "--signature", "0,1,2:3", "--from", lo, "--to", hi, "--json"]
+        )
+        assert code == 1 and "1,000,000" in err
+        assert json.loads(out)["error"]["kind"] == "usage"
+
 
 class TestRuelleLeading:
     def test_modular_json(self):
@@ -177,6 +187,19 @@ class TestSpectrum:
         assert code == 0 and report["inputs"]["cache_status"] == "miss"
         code, report, _ = invoke_json(["spectrum", "--max-trace", "10", "--cache", cache])
         assert code == 0 and report["inputs"]["cache_status"] == "hit"
+
+    @pytest.mark.parametrize("argv, target", [
+        (["zeta", "--s", "2,0", "--max-trace", "10"], "missing/x.csv"),
+        (["spectrum", "--max-trace", "10"], "directory"),
+    ])
+    def test_unwritable_cache_is_usage_error(self, tmp_path, argv, target):
+        (tmp_path / "directory").mkdir()
+        cache = str(tmp_path / target)
+        code, out, err = invoke(argv + ["--cache", cache, "--json"])
+        assert code == 1 and "usage error" in err
+        error = json.loads(out)["error"]
+        assert error["kind"] == "usage" and cache in error["message"]
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_corrupt_cache_reenumerated(self, tmp_path):
         cache = tmp_path / "spec.csv"

@@ -131,8 +131,8 @@ class TestSelbergZ:
 
     def test_metadata_recorded(self, sp40):
         out = selberg_Z(sp40, 2.0)
-        assert out.max_trace_used == 40
-        assert out.abs_error_estimate >= 0.0
+        assert out.abs_error_estimate == abs(out.value) * (out.k_tail_error + out.trace_tail_error)
+        assert out.trace_tail_error > 0.0
 
 
 class TestAgainstScalarLoops:

@@ -129,6 +129,16 @@ class TestLeadingAtZero:
         with pytest.raises(FitError, match="not real"):
             phi_leading_at_zero(model)
 
+    def test_fit_error_on_zero_coefficient(self):
+        # phi = sign(Re s) (Re s)^2 has slope 2 and an even part of 0, a
+        # coefficient ScatteringModel itself refuses
+        model = ScatteringModel(
+            n=1, phi=lambda s: complex(math.copysign(s.real ** 2, s.real)), n0=2,
+            phi_tilde_0=1.0, A=2, label="odd square",
+        )
+        with pytest.raises(FitError, match="is 0"):
+            phi_leading_at_zero(model)
+
     @pytest.mark.parametrize("phi, message", [
         (lambda s: 0j, "0 or not finite at a fit radius"),
         (lambda s: complex(math.nan, 0.0), "0 or not finite at a fit radius"),

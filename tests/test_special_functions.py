@@ -221,6 +221,25 @@ class TestRiemannZeta:
             with pytest.raises(DomainError):
                 riemann_zeta(s)
 
+    def test_imaginary_bound_is_inclusive(self):
+        s = complex(2.0, 1e6)
+        ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+        assert abs(riemann_zeta(s) - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("s", [complex(2.0, 1e6 + 1.0), complex(0.3, -1e6 - 1.0),
+                                   complex(0.3, 1e300), complex(-3.0, -1e300)])
+    def test_past_the_imaginary_bound_is_domain_error_before_the_sum(self, s):
+        # the sum holds |Im s| + 20 terms; 1e300 once asked numpy for an
+        # impossible array, and 1e9 for 15 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="Im s"):
+                riemann_zeta(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_reflection_at_large_imaginary_part_against_mpmath(self):
         # Re s < 1/2, 450 < |Im s| <= 3,000: sin(pi s / 2) and Gamma(1 - s)
         # each leave double range, their product does not. The bound is the

@@ -1,6 +1,7 @@
 """Signature, area, constants, and order-table tests."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -86,13 +87,13 @@ class TestSignature:
 class TestConstants:
     def test_modular(self):
         c = constants(MODULAR, modular_model())
-        assert c.A == 2
+        assert [f.name for f in fields(c)] == ["B", "C", "D", "log_E"]
         assert abs(c.B + 1.0 / 6.0) < 1e-15
         assert abs(c.C + math.log(2.0)) < 1e-15
 
     def test_compact(self):
         c = constants(COMPACT, trivial_model())
-        assert c.A == 0 and c.C == 0.0
+        assert c.C == 0.0
         expected_d = -2.0 * (0.5 * math.log(2.0 * math.pi) - 2.0 * ZETA_PRIME_MINUS_ONE)
         assert abs(c.D - expected_d) < 1e-14
 
@@ -104,11 +105,12 @@ class TestConstants:
     def test_geometric_constants_are_the_model_free_part(self):
         for sig, model in ((MODULAR, modular_model()), (COMPACT, trivial_model())):
             c = constants(sig, model)
-            assert geometric_constants(sig) == (c.area, c.B, c.C) == (
-                area(sig), -float(sig.normalized_area()), -sig.n * math.log(2.0))
+            assert geometric_constants(sig) == (c.B, c.C) == (
+                -float(sig.normalized_area()), -sig.n * math.log(2.0))
         # no bundled model has two cusps; the geometric part needs none
         two_cusps = Signature(0, 2, (2, 2))
-        assert geometric_constants(two_cusps) == (2.0 * math.pi, -1.0, -2.0 * math.log(2.0))
+        assert geometric_constants(two_cusps) == (-1.0, -2.0 * math.log(2.0))
+        assert area(two_cusps) == 2.0 * math.pi
 
     def test_cusp_count_mismatch(self):
         with pytest.raises(MismatchError):

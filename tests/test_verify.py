@@ -2,6 +2,7 @@
 
 import cmath
 import contextlib
+import dataclasses
 import math
 
 import mpmath as mp
@@ -99,7 +100,7 @@ def test_other_checks_carry_no_point(report):
 def test_rows_are_plain_dicts_with_seven_keys(report):
     keys = ["name", "lhs", "rhs", "abs_diff", "tolerance", "passed", "s"]
     rows = [c for checks in report["sections"].values() for c in checks]
-    assert len(rows) == report["total_checks"] == 128
+    assert len(rows) == report["total_checks"] == 127
     for row in rows:
         assert type(row) is dict and list(row) == keys, row
 
@@ -115,6 +116,16 @@ def test_c0_c1_relation_reads_the_leading_coefficient(monkeypatch):
     rows = {c["name"]: c["passed"] for c in verify.constants_checks()}
     assert not rows["c0 against c1 relation [(0;1;2,3)]"]
     assert not rows["c0 against c1 relation [(2;0;)]"]
+
+
+def test_wrong_parity_constant_fails_only_the_phi_half_row(monkeypatch):
+    # A = 0 claims phi(1/2) = +1 for the modular determinant, whose value is -1
+    wrong = dataclasses.replace(modular_model(), A=0)
+    monkeypatch.setattr(verify, "modular_model", lambda: wrong)
+    outcome = verify.run_verify()
+    failed = [f"{name}: {c['name']}" for name, checks in outcome["sections"].items()
+              for c in checks if not c["passed"]]
+    assert failed == ["scattering: phi(1/2) = (-1)^(A/2) [modular]"]
 
 
 def test_budget_checks_record_both_values(report):

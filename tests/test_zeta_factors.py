@@ -218,7 +218,7 @@ class TestDetLaplacian:
             - sig.n * complex(mp.loggamma(s + 0.5))
             + c.B * (s - 0.5) ** 2 + c.C * (s - 0.5) + c.D
         )
-        assert abs(probe - (2 * s - 1) ** (c.A // 2) * cmath.exp(logs)) < 1e-12 * abs(probe)
+        assert abs(probe - (2 * s - 1) ** (sc.A // 2) * cmath.exp(logs)) < 1e-12 * abs(probe)
 
     def test_domain_warning_below_convergence(self):
         with pytest.warns(DomainWarning):
