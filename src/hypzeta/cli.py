@@ -31,7 +31,7 @@ __all__ = ["run", "main"]
 
 _DEFAULT_MAX_TRACE = 40
 # most points an `orders` table spans, as enumerate_spectrum's default capacity
-_MAX_ORDER_POINTS = 1_000_000
+_MAX_ORDER_POINTS = 100_000
 
 
 class UsageError(Exception):

@@ -407,8 +407,10 @@ def constants_checks() -> list[dict]:
 def run_verify() -> dict:
     """Run the whole suite; returns a JSON-ready report dictionary.
 
-    The sections share one kernel memo, so log_gamma, riemann_zeta and the
-    product behind log_barnes_gamma2 each evaluate an argument once per run.
+    The sections share one kernel memo, so log_gamma and riemann_zeta
+    each evaluate an argument once per run, a memo hit skipping their
+    argument checks, and the product behind log_barnes_gamma2 runs once
+    per conjugate pair of arguments (75 products).
     """
     with _kernel_memo():
         sections = {

@@ -149,12 +149,12 @@ class TestOrders:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("lo, hi", [("-3", "10000000000"), ("0", "1000000")])
-    def test_span_past_a_million_points_rejected(self, lo, hi):
+    @pytest.mark.parametrize("lo, hi", [("-3", "10000000000"), ("0", "100000")])
+    def test_span_past_a_hundred_thousand_points_rejected(self, lo, hi):
         code, out, err = invoke(
             ["orders", "--signature", "0,1,2:3", "--from", lo, "--to", hi, "--json"]
         )
-        assert code == 1 and "1,000,000" in err
+        assert code == 1 and "100,000" in err
         assert json.loads(out)["error"]["kind"] == "usage"
 
 

@@ -9,6 +9,8 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypzeta.errors import ConvergenceError, DomainError, PoleError
 from hypzeta import special_functions
@@ -25,6 +27,11 @@ from hypzeta.special_functions import (
 mp.mp.dps = 30
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    """Both parts of z as hex, so -0.0 and 0.0 differ."""
+    return z.real.hex(), z.imag.hex()
 
 
 class TestLogGamma:
@@ -355,6 +362,19 @@ class TestBarnesGamma2:
         # relative to max(1, |log G2|): at 2.75, log G2 = 0.045 is the
         # difference of O(1) sums, each rounded to 4e-16
         assert abs(blocked - whole) <= 1e-15 * max(1.0, abs(whole))
+
+    @settings(max_examples=60, deadline=None)
+    @given(re=st.floats(1.0, 8.0), exponent=st.floats(-12.0, 3.0), negative=st.booleans())
+    @example(re=1.0, exponent=3.0, negative=False)  # 160,000 terms
+    @example(re=8.0, exponent=2.5, negative=True)  # past 120: the cutoff doubles
+    @example(re=1.0, exponent=-12.0, negative=True)
+    def test_product_is_conjugate_symmetric_bit_for_bit(self, re, exponent, negative):
+        # log_barnes_gamma2 serves Im w < 0 as the conjugate of the product
+        # at conj(w), so the product must be conjugate-symmetric exactly
+        w = complex(re, (-1.0 if negative else 1.0) * 10.0 ** exponent)
+        value = special_functions._log_gamma2_product(w).conjugate()
+        mirrored = special_functions._log_gamma2_product(w.conjugate())
+        assert _bits(mirrored) == _bits(value), w
 
     def test_product_passes_allocate_no_temporaries(self):
         # the first call makes this thread's scratch arrays; a later call

@@ -9,12 +9,14 @@ import mpmath as mp
 import pytest
 
 from hypzeta import special_functions, verify, zeta_factors
+from hypzeta.errors import ConvergenceError, DomainError, PoleError
 from hypzeta.scattering import modular_model
 from hypzeta.special_functions import (
     digamma,
     gauss_multiplication_defect,
     log_barnes_gamma2,
     log_gamma,
+    riemann_zeta,
 )
 
 PHI = modular_model().phi
@@ -187,7 +189,8 @@ def zeta_sums(monkeypatch):
 def test_run_verify_evaluates_each_product_once(product_calls):
     verify.run_verify()
     assert len(product_calls) == len(set(product_calls))
-    assert len(product_calls) <= 170  # 666 without the memo
+    # 666 without the memo, 97 with one entry for each side of a conjugate pair
+    assert len(product_calls) == 75
 
 
 def test_run_verify_evaluates_each_log_gamma_and_zeta_sum_once(log_gamma_calls, zeta_sums):
@@ -230,6 +233,44 @@ def test_memo_keeps_signed_zeros_apart(product_calls, log_gamma_calls):
     for plus, minus in ((0, 1), (2, 3)):
         assert log_barnes_gamma2(points[plus]) != log_barnes_gamma2(points[minus])
         assert log_gamma(points[plus]) != log_gamma(points[minus])
+
+
+def test_memo_runs_one_product_per_conjugate_pair(product_calls):
+    points = [complex(1.5, 2.5), complex(2.3, 5.0), complex(0.5, 1e-12), complex(-1.1, 4.0)]
+    outside = [log_barnes_gamma2(s.conjugate()) for s in points]
+    del product_calls[:]
+    with special_functions._kernel_memo():
+        for s, mirrored in zip(points, outside):
+            value = log_barnes_gamma2(s)
+            assert repr(log_barnes_gamma2(s.conjugate())) == repr(mirrored)
+            if s.real >= 1.0:  # no log-gamma shift: the two are exact conjugates
+                assert repr(mirrored) == repr(value.conjugate())
+        # every product runs in the upper half-plane
+        assert len(product_calls) == len(points) and min(im for _, im, _ in product_calls) > 0
+        del product_calls[:]
+        log_barnes_gamma2(complex(2.5, 0.0))
+        log_barnes_gamma2(complex(2.5, -0.0))
+    assert sorted(product_calls) == [(2.5, 0.0, -1.0), (2.5, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("kernel, s, error", [
+    (log_gamma, -1.0, PoleError),
+    (log_gamma, float("nan"), DomainError),
+    (log_gamma, 1e308, ConvergenceError),  # passes the argument checks, overflows
+    (riemann_zeta, 1.0, PoleError),
+    (riemann_zeta, complex(0.3, 2e6), DomainError),
+    (riemann_zeta, complex(-300.0, 0.5), DomainError),  # leaves double range
+    (log_barnes_gamma2, -2.0, PoleError),
+    (log_barnes_gamma2, complex(0.3, -5000.0), ConvergenceError),
+])
+def test_memo_never_answers_for_a_failed_check(kernel, s, error):
+    # a hit skips the argument checks, so the memo must hold no value for
+    # an argument that failed one
+    with special_functions._kernel_memo():
+        for _ in range(3):
+            with pytest.raises(error):
+                kernel(s)
+        assert all(cmath.isfinite(v) for v in special_functions._KERNEL_MEMO.get().values())
 
 
 def _assert_memo_closed(product_calls, log_gamma_calls):
