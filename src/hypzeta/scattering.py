@@ -15,8 +15,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import FitError, PoleError
-from .special_functions import _finite_complex, log_gamma, riemann_zeta
+from .errors import DomainError, FitError, PoleError
+from .special_functions import _ZETA_MAX_IMAG, _finite_complex, log_gamma, riemann_zeta
 
 __all__ = [
     "ScatteringModel",
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _SING_TOL = 1e-8
+_PHI_MAX_IMAG = _ZETA_MAX_IMAG / 2.0  # phi reads zeta at 2s - 1
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,12 @@ def modular_phi(s: complex) -> complex:
     phi(s) = sqrt(pi) * Gamma(s - 1/2)/Gamma(s) * zeta(2s - 1)/zeta(2s).
     The removable singularities at s = 1/2 - j (gamma pole cancelled by a
     zeta factor) take their exact limit; s = 1 is a genuine pole.
+    Raises DomainError for |Im s| > 5 * 10^5, where zeta(2s - 1) is past
+    its own bound.
     """
     s = _finite_complex(s)
+    if abs(s.imag) > _PHI_MAX_IMAG:
+        raise DomainError(f"modular_phi takes |Im s| <= 5e5 (got s = {s})")
     if _near(s, 1.0):
         raise PoleError("modular scattering determinant has a pole at s=1")
     if abs(s.imag) < _SING_TOL:

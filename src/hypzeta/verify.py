@@ -24,6 +24,7 @@ from .scattering import (
     trivial_model,
 )
 from .special_functions import (
+    ZETA_PRIME_MINUS_ONE,
     _kernel_memo,
     digamma,
     gauss_multiplication_defect,
@@ -174,14 +175,26 @@ def special_function_checks() -> list[dict]:
                        gauss_multiplication_defect(s, m), 0.0, tol))
             for s in (0.3 + 0.7j, 1.0, 2.5 - 1.2j, 0.9 + 3.0j, 1.7 - 0.4j)
         ))
-    # double-gamma recursion on the grid 0.5 <= Re s <= 5, |Im s| <= 5
+    # double-gamma recursion on the unit-step grid 1 <= Re s <= 5, |Im s| <= 5,
+    # where both sides are products and s + 1 reuses the next row's product
     checks.append(_worst(
         (s, _rel_check("double-gamma recursion",
                        cmath.exp(log_barnes_gamma2(s)),
                        cmath.exp(log_gamma(s)) * cmath.exp(log_barnes_gamma2(s + 1.0)),
                        tol))
-        for s in (complex(0.5 + 0.9 * i, -5.0 + 2.5 * j) for i in range(6) for j in range(5))
+        for s in (complex(1 + i, -5.0 + 2.5 * j) for i in range(5) for j in range(5))
     ))
+    # G2 = 1/G against Barnes' exact G(n) = prod_{k <= n-2} k! at the grid's
+    # Im s = 0 products, and G(1/2) = 2^(1/24) e^(1/8) pi^(-1/4) A^(-3/2)
+    checks.append(_worst(
+        (n, _check("double-gamma at integers", log_barnes_gamma2(n),
+                   -math.log(math.prod(math.factorial(k) for k in range(n - 1))), 1e-11))
+        for n in range(2, 7)
+    ))
+    log_glaisher = 1.0 / 12.0 - ZETA_PRIME_MINUS_ONE
+    checks.append(_check("double-gamma at 1/2", log_barnes_gamma2(0.5),
+                         0.25 * math.log(math.pi) - math.log(2.0) / 24.0 - 0.125
+                         + 1.5 * log_glaisher, 1e-12))
     # zeta spot values
     checks.append(_check("zeta(-1) = -1/12", riemann_zeta(-1.0), -1.0 / 12.0, 1e-12))
     checks.append(_check("zeta(2) = pi^2/6", riemann_zeta(2.0), math.pi ** 2 / 6.0, 1e-12))
@@ -410,7 +423,7 @@ def run_verify() -> dict:
     The sections share one kernel memo, so log_gamma and riemann_zeta
     each evaluate an argument once per run, a memo hit skipping their
     argument checks, and the product behind log_barnes_gamma2 runs once
-    per conjugate pair of arguments (75 products).
+    per conjugate pair of arguments (61 products).
     """
     with _kernel_memo():
         sections = {

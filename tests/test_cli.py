@@ -82,13 +82,19 @@ class TestExitCodes:
         ["ruelle-leading", "--signature", "0,0," + ":".join([str(10**200)] * 3)],
         ["constants", "--signature", "400,0,"],  # c0 underflows to 0
         ["constants", "--signature", "0,0,100000:100000:100000"],  # E overflows
-        # phi reads zeta at 2s - 1, past its |Im s| bound of 10^6
+        # phi refuses |Im s| > 5 * 10^5, where it would read zeta past 10^6
         ["kappa", "--signature", "0,1,2:3", "--s", "0.3,1e300"],
     ])
     def test_overflow_is_numerical_error(self, argv):
         code, out, err = invoke(argv + ["--json"])
         assert code == 2 and "numerical failure" in err
         assert json.loads(out)["error"]["kind"] == "DomainError"
+
+    def test_phi_bound_names_the_callers_s(self):
+        code, out, err = invoke(["kappa", "--signature", "0,1,2:3", "--s", "0.3,6e5", "--json"])
+        error = json.loads(out)["error"]
+        assert code == 2 and "numerical failure" in err
+        assert error["kind"] == "DomainError" and "600000j" in error["message"], error
 
 
 class TestNonFiniteInput:
@@ -424,6 +430,19 @@ class TestVerifyCommand:
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "scattering: modular phi~(0) = stored phi_tilde_0" in failed
         assert result_of(report, "failed_checks") == len(failed)
+
+    def test_wrong_double_gamma_product_gives_a_full_report(self, monkeypatch):
+        from hypzeta import special_functions
+
+        product = special_functions._log_gamma2_product
+        monkeypatch.setattr(special_functions, "_log_gamma2_product",
+                            lambda w: product(w) * (1.0 + 1e-9))
+        code, report, _ = invoke_json(["verify"])
+        assert code == 3 and result_of(report, "total_checks") == len(report["checks"]) == 129
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert {"special_functions: double-gamma recursion",
+                "special_functions: double-gamma at integers",
+                "special_functions: double-gamma at 1/2"} <= failed
 
     def test_fail_line_names_the_sample_point(self, failing_sections):
         code, out, _ = invoke(["verify"])

@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import pytest
 
-from hypzeta.errors import FitError, PoleError
+from hypzeta.errors import DomainError, FitError, PoleError
 from hypzeta.scattering import (
     ScatteringModel,
     builtin_model,
@@ -15,6 +15,8 @@ from hypzeta.scattering import (
     phi_leading_at_zero,
     trivial_model,
 )
+from hypzeta.surface import Signature
+from hypzeta.zeta_factors import kappa, ruelle_fe_rhs
 
 # sqrt(pi) Gamma(3/2)/Gamma(2) zeta(3)/zeta(4), pinned at 30 digits
 PHI_AT_2 = 1.7445680821312560
@@ -64,6 +66,21 @@ class TestModularPhi:
             def logderiv(z):
                 return (cmath.log(modular_phi(z + h)) - cmath.log(modular_phi(z - h))) / (2 * h)
             assert abs(logderiv(s) - logderiv(1.0 - s)) < 1e-6
+
+    @pytest.mark.parametrize("evaluate", [
+        modular_phi,
+        lambda s: kappa(Signature(0, 1, (2, 3)), modular_model(), s),
+        lambda s: ruelle_fe_rhs(Signature(0, 1, (2, 3)), modular_model(), s),
+    ], ids=["phi", "kappa", "ruelle_fe_rhs"])
+    @pytest.mark.parametrize("s", [complex(0.3, 6e5), complex(0.3, -6e5)])
+    def test_bound_names_the_callers_s(self, evaluate, s):
+        # zeta(2s - 1) is past its |Im| bound of 10^6; phi refuses first
+        with pytest.raises(DomainError, match="modular_phi") as info:
+            evaluate(s)
+        assert str(s) in str(info.value) and "600000j" in str(info.value)
+
+    def test_bound_admits_its_edge(self):
+        assert cmath.isfinite(modular_phi(complex(0.3, 5e5)))
 
 
 class TestLeadingAtZero:

@@ -35,6 +35,9 @@ SIDES = {
     "double-gamma recursion": lambda s: (
         cmath.exp(log_barnes_gamma2(s)),
         cmath.exp(log_gamma(s)) * cmath.exp(log_barnes_gamma2(s + 1.0))),
+    "double-gamma at integers": lambda s: (
+        log_barnes_gamma2(s),
+        -math.log(math.prod(math.factorial(k) for k in range(int(s.real) - 1)))),
     "digamma vs finite difference": lambda s: (
         digamma(s), (log_gamma(s + 1e-4) - log_gamma(s - 1e-4)) / (2.0 * 1e-4)),
     "phi(s) phi(1-s) = 1": lambda s: (PHI(s) * PHI(1.0 - s), 1.0),
@@ -63,8 +66,8 @@ def _sides_at(name, s):
 def test_worst_of_grid_sides_reproduce_at_reported_point(report):
     sampled = [c for checks in report["sections"].values() for c in checks
                if c["s"] is not None]
-    # 9 special-function and scattering grids, 5 factor identities x 3 surfaces
-    assert len(sampled) == 24
+    # 10 special-function and scattering grids, 5 factor identities x 3 surfaces
+    assert len(sampled) == 25
     for check in sampled:
         lhs, rhs = _sides_at(check["name"], check["s"])
         assert (complex(lhs), complex(rhs)) == (check["lhs"], check["rhs"]), check["name"]
@@ -102,9 +105,40 @@ def test_other_checks_carry_no_point(report):
 def test_rows_are_plain_dicts_with_seven_keys(report):
     keys = ["name", "lhs", "rhs", "abs_diff", "tolerance", "passed", "s"]
     rows = [c for checks in report["sections"].values() for c in checks]
-    assert len(rows) == report["total_checks"] == 127
+    assert len(rows) == report["total_checks"] == 129
     for row in rows:
         assert type(row) is dict and list(row) == keys, row
+
+
+def test_recursion_compares_two_products_everywhere(monkeypatch):
+    # left of Re s = 1 both sides would shift to the same product
+    points = []
+    worst = verify._worst
+
+    def recording(samples):
+        samples = list(samples)
+        if samples[0][1]["name"] == "double-gamma recursion":
+            points.extend(s for s, _ in samples)
+        return worst(samples)
+
+    monkeypatch.setattr(verify, "_worst", recording)
+    verify.special_function_checks()
+    assert len(points) == 25 and min(s.real for s in points) >= 1.0
+
+
+def test_exact_double_gamma_values_against_mpmath(monkeypatch):
+    # with log G2 = -log G read from mpmath's Barnes G at 30 digits, each
+    # row's residual is that of its closed form, Glaisher's constant taken
+    # from ZETA_PRIME_MINUS_ONE for G(1/2)
+    def reference(s):
+        s = complex(s)
+        with mp.workdps(30):
+            return complex(-mp.log(mp.barnesg(mp.mpc(s.real, s.imag))))
+
+    monkeypatch.setattr(verify, "log_barnes_gamma2", reference)
+    rows = {c["name"]: c for c in verify.special_function_checks()}
+    assert rows["double-gamma at integers"]["abs_diff"] <= 1e-15
+    assert rows["double-gamma at 1/2"]["abs_diff"] <= 1e-15
 
 
 def test_c0_c1_relation_reads_the_leading_coefficient(monkeypatch):
@@ -189,8 +223,9 @@ def zeta_sums(monkeypatch):
 def test_run_verify_evaluates_each_product_once(product_calls):
     verify.run_verify()
     assert len(product_calls) == len(set(product_calls))
-    # 666 without the memo, 97 with one entry for each side of a conjugate pair
-    assert len(product_calls) == 75
+    # 662 without the memo, one per conjugate pair with it; the recursion
+    # grid's rows, 1 apart, share their products
+    assert len(product_calls) == 61
 
 
 def test_run_verify_evaluates_each_log_gamma_and_zeta_sum_once(log_gamma_calls, zeta_sums):
