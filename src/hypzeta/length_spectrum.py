@@ -8,11 +8,13 @@ class invariant is the trace of the word's matrix product.
 `enumerate_spectrum` counts the classes of each trace up to a bound by
 a prenecklace walk on one letter array; `LengthSpectrum` holds them as
 one table of trace shells. A shell's length 2 arccosh(trace/2) and norm
-e^length follow from its trace, so `write_cache` stores only what the
-walk counts: one `trace,count` CSV whose first line records the format
-version, group, trace bound, generator convention and the rows' CRC-32.
-`read_cache` derives the rest as `enumerate_spectrum` does, each length
-taken from one process-wide table of libm arccosh values.
+e^length follow from its trace, and every trace t from 3 to the bound
+has a class (that of L^(t-2) R), so `write_cache` stores only what the
+walk counts: one class count per trace, under a first line that records
+the format version, group, trace bound, generator convention and the
+rows' CRC-32. `read_cache` derives the rest as `enumerate_spectrum`
+does, each length taken from one process-wide table of libm arccosh
+values.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, DomainError
 
 __all__ = [
     "TraceShell",
@@ -41,13 +43,13 @@ __all__ = [
 ]
 
 GENERATOR_CONVENTION = "L=[[1,1],[0,1]],R=[[1,0],[1,1]]"
-CACHE_VERSION = "4"
-_CACHE_HEADER = "trace,count"
-# a cache body as write_cache writes it, line ends read as "\n": rows of two
-# decimal integers of at least 1, with no sign, leading zero or other text.
-# The pattern, not numpy, refuses "4.5" (numpy < 2 parses it as an integer
-# with only a DeprecationWarning); 18 digits at most keep a field in int64.
-_CACHE_BODY = re.compile(r"(?:[1-9][0-9]{0,17},[1-9][0-9]{0,17}\n)+")
+CACHE_VERSION = "5"
+_CACHE_HEADER = "count"
+# a cache body as write_cache writes it, line ends read as "\n": rows of one
+# decimal integer of at least 1, with no sign, leading zero or other text.
+# The pattern, not numpy, refuses "2.5" (numpy < 2 parses it as an integer
+# with only a DeprecationWarning); 18 digits at most keep a count in int64.
+_CACHE_BODY = re.compile(r"(?:[1-9][0-9]{0,17}\n)+")
 
 
 # _LENGTHS[t] is libm's 2 acosh(t / 2), for t from 2 to the largest trace a
@@ -243,16 +245,22 @@ def _first_line(max_trace: int, rows: str) -> str:
 
 
 def write_cache(spectrum: LengthSpectrum, path: str | Path) -> None:
-    """Write the trace and class count of each shell as CSV with CRLF line
-    ends (as `csv.writer` writes them): the `_first_line` of the spectrum's
-    bound and rows, the header `trace,count`, then one row per shell. The
-    file is written beside the path, under a name with the process id, and
-    renamed onto it, so a reader finds the old cache or the new one, never
-    part of one. A version-3 metadata sidecar, `<path>.meta.json`, is
-    removed."""
+    """Write the class count of each trace 3 to max_trace as CSV with CRLF
+    line ends (as `csv.writer` writes them): the `_first_line` of the
+    spectrum's bound and rows, the header `count`, then one row per trace.
+    Raises DomainError, before any file is opened, naming the first missing
+    trace unless the spectrum's traces are exactly 3 to max_trace, as those
+    of a complete spectrum are. The file is written beside the path, under
+    a name with the process id, and renamed onto it, so a reader finds the
+    old cache or the new one, never part of one. A version-3 metadata
+    sidecar, `<path>.meta.json`, is removed."""
     path = Path(path)
-    trace, count = spectrum.columns[:2].astype(np.int64).tolist()
-    rows = "".join(f"{t},{n}\n" for t, n in zip(trace, count))
+    traces = np.arange(3, spectrum.max_trace + 1)
+    if not np.array_equal(spectrum.columns[0], traces):
+        missing = np.setdiff1d(traces, spectrum.columns[0])
+        gap = f"trace {missing[0]} is missing" if missing.size else "it has other traces"
+        raise DomainError(f"a cache stores one count per trace 3..{spectrum.max_trace}; {gap}")
+    rows = "".join(f"{n}\n" for n in spectrum.columns[1].astype(np.int64).tolist())
     text = f"{_first_line(spectrum.max_trace, rows)}\n{_CACHE_HEADER}\n{rows}"
     partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -265,30 +273,18 @@ def write_cache(spectrum: LengthSpectrum, path: str | Path) -> None:
     path.with_name(path.name + ".meta.json").unlink(missing_ok=True)
 
 
-def _parse_rows(body: str, max_trace: int) -> np.ndarray | None:
-    """The table (trace, count, norm, length rows) of a cache body, or None
-    unless every line is a row as `write_cache` writes it: two decimal
-    integers, a count of at least 1 and a trace from 3 to max_trace, above
-    the previous row's."""
-    if _CACHE_BODY.fullmatch(body) is None:
-        return None
-    rows = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",")
-    trace, count = rows.reshape(-1, 2).T
-    if trace[0] < 3 or trace[-1] > max_trace or (np.diff(trace) <= 0).any():
-        return None
-    return _table(trace, count)
-
-
 def read_cache(path: str | Path, max_trace: int) -> LengthSpectrum | None:
     """Load a cached spectrum with one file read; None (a miss) unless the
     first line is the one `write_cache` writes for max_trace and the rows
     below the header, so the version, group, generator convention and the
-    CRC-32 of the rows all match, and every row passes `_parse_rows`. Line
-    ends may be CRLF or LF. `max_trace` is any integer `operator.index`
-    takes (TypeError otherwise, before the file is opened). A cache of an
-    earlier version is a miss, so the caller writes it anew: version 1 also
-    stored each shell's length and norm, version 2 had no CRC, and versions
-    1 to 3 kept their metadata in a `<path>.meta.json` sidecar."""
+    CRC-32 of the rows all match, and the rows are max_trace - 2 counts as
+    `write_cache` writes them, those of traces 3 to max_trace. Line ends
+    may be CRLF or LF. `max_trace` is any integer `operator.index` takes
+    (TypeError otherwise, before the file is opened). A cache of an earlier
+    version is a miss, so the caller writes it anew: version 1 also stored
+    each shell's length and norm, version 2 had no CRC, versions 1 to 3
+    kept their metadata in a `<path>.meta.json` sidecar, and version 4
+    stored `trace,count` rows."""
     max_trace = operator.index(max_trace)
     try:
         text = Path(path).read_text()
@@ -296,9 +292,8 @@ def read_cache(path: str | Path, max_trace: int) -> LengthSpectrum | None:
         return None
     first, _, rest = text.partition("\n")
     header, _, body = rest.partition("\n")
-    if header != _CACHE_HEADER or first != _first_line(max_trace, body):
+    if (header != _CACHE_HEADER or first != _first_line(max_trace, body)
+            or body.count("\n") != max_trace - 2 or _CACHE_BODY.fullmatch(body) is None):
         return None
-    columns = _parse_rows(body, max_trace)
-    if columns is None:
-        return None
-    return LengthSpectrum(columns, max_trace)
+    count = np.fromstring(body, dtype=np.int64, sep="\n")
+    return LengthSpectrum(_table(np.arange(3, max_trace + 1), count), max_trace)

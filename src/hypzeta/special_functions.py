@@ -89,6 +89,7 @@ _BERNOULLI = tuple(
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
+_LOG_HALF_I = cmath.log(0.5j)
 
 # B_2n / (2n (2n - 1)), n = 8 down to 1: the Stirling series of log Gamma
 _STIRLING = tuple(b / (2 * n * (2 * n - 1)) for n, b in enumerate(_BERNOULLI[:8], 1))[::-1]
@@ -330,17 +331,20 @@ def _zeta_euler_maclaurin(s: complex, terms: int = 50, order: int = 12) -> compl
 
 
 def _log_sin(z: complex) -> complex:
-    """Principal branch of log sin z, finite wherever sin z is nonzero.
-
-    For |Im z| > 1 it uses sin z = (+-i/2) e^(-+iz) (1 - e^(+-2iz)), upper
-    signs for Im z > 0, so no factor of size e^|Im z| is formed, and
-    reduces the imaginary part of the sum into (-pi, pi].
+    """A log sin z, finite wherever sin z is nonzero and continuous off the
+    real axis: for Im z >= 0, -iz + log(i/2) + log(1 - e^(2iz)), and below
+    the axis the conjugate of its value at conj z. With z = x + iy, y >= 0,
+    1 - e^(2iz) is formed as 2 sin^2 x - cos 2x expm1(-2y) - i e^(-2y) sin 2x,
+    in the closed right half-plane, so no factor of size e^|y| is formed and
+    nothing cancels next to the zeros of sin.
     """
-    if abs(z.imag) <= 1.0:
-        return cmath.log(cmath.sin(z))
-    sign = 1.0 if z.imag > 0 else -1.0
-    value = -sign * 1j * z + cmath.log(sign * 0.5j) + cmath.log(1.0 - cmath.exp(sign * 2j * z))
-    return value - 2j * math.pi * math.ceil((value.imag - math.pi) / (2.0 * math.pi))
+    x, y = z.real, abs(z.imag)
+    sin_x = math.sin(x)
+    versin = 2.0 * sin_x * sin_x  # 1 - cos 2x
+    decay = math.expm1(-2.0 * y)
+    one_minus = complex(versin - (1.0 - versin) * decay, -2.0 * sin_x * math.cos(x) * (1.0 + decay))
+    value = complex(y, -x) + _LOG_HALF_I + cmath.log(one_minus)
+    return value.conjugate() if z.imag < 0.0 else value
 
 
 def riemann_zeta(s: complex) -> complex:
@@ -533,7 +537,7 @@ def log_barnes_gamma2(s: complex) -> complex:
     shift = 0.0 + 0.0j
     while s.real < 1.0:
         shift += log_gamma(s)
-        s += 1.0
+        s = complex(s.real + 1.0, s.imag)  # keeps the sign of a zero Im s
     # the product is conjugate-symmetric bit for bit on Re s >= 1, so a
     # memo keeps one entry per conjugate pair; -0.0 keeps its own
     if s.imag < 0.0:

@@ -423,7 +423,7 @@ def run_verify() -> dict:
     The sections share one kernel memo, so log_gamma and riemann_zeta
     each evaluate an argument once per run, a memo hit skipping their
     argument checks, and the product behind log_barnes_gamma2 runs once
-    per conjugate pair of arguments (61 products).
+    per conjugate pair of arguments (62 products).
     """
     with _kernel_memo():
         sections = {

@@ -10,9 +10,10 @@ Each function that takes a scattering model raises MismatchError when
 its cusp count differs from the signature's.
 
 Products of fractional powers are combined as sums of
-exponent * PrincipalLog(base). Identity checks that are sensitive to
-branch cuts should use the pinned cut-safe sample points shipped with
-the verify suite.
+exponent * log(base), principal logs but for kappa's, which follow one
+branch so that kappa is single-valued. Identity checks of the other
+factors that are sensitive to branch cuts should use the pinned
+cut-safe sample points shipped with the verify suite.
 """
 
 from __future__ import annotations
@@ -202,13 +203,18 @@ def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
 
     Assembled in log space from the cusp exponential, phi(s), the
     double-gamma block (Z_inf's log base at s less that at 1 - s), the
-    cusp gamma ratio, and the cone-point sine product. At s = 1/2 every
-    factor but phi is 1, so kappa(1/2) = phi(1/2) = (-1)^(A/2). Raises
-    SingularFactorError naming whichever factor is singular at s.
+    cusp gamma ratio, and the cone-point sine product. Each block is
+    continuous above and below the real axis and conjugate-symmetric, so
+    kappa is single-valued; on the axis the sine and double-gamma blocks
+    take the side Im s = +0, and 1 - s the side -0, so kappa is real
+    there up to rounding. At s = 1/2 every factor but phi is 1, so
+    kappa(1/2) = phi(1/2) = (-1)^(A/2). Raises SingularFactorError naming
+    whichever factor is singular at s.
     """
     s = _finite_complex(s)
+    t = complex(s.real, 0.0) if s.imag == 0.0 else s
     c = constants(sig, sc)
-    sine_block = _log_sine_block(sig, s)
+    sine_block = _log_sine_block(sig, t)
     try:
         phi_val = sc.phi(s)
     except PoleError as exc:
@@ -216,7 +222,7 @@ def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
     if phi_val == 0:
         raise SingularFactorError("scattering determinant", f"phi({s}) = 0")
     try:
-        gamma2_block = _log_base(s) - _log_base(1.0 - s)
+        gamma2_block = _log_base(t) - _log_base(complex(1.0 - t.real, -t.imag))
     except PoleError as exc:
         raise SingularFactorError("double-gamma block", str(exc)) from None
     try:

@@ -211,23 +211,24 @@ class TestSpectrum:
         cache = tmp_path / "spec.csv"
         invoke_json(["spectrum", "--max-trace", "10", "--cache", str(cache)])
         rows = cache.read_text().splitlines()
-        assert rows[3] == "4,2"
-        cache.write_text("\n".join(rows[:3] + ["4,2.0"] + rows[4:]) + "\n")
+        assert rows[3] == "2"  # trace 4
+        cache.write_text("\n".join(rows[:3] + ["2.0"] + rows[4:]) + "\n")
         code, report, _ = invoke_json(["zeta", "--s", "2,0", "--max-trace", "10",
                                        "--cache", str(cache)])
         assert code == 0 and report["inputs"]["cache_status"] == "miss"
 
     @pytest.mark.parametrize("row", ["4,2,nan,nan", "4,-7,2.633915793849633,13.928203230275509",
-                                     "4,nan", "4,-7"])
+                                     "4,nan", "4,-7", "nan", "-7"])
     def test_garbage_row_is_a_miss_and_rewritten(self, tmp_path, row):
-        # the four-field rows once gave exit 0 with a NaN or a wrong Z(2);
-        # the two-field rows are the same defects in the current format
+        # the four-field rows of version 1 once gave exit 0 with a NaN or a
+        # wrong Z(2); the two-field rows of version 4 and the one-field rows
+        # are the same defects in the later formats
         cache = tmp_path / "spec.csv"
         argv = ["zeta", "--s", "2,0", "--max-trace", "30", "--cache", str(cache)]
         _, clean, _ = invoke_json(argv)
         written = cache.read_text()
         rows = written.splitlines()
-        assert rows[3] == "4,2"
+        assert rows[3] == "2"  # trace 4
         cache.write_text("\n".join(rows[:3] + [row] + rows[4:]) + "\n")
         code, report, _ = invoke_json(argv)
         assert code == 0 and report["inputs"]["cache_status"] == "miss"
@@ -241,7 +242,7 @@ class TestSpectrum:
         argv = ["zeta", "--s", "2,0", "--max-trace", "30", "--cache", str(cache)]
         _, clean, _ = invoke_json(argv)
         written, meta = cache.read_bytes(), cache.with_name("spec.csv.meta.json")
-        assert written.startswith(b"# hypzeta spectrum cache v4 group=modular max_trace=30 ")
+        assert written.startswith(b"# hypzeta spectrum cache v5 group=modular max_trace=30 ")
         spectrum = hypzeta.enumerate_spectrum(30)
         rows = ["trace,count,length,norm"] + [
             f"{int(trace)},{int(count)},{length!r},{norm!r}"
@@ -276,8 +277,8 @@ class TestSpectrum:
         argv = ["zeta", "--s", "2,0", "--max-trace", "10", "--cache", str(cache)]
         _, clean, _ = invoke_json(argv)
         written = cache.read_bytes()
-        assert b"\r\n4,2\r\n" in written
-        cache.write_bytes(written.replace(b"\r\n4,2\r\n", b"\r\n4,3\r\n"))
+        assert b"\r\ncount\r\n1\r\n2\r\n" in written  # traces 3 and 4
+        cache.write_bytes(written.replace(b"\r\ncount\r\n1\r\n2\r\n", b"\r\ncount\r\n1\r\n3\r\n"))
         code, report, _ = invoke_json(argv)
         assert code == 0 and report["inputs"]["cache_status"] == "miss"
         fresh = hypzeta.selberg_Z(hypzeta.enumerate_spectrum(10), 2.0).value
@@ -716,5 +717,5 @@ def test_cache_round_trip_loads_no_openssl(tmp_path):
     src = str(Path(hypzeta.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", script, str(tmp_path / "s.csv")], env=env, check=True)
-    assert (tmp_path / "s.csv").read_bytes().startswith(b"# hypzeta spectrum cache v4 ")
+    assert (tmp_path / "s.csv").read_bytes().startswith(b"# hypzeta spectrum cache v5 ")
     assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]

@@ -26,7 +26,7 @@ from word_oracle import (
 )
 
 from hypzeta import length_spectrum
-from hypzeta.errors import CapacityError
+from hypzeta.errors import CapacityError, DomainError
 from hypzeta.length_spectrum import (
     CACHE_VERSION,
     GENERATOR_CONVENTION,
@@ -311,9 +311,9 @@ class TestEnumeration:
 
 
 def first_line(max_trace, rows):
-    """The first line of a version-4 cache whose rows, with LF line ends,
+    """The first line of a version-5 cache whose rows, with LF line ends,
     are `rows`: the format spelled out here, apart from the program's."""
-    return (f"# hypzeta spectrum cache v4 group=modular max_trace={max_trace}"
+    return (f"# hypzeta spectrum cache v5 group=modular max_trace={max_trace}"
             f" generator_convention={GENERATOR_CONVENTION} rows_crc32={zlib.crc32(rows.encode())}")
 
 
@@ -374,7 +374,7 @@ class TestCache:
     # each field of the first line, as write_cache writes it for T = 10, and
     # a tampered value of it
     @pytest.mark.parametrize("field, tampered", [
-        (" v4 ", " v3 "),
+        (" v5 ", " v4 "),
         (" group=modular ", " group=Gamma0(2) "),
         (" max_trace=10 ", " max_trace=11 "),
         (f" generator_convention={GENERATOR_CONVENTION} ",
@@ -396,7 +396,7 @@ class TestCache:
         spectrum = enumerate_spectrum(10)
         write_cache(spectrum, path)
         written = path.read_bytes()
-        rows = "".join(line + "\n" for line in path.read_text().splitlines()[2:])
+        rows = "".join(f"{sh.trace},{sh.count}\n" for sh in spectrum.shells)
         path.write_bytes(b"trace,count\r\n" + rows.replace("\n", "\r\n").encode())
         sidecar = tmp_path / "spec.csv.meta.json"
         sidecar.write_text(json.dumps({
@@ -408,6 +408,20 @@ class TestCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.csv"]
         assert read_cache(path, 10) == spectrum
 
+    def test_version_4_cache_is_a_miss_and_rewritten(self, tmp_path):
+        # the version-4 cache: its own first line, then trace,count rows
+        path = tmp_path / "spec.csv"
+        spectrum = enumerate_spectrum(10)
+        write_cache(spectrum, path)
+        written = path.read_bytes()
+        rows = "".join(f"{sh.trace},{sh.count}\n" for sh in spectrum.shells)
+        first = first_line(10, rows).replace(" v5 ", " v4 ", 1)
+        path.write_bytes(f"{first}\ntrace,count\n{rows}".replace("\n", "\r\n").encode())
+        assert read_cache(path, 10) is None
+        write_cache(spectrum, path)
+        assert path.read_bytes() == written
+        assert read_cache(path, 10) == spectrum
+
     def test_rewrite_replaces_the_file(self, tmp_path):
         # a reader holding the old file keeps it whole; the new one leaves no
         # partial file beside it
@@ -415,7 +429,7 @@ class TestCache:
         write_cache(enumerate_spectrum(10), path)
         with path.open("rb") as old:
             write_cache(enumerate_spectrum(12), path)
-            assert old.read().startswith(b"# hypzeta spectrum cache v4 group=modular max_trace=10 ")
+            assert old.read().startswith(b"# hypzeta spectrum cache v5 group=modular max_trace=10 ")
         assert read_cache(path, 12) == enumerate_spectrum(12)
         assert [p.name for p in tmp_path.iterdir()] == ["spec.csv"]
 
@@ -454,7 +468,7 @@ class TestCache:
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
         body = path.read_text().splitlines()
-        for header in ("count,trace", "trace,count,length,norm", "trace,count,"):
+        for header in ("trace,count", "count,trace", "trace,count,length,norm", "count,", "Count", ""):
             body[1] = header
             path.write_text("\n".join(body) + "\n")
             assert read_cache(path, 10) is None
@@ -474,40 +488,52 @@ class TestCache:
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
         first, header, rows = path.read_bytes().replace(b"\r\n", b"\n").split(b"\n", 2)
-        assert header == b"trace,count"
+        assert header == b"count"
         assert first.decode() == first_line(10, rows.decode())
         assert first.endswith(b" rows_crc32=%d" % zlib.crc32(rows))
 
-    @pytest.mark.parametrize("row", ["4,3", "4,1", "4,20"])
+    # the ids are the version-4 rows these counts stand for
+    @pytest.mark.parametrize("row", [
+        pytest.param("3", id="4,3"), pytest.param("1", id="4,1"), pytest.param("20", id="4,20"),
+    ])
     def test_edited_count_is_a_miss(self, tmp_path, row):
         # well-formed rows the pattern passes: only the CRC refuses them
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
         body = path.read_text().splitlines()
-        assert body[3] == "4,2"
+        assert body[3] == "2"  # trace 4
         body[3] = row
         path.write_text("\n".join(body) + "\n")
         assert read_cache(path, 10) is None
         _write_rows(path, body)
-        assert read_cache(path, 10).mult(4) == int(row[2:])
+        assert read_cache(path, 10).mult(4) == int(row)
 
-    # each replaces the trace-4 row (4,2): a row short, long, not of
-    # integers, not as the writer writes them, with a count below 1, a
-    # trace below 3 or not above the row before, a '#' or blank
+    # Each replaces the trace-4 row (2). The id is a malformed version-4 row
+    # (trace,count) and the value the one-field row that keeps its refusal:
+    # a row without its count, with a separator, not of integers, not as the
+    # writer writes it, with a count below 1 or past int64, a '#', a tab, a
+    # non-ASCII digit or blank, or a row more where a trace was out of order.
+    # Rows of version 1 (trace,count,length,norm), each malformed there too,
+    # and of version 4 are refused as they stand.
     @pytest.mark.parametrize("row", [
-        "4", "4,", "4,2,1", "4,2,",
-        "4.5,2", "4,2.5", "4,2.0", "4,2e0", "4,two", "nan,2", "4,nan", "4,inf",
-        " 4,2", "4, 2", "4,2 ", "+4,2", "04,2", "4,02", "4;2", "4,\u0662", "4,2\t",
-        "4,0", "4,-7", "4,-0", "-4,2", "2,1", "3,1", "4,99999999999999999999",
-        "4,2 # note", "#4,2", "4,#",
-        # version-1 rows (trace,count,length,norm), each malformed there too
+        pytest.param(v5, id=v4) for v4, v5 in [
+            ("4", " "), ("4,", ","), ("4,2,1", "2,1"), ("4,2,", "2,"),
+            ("4.5,2", "4.5"), ("4,2.5", "2.5"), ("4,2.0", "2.0"), ("4,2e0", "2e0"),
+            ("4,two", "two"), ("nan,2", "NaN"), ("4,nan", "nan"), ("4,inf", "inf"),
+            (" 4,2", " 2"), ("4, 2", "1 2"), ("4,2 ", "2 "), ("+4,2", "+2"),
+            ("04,2", "02"), ("4,02", "002"), ("4;2", "2;"), ("4,\u0662", "\u0662"),
+            ("4,2\t", "2\t"), ("4,0", "0"), ("4,-7", "-7"), ("4,-0", "-0"), ("-4,2", "-2"),
+            ("2,1", "1\n2"), ("3,1", "2\n2"), ("4,99999999999999999999", "99999999999999999999"),
+            ("4,2 # note", "2 # note"), ("#4,2", "#2"), ("4,#", "#"), ("", ""),
+        ]
+    ] + [
         "4,2,2.6", "4,2,2.6,13.9,1", "4,two,2.6,13.9",
         "4,2,nan,nan", "4,2,inf,13.928203230275509", "4,2,2.633915793849633,-inf",
         "4.5,2,2.633915793849633,13.928203230275509", "4,2.5,2.633915793849633,13.928203230275509",
         "4,0,2.633915793849633,13.928203230275509", "4,-7,2.633915793849633,13.928203230275509",
         "2,1,0.0,1.0", "3,1,1.9248473002384139,6.854101966249685",
         "4,2,2.6,13.928203230275509", "4,2,2.633915793849633,13.9", "4,2,2.633915793849633,13.928203230275509 # note",
-        "",
+        "4,2",
     ])
     def test_malformed_row_rejected(self, tmp_path, row):
         path = tmp_path / "spec.csv"
@@ -518,22 +544,34 @@ class TestCache:
         assert read_cache(path, 10) is None
 
     def test_trace_below_three_rejected(self, tmp_path):
+        # a count for trace 2 above the first row: one row too many
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
         body = path.read_text().splitlines()
-        body[2] = "2,1"  # the first row; ascending order still holds
-        _write_rows(path, body)
+        _write_rows(path, body[:2] + ["1"] + body[2:])
         assert read_cache(path, 10) is None
 
     def test_trace_above_max_trace_rejected(self, tmp_path):
+        # the count of trace 11 below the last row: one row too many
         path = tmp_path / "spec.csv"
         write_cache(enumerate_spectrum(10), path)
-        _write_rows(path, path.read_text().splitlines() + ["11,6"])
+        extra = str(enumerate_spectrum(11).mult(11))
+        _write_rows(path, path.read_text().splitlines() + [extra])
         assert read_cache(path, 10) is None
 
-    @pytest.mark.parametrize("row", ["4.5,2", "4,2.0", "4,2.5"])
+    def test_row_too_few_rejected(self, tmp_path):
+        # the counts of traces 3 to 9 under the first line of T = 10
+        path = tmp_path / "spec.csv"
+        write_cache(enumerate_spectrum(10), path)
+        _write_rows(path, path.read_text().splitlines()[:-1])
+        assert read_cache(path, 10) is None
+
+    # ids as above
+    @pytest.mark.parametrize("row", [
+        pytest.param("4.5", id="4.5,2"), pytest.param("2.0", id="4,2.0"), pytest.param("2.5", id="4,2.5"),
+    ])
     def test_refusal_rests_on_no_numpy_int_parsing(self, tmp_path, monkeypatch, row):
-        # numpy < 2 parses "4.5" as the integer 4, with only a DeprecationWarning
+        # numpy < 2 parses "2.5" as the integer 2, with only a DeprecationWarning
         def lenient(text, dtype, sep):
             return np.array([float(field) for field in text.split(sep) if field]).astype(dtype)
 
@@ -564,14 +602,25 @@ class TestCache:
         spectrum = enumerate_spectrum(max_trace)
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
-        writer.writerow(("trace", "count"))
+        writer.writerow(("count",))
         for sh in spectrum.shells:
-            writer.writerow([sh.trace, sh.count])
+            writer.writerow([sh.count])
         rows = expected.getvalue().partition("\r\n")[2].replace("\r\n", "\n")
         path = tmp_path / "spec.csv"
         write_cache(spectrum, path)
         assert path.read_bytes() == (first_line(max_trace, rows) + "\r\n" + expected.getvalue()).encode()
         assert path.read_bytes().count(b"\r\n") == spectrum.columns.shape[1] + 2
+
+    @pytest.mark.parametrize("columns, max_trace, missing", [
+        (np.empty((4, 0)), 3, 3),
+        (enumerate_spectrum(12).columns[:, enumerate_spectrum(12).columns[0] != 7], 12, 7),
+    ], ids=["empty", "no-trace-7"])
+    def test_incomplete_spectrum_refused_before_writing(self, tmp_path, columns, max_trace, missing):
+        # the cache keeps no trace column, so a table missing a trace
+        # would be read back with its counts moved to the wrong traces
+        with pytest.raises(DomainError, match=f"trace {missing} is missing"):
+            write_cache(LengthSpectrum(columns, max_trace), tmp_path / "spec.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_generator_convention_recorded(self, tmp_path):
         path = tmp_path / "spec.csv"
@@ -607,6 +656,14 @@ def cached_800(enumerated_800, tmp_path_factory):
     path = tmp_path_factory.mktemp("cache") / "spec.csv"
     write_cache(enumerated_800, path)
     return read_cache(path, 800)
+
+
+@given(st.integers(min_value=3, max_value=400))
+@settings(max_examples=100, deadline=None)
+def test_every_trace_from_three_has_a_class(max_trace):
+    # L^(t-2) R has trace t; so the version-5 cache stores no trace column
+    assert trace_of_word("L" * (max_trace - 2) + "R") == max_trace
+    assert enumerate_spectrum(max_trace).columns[0].tolist() == list(range(3, max_trace + 1))
 
 
 @given(st.integers(min_value=3, max_value=400))

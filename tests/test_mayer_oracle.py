@@ -99,6 +99,17 @@ def test_functional_equation(s):
     assert abs(ratio - 1.0) < 1e-7
 
 
+@pytest.mark.parametrize("s", [
+    complex(1.7), complex(2.3), complex(-1.3), complex(2.2, -3.0), complex(2.7, -3.0), complex(-1.3, 2.0),
+], ids=str)
+def test_functional_equation_off_the_cut_safe_points(s):
+    # where Re s or Re(1 - s) is -1.3 the oracle's truncation reaches 1e-5;
+    # a kappa on the wrong branch is off by a root of unity, here -1,
+    # e^(+-i pi/3) or e^(-2 pi i/3), so by 1 or more
+    ratio = mayer_Z(1.0 - s) / (kappa(MODULAR, modular_model(), s).value * mayer_Z(s))
+    assert abs(ratio - 1.0) < 1e-4
+
+
 def test_sign_change_at_half():
     # Z has a simple pole at 1/2, so kappa(1/2) = lim Z(1-s)/Z(s) = -1
     assert mayer_Z(0.49).real > 100.0 and mayer_Z(0.51).real < -100.0

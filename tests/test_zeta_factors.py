@@ -280,21 +280,40 @@ class TestKappa:
 
 
 class TestSineBlockBranch:
-    def test_log_sin_is_principal(self):
+    def test_exp_of_log_sin_is_sin(self):
         rng = random.Random(20261018)
-        for _ in range(5000):
-            z = complex(rng.uniform(-20.0, 20.0), rng.uniform(-300.0, 300.0))
-            ref = cmath.log(cmath.sin(z))
-            assert abs(_log_sin(z) - ref) <= 1e-14 * max(1.0, abs(ref))
+        points = [complex(rng.uniform(-20.0, 20.0), rng.uniform(-300.0, 300.0)) for _ in range(2000)]
+        # next to the zeros of sin, on both sides of the real axis
+        points += [complex(k * math.pi + dx, dy) for k in range(-6, 7)
+                   for dx, dy in ((1e-12, 0.0), (0.0, 1e-8), (-1e-4, -1e-4)) if k or dx]
+        for z in points:
+            value = _log_sin(z)
+            ref = mp.sin(mp.mpc(z.real, z.imag))
+            assert abs(mp.exp(mp.mpc(value.real, value.imag)) / ref - 1) <= 1e-14
 
     def test_log_sin_past_double_range(self):
-        # sin z itself overflows a double here; mpmath does not
+        # sin z itself overflows a double here; mpmath does not. A log of
+        # sin is fixed up to a multiple of 2 pi i
         for z in (-13.0 + 900.0j, 7.5 - 2000.0j, 2.0 - 1e4j, 0.1 + 750.0j):
             ref = complex(mp.log(mp.sin(mp.mpc(z.real, z.imag))))
-            assert abs(_log_sin(z) - ref) <= 1e-14 * abs(ref)
+            diff = _log_sin(z) - ref
+            diff -= 2j * math.pi * round(diff.imag / (2.0 * math.pi))
+            assert abs(diff) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("start, stop", [
+        (-20.0 + 0.5j, 20.0 + 0.5j), (-20.0 - 0.5j, 20.0 - 0.5j), (-20.0 + 3.0j, 20.0 + 3.0j),
+        (-20.0 - 300.0j, 20.0 - 300.0j), (1.0 - 5.0j, 1.0 + 5.0j), (2.0 + 5.0j, 2.0 - 5.0j),
+    ])
+    def test_log_sin_continuous_along_a_path(self, start, stop):
+        # steps of 0.01, where |d log sin / dz| = |cot z| <= 2.2: a principal
+        # log would jump by 2 pi i wherever Re z passes a multiple of pi
+        steps = 4000 if start.real != stop.real else 1000
+        values = [_log_sin(start + (stop - start) * k / steps) for k in range(steps + 1)]
+        assert max(abs(b - a) for a, b in zip(values, values[1:])) < 0.05
 
     def test_log_kappa_branch_unchanged(self):
-        # the block is the sum of principal logs; its branch shows in log_kappa
+        # at the cut-safe points the block is still the sum of principal
+        # logs, so log_kappa keeps the branch it had there
         for s in CUT_SAFE_POINTS:
             ref = sum(
                 (m - 2 * k - 1) / m * cmath.log(cmath.sin(math.pi * (s + k) / m))
@@ -332,6 +351,26 @@ class TestRuelleFERhs:
             lhs = kappa(sig, sc, s + 1.0).value / kappa(sig, sc, s).value
             rhs = ruelle_fe_rhs(sig, sc, s)
             assert abs(lhs - rhs) < 1e-9 * abs(rhs)
+
+    @pytest.mark.parametrize("sig, sc", [
+        (MODULAR, modular_model()), (TRIANGLE, trivial_model()), (Signature(1, 1, (2,)), modular_model()),
+    ], ids=["modular", "triangle", "genus-one"])
+    def test_consistency_with_kappa_on_the_strip(self, sig, sc):
+        # kappa(s+1)/kappa(s) has integer exponents only where kappa has one
+        # branch: a fractional multiple of a log jumping by 2 pi i was off by
+        # a root of unity at most points here
+        rng = random.Random(202610)
+        evaluated = 0
+        for _ in range(60):
+            s = complex(rng.uniform(-3.0, 4.0), rng.uniform(-20.0, 20.0))
+            try:
+                lhs = kappa(sig, sc, s + 1.0).value / kappa(sig, sc, s).value
+                rhs = ruelle_fe_rhs(sig, sc, s)
+            except DomainError:  # a factor leaves double range
+                continue
+            evaluated += 1
+            assert abs(lhs - rhs) < 1e-9 * abs(rhs), s
+        assert evaluated >= 55
 
     def test_consistency_with_kappa_past_sine_overflow(self):
         # cmath.sin(pi s) leaves double range from |Im s| ~ 226 on
