@@ -1,7 +1,7 @@
 """Numerical Selberg/Ruelle zeta machinery for cofinite hyperbolic surfaces.
 
 The package realizes the closed-form side of the theory: special
-functions (log-gamma, digamma, Riemann zeta, the double gamma function),
+functions (log-gamma, Riemann zeta, the double gamma function),
 surface constants and integer order tables, scattering-determinant
 models, the determinant/functional-equation factors, an enumerated
 geodesic length spectrum for the modular group, and truncated Euler
@@ -37,14 +37,7 @@ from .scattering import (
     phi_leading_at_zero,
     trivial_model,
 )
-from .special_functions import (
-    digamma,
-    gauss_multiplication_defect,
-    log_barnes_gamma2,
-    log_gamma,
-    riemann_zeta,
-    zeta_prime_minus_one,
-)
+from .special_functions import log_barnes_gamma2, log_gamma, riemann_zeta
 from .surface import (
     Signature,
     SurfaceConstants,
@@ -78,8 +71,7 @@ __all__ = [
     "enumerate_spectrum", "read_cache", "write_cache",
     "ScatteringModel", "builtin_model", "modular_model", "modular_phi",
     "phi_leading_at_zero", "trivial_model",
-    "digamma", "gauss_multiplication_defect",
-    "log_barnes_gamma2", "log_gamma", "riemann_zeta", "zeta_prime_minus_one",
+    "log_barnes_gamma2", "log_gamma", "riemann_zeta",
     "Signature", "SurfaceConstants", "area", "constants", "geometric_constants",
     "order_R", "order_Z", "parse_signature",
     "FactorValue", "c0", "c1", "det_laplacian", "kappa", "ruelle_fe_rhs",

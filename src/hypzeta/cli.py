@@ -175,12 +175,8 @@ def _cmd_orders(args) -> tuple[Report, int]:
     report.inputs.update({"from": lo, "to": hi})
     table = []
     for point in range(lo, hi + 1):
-        row = {"point": point, "order_R": order_R(sig, model.n0, point)}
-        try:
-            row["order_Z"] = order_Z(sig, model.n0, point)
-        except HypzetaError:
-            row["order_Z"] = None
-        table.append(row)
+        table.append({"point": point, "order_R": order_R(sig, model.n0, point),
+                      "order_Z": order_Z(sig, model.n0, point)})
         if point < 0:
             half = point + 0.5
             table.append({"point": half, "order_Z": order_Z(sig, model.n0, half)})

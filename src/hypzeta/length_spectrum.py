@@ -141,10 +141,6 @@ class LengthSpectrum:
     def class_count(self) -> int:
         return int(self.columns[1].sum())
 
-    @property
-    def min_length(self) -> float:
-        return float(self.columns[3, 0]) if self.columns.shape[1] else math.inf
-
 
 def _capacity_error(max_classes: int, max_trace: int) -> CapacityError:
     return CapacityError(f"more than {max_classes} classes below trace {max_trace}")

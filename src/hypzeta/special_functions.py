@@ -1,13 +1,12 @@
 """Complex special functions underlying the zeta machinery.
 
-Provides principal-branch log-gamma and digamma (Stirling and
-asymptotic series after recurrence shifts, with reflection on the left;
-log-gamma sums its Taylor series next to its zeros at 1 and 2),
-the Riemann zeta function (one Euler-Maclaurin series on Re s >= 1/2,
-continued to Re s < 1/2 by the reflection formula, whose factor is
-summed in log space), the double gamma function G2 satisfying
-G2(s) = Gamma(s) * G2(s+1), the constant zeta'(-1), and a self-test
-defect for the Gauss multiplication formula.
+Provides principal-branch log-gamma (Stirling's series after
+recurrence shifts, with reflection on the left, and Taylor series next
+to its zeros at 1 and 2), the Riemann zeta function (one
+Euler-Maclaurin series on Re s >= 1/2, continued to Re s < 1/2 by the
+reflection formula, whose factor is summed in log space), the double
+gamma function G2 satisfying G2(s) = Gamma(s) * G2(s+1), and the
+constant zeta'(-1).
 
 Truncations are sized from the argument, never set by the caller: the
 zeta sum length grows with |Im s|, which is refused with DomainError
@@ -37,11 +36,8 @@ __all__ = [
     "EULER_GAMMA",
     "ZETA_PRIME_MINUS_ONE",
     "log_gamma",
-    "digamma",
     "riemann_zeta",
-    "zeta_prime_minus_one",
     "log_barnes_gamma2",
-    "gauss_multiplication_defect",
 ]
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -76,13 +72,13 @@ def _ensure_finite(value: complex, what: str) -> complex:
     return value
 
 
-# Bernoulli numbers B_2, B_4, ..., B_28 as exact fractions.
+# Bernoulli numbers B_2, B_4, ..., B_24 as exact fractions.
 _BERNOULLI = tuple(
     p / q
     for p, q in [
         (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
         (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
-        (-236364091, 2730), (8553103, 6), (-23749461029, 870),
+        (-236364091, 2730),
     ]
 )
 
@@ -141,11 +137,10 @@ def _cospi(x: float) -> float:
     return math.sin(math.pi * (r - 1.5))
 
 
-def _sinpi_cospi(z: complex) -> tuple[complex, complex]:
-    """sin(pi z) and cos(pi z) for |Im z| well inside 700 / pi."""
-    sx, cx = _sinpi(z.real), _cospi(z.real)
-    ch, sh = math.cosh(math.pi * z.imag), math.sinh(math.pi * z.imag)
-    return complex(sx * ch, cx * sh), complex(cx * ch, -sx * sh)
+def _sinpi_complex(z: complex) -> complex:
+    """sin(pi z) for |Im z| well inside 700 / pi."""
+    return complex(_sinpi(z.real) * math.cosh(math.pi * z.imag),
+                   _cospi(z.real) * math.sinh(math.pi * z.imag))
 
 
 def _loggamma_stirling(z: complex) -> complex:
@@ -202,31 +197,12 @@ def _loggamma(z: complex) -> complex:
         turn = math.copysign(2.0 * math.pi, z.imag) * math.floor(0.5 * z.real + 0.25)
         return (
             complex(_LOG_PI, turn)
-            - cmath.log(_sinpi_cospi(z)[0])
+            - cmath.log(_sinpi_complex(z))
             - _loggamma(complex(1.0 - z.real, -z.imag))
         )
     if math.copysign(1.0, z.imag) < 0.0:
         return _loggamma_recurrence(z.conjugate()).conjugate()
     return _loggamma_recurrence(z)
-
-
-def _digamma(z: complex) -> complex:
-    """psi(z) off the poles: reflection psi(z) = psi(1-z) - pi cot(pi z)
-    near the left half of the real axis, recurrence shifts up to |z| >= 10,
-    then the asymptotic series through B_16 (remainder below 1e-17)."""
-    value = 0j
-    if z.real < 0.5 and abs(z.imag) < 10.0:
-        sin_piz, cos_piz = _sinpi_cospi(z)
-        value = -math.pi * cos_piz / sin_piz
-        z = complex(1.0 - z.real, -z.imag)
-    while abs(z) < 10.0:
-        value -= 1.0 / z
-        z += 1.0
-    rzz = 1.0 / (z * z)
-    series = 0j
-    for n in range(8, 0, -1):
-        series = (series + _BERNOULLI[n - 1] / (2 * n)) * rzz
-    return value + cmath.log(z) - 0.5 / z - series
 
 
 # kernel values already evaluated, keyed by kernel and argument, while a
@@ -287,17 +263,6 @@ def _checked_log_gamma(s: complex) -> complex:
     if _is_nonpositive_integer(s):
         raise PoleError(f"log_gamma pole at s={s}")
     return _ensure_finite(_loggamma(s), "log_gamma")
-
-
-def digamma(s: complex) -> complex:
-    """Logarithmic derivative of the gamma function.
-
-    Raises PoleError at the poles s = 0, -1, -2, ...
-    """
-    s = _finite_complex(s)
-    if _is_nonpositive_integer(s):
-        raise PoleError(f"digamma pole at s={s}")
-    return _ensure_finite(_digamma(s), "digamma")
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +363,6 @@ def _riemann_zeta(s: complex) -> complex:
     except OverflowError:
         pass
     raise DomainError(f"riemann_zeta leaves double range at s={s}")
-
-
-def zeta_prime_minus_one() -> float:
-    """The constant zeta'(-1), to more than 12 correct digits."""
-    return ZETA_PRIME_MINUS_ONE
 
 
 # ---------------------------------------------------------------------------
@@ -546,18 +506,3 @@ def log_barnes_gamma2(s: complex) -> complex:
         product = _memoized(_log_gamma2_product, s)
     return _ensure_finite(shift + product, "log_barnes_gamma2")
 
-
-def gauss_multiplication_defect(s: complex, m: int) -> float:
-    """Relative defect of the order-m multiplication formula for Gamma.
-
-    Returns |Gamma(s) - (2 pi)^((1-m)/2) m^(s-1/2) prod_k Gamma((s+k)/m)|
-    normalized by |Gamma(s)|; a self-test of the gamma implementation.
-    """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    s = complex(s)
-    lhs = log_gamma(s)
-    rhs = (1.0 - m) / 2.0 * math.log(2.0 * math.pi) + (s - 0.5) * math.log(m)
-    for k in range(m):
-        rhs += log_gamma((s + k) / m)
-    return abs(1.0 - cmath.exp(rhs - lhs))

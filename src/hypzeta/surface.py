@@ -74,10 +74,6 @@ class Signature:
         ms = ",".join(str(m) for m in self.orders)
         return f"({self.g};{self.n};{ms})"
 
-    def to_text(self) -> str:
-        """Signature in the CLI text format g,n,m1:m2:...:mv."""
-        return f"{self.g},{self.n}," + ":".join(str(m) for m in self.orders)
-
 
 def parse_signature(text: str) -> Signature:
     """Parse the text form "g,n,m1:m2:...:mv" (ramification part may be empty)."""

@@ -149,6 +149,16 @@ class TestOrders:
         assert by_point[1]["order_Z"] == 1
         assert by_point[-5.5]["order_Z"] == -1
 
+    @pytest.mark.parametrize("signature", ["0,1,2:3", "2,0,", "0,0,2:3:7", "1,1,2:5"])
+    def test_every_integer_row_has_an_integer_order_Z(self, signature):
+        code, report, _ = invoke_json(
+            ["orders", "--signature", signature, "--from", "-12", "--to", "12"]
+        )
+        assert code == 0
+        rows = [row for row in result_of(report, "orders") if type(row["point"]) is int]
+        assert [row["point"] for row in rows] == list(range(-12, 13))
+        assert all(type(row["order_Z"]) is int for row in rows), rows
+
     def test_from_beyond_to_rejected(self):
         code, _, err = invoke(
             ["orders", "--signature", "0,1,2:3", "--from", "2", "--to", "-2"]
@@ -439,7 +449,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(special_functions, "_log_gamma2_product",
                             lambda w: product(w) * (1.0 + 1e-9))
         code, report, _ = invoke_json(["verify"])
-        assert code == 3 and result_of(report, "total_checks") == len(report["checks"]) == 129
+        assert code == 3 and result_of(report, "total_checks") == len(report["checks"]) == 122
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert {"special_functions: double-gamma recursion",
                 "special_functions: double-gamma at integers",

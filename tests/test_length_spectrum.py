@@ -173,7 +173,7 @@ class TestEnumeration:
         assert spectrum.class_count == 1
         assert brute_force_classes(3) == {"LR": 3}
         assert spectrum.columns[:2].tolist() == [[3.0], [1.0]]
-        assert abs(spectrum.min_length - 1.9248473002384139) < 1e-12
+        assert abs(spectrum.columns[3, 0] - 1.9248473002384139) < 1e-12
 
     def test_trace_four(self):
         spectrum = enumerate_spectrum(4)
@@ -716,7 +716,7 @@ class TestColumnarTable:
     def test_accessors_agree(self, enumerated_800, cached_800):
         for spectrum in (enumerated_800, cached_800):
             assert spectrum.class_count == 52_091
-            assert spectrum.min_length == 2.0 * math.acosh(1.5)
+            assert spectrum.columns[3, 0] == 2.0 * math.acosh(1.5)
         for trace in range(1, 803):
             assert cached_800.mult(trace) == enumerated_800.mult(trace)
 
@@ -773,8 +773,8 @@ class TestSpectrumContainer:
         assert spectrum.mult(1000) == 0
 
     def test_min_length(self):
-        assert abs(enumerate_spectrum(5).min_length - 2.0 * math.acosh(1.5)) < 1e-15
+        assert abs(enumerate_spectrum(5).columns[3, 0] - 2.0 * math.acosh(1.5)) < 1e-15
 
     def test_empty_spectrum_min_length(self):
         empty = LengthSpectrum(np.empty((4, 0)), max_trace=3)
-        assert empty.min_length == math.inf
+        assert empty.columns[3].size == 0 and empty.class_count == 0

@@ -75,7 +75,9 @@ class TestSignature:
     def test_parse_round_trip(self):
         sig = parse_signature("0,1,2:3")
         assert sig == MODULAR
-        assert parse_signature(sig.to_text()) == sig
+        for sig in (MODULAR, COMPACT, Signature(1, 2, (2, 3, 7))):
+            text = f"{sig.g},{sig.n}," + ":".join(str(m) for m in sig.orders)
+            assert parse_signature(text) == sig
         assert parse_signature("2,0,") == COMPACT
 
     @pytest.mark.parametrize("text", ["", "1,2", "a,b,c", "0,1,2:x", "1,1"])

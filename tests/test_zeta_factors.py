@@ -21,7 +21,6 @@ from hypzeta.scattering import ScatteringModel, modular_model, modular_phi, triv
 from hypzeta.special_functions import (
     ZETA_PRIME_MINUS_ONE,
     _log_sin,
-    digamma,
     log_barnes_gamma2,
     log_gamma,
     riemann_zeta,
@@ -577,14 +576,14 @@ NON_FINITE = [
 class TestNonFiniteArgument:
     @pytest.mark.parametrize("s", NON_FINITE, ids=repr)
     @pytest.mark.parametrize("call", [
-        log_gamma, digamma, riemann_zeta, log_barnes_gamma2, modular_phi,
+        log_gamma, riemann_zeta, log_barnes_gamma2, modular_phi,
         lambda s: z_infty(MODULAR, s),
         lambda s: z_ell(MODULAR, s),
         lambda s: det_laplacian(MODULAR, modular_model(), s, 1.0),
         lambda s: kappa(MODULAR, modular_model(), s),
         lambda s: ruelle_fe_rhs(MODULAR, modular_model(), s),
         lambda s: selberg_Z(enumerate_spectrum(10), s),
-    ], ids=["log_gamma", "digamma", "riemann_zeta", "log_barnes_gamma2", "modular_phi",
+    ], ids=["log_gamma", "riemann_zeta", "log_barnes_gamma2", "modular_phi",
             "z_infty", "z_ell", "det_laplacian", "kappa", "ruelle_fe_rhs", "selberg_Z"])
     def test_domain_error(self, call, s):
         with warnings.catch_warnings():
