@@ -499,8 +499,8 @@ def log_barnes_gamma2(s: complex) -> complex:
         shift += log_gamma(s)
         s = complex(s.real + 1.0, s.imag)  # keeps the sign of a zero Im s
     # the product is conjugate-symmetric bit for bit on Re s >= 1, so a
-    # memo keeps one entry per conjugate pair; -0.0 keeps its own
-    if s.imag < 0.0:
+    # memo keeps one entry per conjugate pair, s +- 0j among them
+    if math.copysign(1.0, s.imag) < 0.0:
         product = _memoized(_log_gamma2_product, s.conjugate()).conjugate()
     else:
         product = _memoized(_log_gamma2_product, s)

@@ -11,9 +11,8 @@ its cusp count differs from the signature's.
 
 Products of fractional powers are combined as sums of
 exponent * log(base), principal logs but for kappa's, which follow one
-branch so that kappa is single-valued. Identity checks of the other
-factors that are sensitive to branch cuts should use the pinned
-cut-safe sample points shipped with the verify suite.
+branch so that kappa is single-valued; identities of the other
+factors hold up to a root of unity.
 """
 
 from __future__ import annotations

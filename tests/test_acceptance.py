@@ -13,8 +13,7 @@ import sys
 import time
 from contextlib import redirect_stdout
 
-import pytest
-
+from cut_safe_points import CUT_SAFE_POINTS
 from word_oracle import canonical_rotation, is_primitive, necklace_count, trace_of_word
 
 from hypzeta.cli import run as cli_run
@@ -26,14 +25,14 @@ from hypzeta.surface import Signature, order_R, order_Z
 from hypzeta.verify import (
     COMPACT_R_ORDERS,
     COMPACT_Z_ORDERS,
-    CUT_SAFE_POINTS,
+    IDENTITY_GRID,
     MODULAR_R_ORDERS,
     MODULAR_Z_ORDERS,
     _gauss_multiplication_defect,
     identity_pairs,
     signature_corpus,
 )
-from hypzeta.zeta_factors import c0, c1, kappa, ruelle_fe_rhs, ruelle_leading_at_zero, z_ell, z_infty
+from hypzeta.zeta_factors import c0, c1, kappa, ruelle_fe_rhs, z_ell, z_infty
 
 
 def announce(number, title, ok):
@@ -107,7 +106,7 @@ def test_criterion_03_archimedean_four_point_identity():
 def test_criterion_04_ruelle_functional_equation_consistency():
     ok = True
     for sig, sc in identity_pairs():
-        for s in CUT_SAFE_POINTS:
+        for s in IDENTITY_GRID:
             lhs = kappa(sig, sc, s + 1.0).value / kappa(sig, sc, s).value
             rhs = ruelle_fe_rhs(sig, sc, s)
             ok &= abs(lhs - rhs) <= 1e-9 * abs(rhs)
@@ -117,7 +116,7 @@ def test_criterion_04_ruelle_functional_equation_consistency():
 def test_criterion_05_kappa_involution():
     ok = True
     for sig, sc in identity_pairs():
-        for s in CUT_SAFE_POINTS:
+        for s in IDENTITY_GRID:
             value = kappa(sig, sc, s).value * kappa(sig, sc, 1.0 - s).value
             ok &= abs(value - 1.0) <= 1e-9
     announce(5, "kappa(s) kappa(1-s) = 1", ok)

@@ -17,11 +17,12 @@ import math
 import mpmath as mp
 import pytest
 
+from cut_safe_points import CUT_SAFE_POINTS
+
 from hypzeta.euler_product import selberg_Z
 from hypzeta.length_spectrum import enumerate_spectrum
 from hypzeta.scattering import modular_model
 from hypzeta.surface import Signature
-from hypzeta.verify import CUT_SAFE_POINTS
 from hypzeta.zeta_factors import kappa, ruelle_leading_at_zero
 
 MODULAR = Signature(0, 1, (2, 3))

@@ -8,6 +8,8 @@ import warnings
 import mpmath as mp
 import pytest
 
+from cut_safe_points import CUT_SAFE_POINTS
+
 from hypzeta.errors import (
     DomainError,
     DomainWarning,
@@ -27,7 +29,7 @@ from hypzeta.special_functions import (
 )
 from hypzeta.surface import Signature, constants
 from hypzeta import special_functions, zeta_factors
-from hypzeta.verify import CUT_SAFE_POINTS
+from hypzeta.verify import IDENTITY_GRID
 from hypzeta.zeta_factors import (
     FactorValue,
     _log_sine_block,
@@ -346,7 +348,7 @@ class TestRuelleFERhs:
 
     def test_consistency_with_kappa_at_pinned_points(self):
         sig, sc = MODULAR, modular_model()
-        for s in CUT_SAFE_POINTS[:5]:
+        for s in IDENTITY_GRID:
             lhs = kappa(sig, sc, s + 1.0).value / kappa(sig, sc, s).value
             rhs = ruelle_fe_rhs(sig, sc, s)
             assert abs(lhs - rhs) < 1e-9 * abs(rhs)
