@@ -196,23 +196,11 @@ def order_Z(sig: Signature, n0: int, point) -> int:
 
 
 def order_R(sig: Signature, n0: int, point: int) -> int:
-    """Order of the Ruelle zeta function at an integer point; DomainError
-    at any other point. n0 goes through `operator.index`, as in order_Z."""
-    n0 = operator.index(n0)
+    """Order of the Ruelle zeta function R(s) = Z(s)/Z(s+1) at an integer
+    point, read from order_Z at the point and one step to its right;
+    DomainError at any other point."""
     x = _finite_point(point)
     nearest = round(x)
     if abs(x - nearest) > 5e-10:  # the tolerance of order_Z
         raise DomainError(f"order of R is only defined at integers, got {point}")
-    point = nearest
-    if point == 1:
-        return 1
-    if point >= 2:
-        return 0
-    euler = 2 * sig.g - 2 + sig.n
-    if point == 0:
-        return euler - n0
-    if point == -1:
-        return 2 * (euler + sig.v) + n0 - 1
-    k = -point
-    divisors = sum(1 for m in sig.orders if k % m == 0)
-    return 2 * (euler + sig.v - divisors)
+    return order_Z(sig, n0, nearest) - order_Z(sig, n0, nearest + 1)

@@ -28,7 +28,8 @@ from .special_functions import (
     ZETA_PRIME_MINUS_ONE,
     _finite_complex,
     _is_nonpositive_integer,
-    _log_sin,
+    _log_sinpi,
+    _near_integer,
     log_barnes_gamma2,
     log_gamma,
 )
@@ -182,10 +183,6 @@ def det_laplacian(
     return value
 
 
-def _near_integer(z: complex, tol: float = 1e-12) -> bool:
-    return abs(z.imag) < tol and abs(z.real - round(z.real)) < tol
-
-
 def _log_sine_block(sig: Signature, s: complex) -> complex:
     total = 0.0 + 0.0j
     for j, m in enumerate(sig.orders):
@@ -193,7 +190,7 @@ def _log_sine_block(sig: Signature, s: complex) -> complex:
             arg = (s + k) / m
             if _near_integer(arg):
                 raise SingularFactorError(f"sine factor (j={j}, k={k})")
-            total += (m - 2 * k - 1) / m * _log_sin(math.pi * arg)
+            total += (m - 2 * k - 1) / m * _log_sinpi(arg)
     return total
 
 
@@ -267,12 +264,12 @@ def ruelle_fe_rhs(
         raise PoleError(f"phi(s) phi(-s) vanishes at s={s}")
     if s == 0:  # the checks above leave no cone points and 2g-2+n >= 1
         return 0j
-    log_sin_pis = _log_sin(math.pi * s)
+    log_sin_pis = _log_sinpi(s)
     log_value = euler * (math.log(4.0) + 2.0 * log_sin_pis) - cmath.log(phi_product)
     if sig.n:  # s = +-1/2, where 4s^2 - 1 = 0, was refused above when n >= 1
         log_value -= sig.n * cmath.log(4.0 * s * s - 1.0)
     for m in sig.orders:
-        log_value += 2.0 * (log_sin_pis - _log_sin(math.pi * s / m))
+        log_value += 2.0 * (log_sin_pis - _log_sinpi(s / m))
     return _exp(log_value)
 
 

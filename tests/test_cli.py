@@ -449,7 +449,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(special_functions, "_log_gamma2_product",
                             lambda w: product(w) * (1.0 + 1e-9))
         code, report, _ = invoke_json(["verify"])
-        assert code == 3 and result_of(report, "total_checks") == len(report["checks"]) == 122
+        assert code == 3 and result_of(report, "total_checks") == len(report["checks"]) == 121
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert {"special_functions: double-gamma recursion",
                 "special_functions: double-gamma at integers",

@@ -159,6 +159,13 @@ class TestRiemannZeta:
         ref = complex(mp.zeta(s))
         assert abs(riemann_zeta(s) - ref) <= 1e-12 * abs(ref)
 
+    @pytest.mark.parametrize("s", [-4 + 1e-9, -6 - 3e-8, -2 + 1e-7j])
+    def test_next_to_the_trivial_zeros_against_mpmath(self, s):
+        # the reflection's sin(pi s / 2) keeps its relative accuracy there:
+        # s / 2 is reduced mod 2 before pi multiplies it
+        ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+        assert abs(riemann_zeta(s) - ref) <= 1e-13 * abs(ref)
+
     def test_large_imaginary_part_against_mpmath(self):
         for re in (0.5, 0.6, 1.5, 2.5, 4.0):
             for im in (251.0, 280.0, 500.0, -1000.0, 3000.0):

@@ -97,7 +97,7 @@ def test_other_checks_carry_no_point(report):
 def test_rows_are_plain_dicts_with_seven_keys(report):
     keys = ["name", "lhs", "rhs", "abs_diff", "tolerance", "passed", "s"]
     rows = [c for checks in report["sections"].values() for c in checks]
-    assert len(rows) == report["total_checks"] == 122
+    assert len(rows) == report["total_checks"] == 121
     for row in rows:
         assert type(row) is dict and list(row) == keys, row
 
@@ -161,7 +161,7 @@ def test_principal_log_sine_fails_the_kappa_rows(monkeypatch):
     # kappa's sine block, fractional multiples of such logs, lands off by a
     # root of unity on part of the identity grid; the screened points
     # missed every jump
-    monkeypatch.setattr(zeta_factors, "_log_sin", lambda z: cmath.log(cmath.sin(z)))
+    monkeypatch.setattr(zeta_factors, "_log_sinpi", lambda w: cmath.log(cmath.sin(math.pi * w)))
     outcome = verify.run_verify()
     failed = [c["name"] for checks in outcome["sections"].values()
               for c in checks if not c["passed"]]
@@ -298,7 +298,7 @@ def test_memo_runs_one_product_per_conjugate_pair(product_calls):
 @pytest.mark.parametrize("kernel, s, error", [
     (log_gamma, -1.0, PoleError),
     (log_gamma, float("nan"), DomainError),
-    (log_gamma, 1e308, ConvergenceError),  # passes the argument checks, overflows
+    (log_gamma, 1e308, DomainError),  # passes the argument checks, overflows
     (riemann_zeta, 1.0, PoleError),
     (riemann_zeta, complex(0.3, 2e6), DomainError),
     (riemann_zeta, complex(-300.0, 0.5), DomainError),  # leaves double range
@@ -364,8 +364,10 @@ def _order_checks_with_one_wrong(monkeypatch, label, k, delta):
 @pytest.mark.parametrize("k", [1, 2, 27, 50])
 @pytest.mark.parametrize("delta", [1, -1])
 def test_linkage_reads_the_order_table(monkeypatch, k, delta):
+    # the corpus R orders are differences of the table's Z orders, so one Z
+    # order off by +-1 makes a difference next to it odd
     passed = _order_checks_with_one_wrong(monkeypatch, "(0;1;2,3)", k, delta)
-    assert not passed["R order equals difference of Z orders (corpus)"]
+    assert not passed["R orders even (corpus)"]
     assert passed["Z orders at -k are non-negative (corpus, k <= 50)"]
 
 

@@ -22,7 +22,7 @@ from hypzeta.length_spectrum import enumerate_spectrum
 from hypzeta.scattering import ScatteringModel, modular_model, modular_phi, trivial_model
 from hypzeta.special_functions import (
     ZETA_PRIME_MINUS_ONE,
-    _log_sin,
+    _log_sinpi,
     log_barnes_gamma2,
     log_gamma,
     riemann_zeta,
@@ -283,21 +283,23 @@ class TestKappa:
 class TestSineBlockBranch:
     def test_exp_of_log_sin_is_sin(self):
         rng = random.Random(20261018)
-        points = [complex(rng.uniform(-20.0, 20.0), rng.uniform(-300.0, 300.0)) for _ in range(2000)]
-        # next to the zeros of sin, on both sides of the real axis
-        points += [complex(k * math.pi + dx, dy) for k in range(-6, 7)
+        points = [complex(rng.uniform(-6.4, 6.4), rng.uniform(-95.0, 95.0)) for _ in range(2000)]
+        # next to the zeros of sin(pi w), on both sides of the real axis
+        points += [complex(k + dx, dy) for k in range(-6, 7)
                    for dx, dy in ((1e-12, 0.0), (0.0, 1e-8), (-1e-4, -1e-4)) if k or dx]
-        for z in points:
-            value = _log_sin(z)
-            ref = mp.sin(mp.mpc(z.real, z.imag))
-            assert abs(mp.exp(mp.mpc(value.real, value.imag)) / ref - 1) <= 1e-14
+        for w in points:
+            value = _log_sinpi(w)
+            ref = mp.sin(mp.pi * mp.mpc(w.real, w.imag))
+            # pi w is rounded inside, which costs up to an ulp or two of pi |w|
+            bound = 1e-14 + 2.0 * math.ulp(math.pi * abs(w))
+            assert abs(mp.exp(mp.mpc(value.real, value.imag)) / ref - 1) <= bound, w
 
     def test_log_sin_past_double_range(self):
-        # sin z itself overflows a double here; mpmath does not. A log of
-        # sin is fixed up to a multiple of 2 pi i
-        for z in (-13.0 + 900.0j, 7.5 - 2000.0j, 2.0 - 1e4j, 0.1 + 750.0j):
-            ref = complex(mp.log(mp.sin(mp.mpc(z.real, z.imag))))
-            diff = _log_sin(z) - ref
+        # sin(pi w) itself overflows a double here; mpmath does not. A log
+        # of sin is fixed up to a multiple of 2 pi i
+        for w in (-4.1 + 286.0j, 2.4 - 640.0j, 0.6 - 3200.0j, 0.03 + 240.0j):
+            ref = complex(mp.log(mp.sin(mp.pi * mp.mpc(w.real, w.imag))))
+            diff = _log_sinpi(w) - ref
             diff -= 2j * math.pi * round(diff.imag / (2.0 * math.pi))
             assert abs(diff) <= 1e-14 * abs(ref)
 
@@ -306,10 +308,12 @@ class TestSineBlockBranch:
         (-20.0 - 300.0j, 20.0 - 300.0j), (1.0 - 5.0j, 1.0 + 5.0j), (2.0 + 5.0j, 2.0 - 5.0j),
     ])
     def test_log_sin_continuous_along_a_path(self, start, stop):
-        # steps of 0.01, where |d log sin / dz| = |cot z| <= 2.2: a principal
-        # log would jump by 2 pi i wherever Re z passes a multiple of pi
+        # log sin z = _log_sinpi(z / pi) in steps of 0.01, where
+        # |d log sin / dz| = |cot z| <= 2.2: a principal log would jump by
+        # 2 pi i wherever Re z passes a multiple of pi
         steps = 4000 if start.real != stop.real else 1000
-        values = [_log_sin(start + (stop - start) * k / steps) for k in range(steps + 1)]
+        values = [_log_sinpi((start + (stop - start) * k / steps) / math.pi)
+                  for k in range(steps + 1)]
         assert max(abs(b - a) for a, b in zip(values, values[1:])) < 0.05
 
     def test_log_kappa_branch_unchanged(self):
@@ -380,6 +384,16 @@ class TestRuelleFERhs:
             lhs = kappa(sig, sc, s + 1.0).value / kappa(sig, sc, s).value
             rhs = ruelle_fe_rhs(sig, sc, s)
             assert abs(lhs - rhs) < 1e-9 * abs(rhs)
+
+    @pytest.mark.parametrize("s", [3 + 1e-8j, -4 + 2e-9])
+    def test_next_to_the_sine_zeros_against_mpmath(self, s):
+        # on (2;0;3) with phi = 1 the value is
+        # (4 sin^2 pi s)^2 (sin pi s / sin(pi s / 3))^2, with a zero of order
+        # 4 at s = 3 and 6 at s = -4; each sine keeps its relative accuracy
+        z = mp.pi * mp.mpc(s.real, s.imag)
+        ref = complex((4 * mp.sin(z) ** 2) ** 2 * (mp.sin(z) / mp.sin(z / 3)) ** 2)
+        value = ruelle_fe_rhs(Signature(2, 0, (3,)), trivial_model(), s)
+        assert abs(value - ref) <= 1e-13 * abs(ref)
 
     def test_overflow_is_domain_error(self):
         with pytest.raises(DomainError):
