@@ -11,7 +11,6 @@ plus a reproducible `verify` identity suite.
 
 from .errors import (
     CapacityError,
-    ConvergenceError,
     DomainError,
     DomainWarning,
     EmptySpectrumError,
@@ -63,7 +62,7 @@ from .zeta_factors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityError", "ConvergenceError", "DomainError", "DomainWarning",
+    "CapacityError", "DomainError", "DomainWarning",
     "EmptySpectrumError", "FitError", "HypzetaError", "MismatchError",
     "PoleError", "SingularFactorError",
     "TruncatedValue", "ruelle_R", "selberg_Z",

@@ -3,7 +3,7 @@
 Every operation of the library is reachable as a subcommand; every
 subcommand honors --json and emits a Report whose checks carry both
 sides of each comparison and the tolerance actually applied. Exit codes:
-0 success, 1 usage error, 2 numerical failure (pole, divergence, bad
+0 success, 1 usage error, 2 numerical failure (pole, bad
 domain, floating-point overflow), 3 verification-suite failure.
 """
 

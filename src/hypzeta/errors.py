@@ -1,8 +1,8 @@
 """Exception and warning types shared across the package.
 
 Numerical routines signal trouble instead of letting NaN or infinity
-propagate: a pole hit raises PoleError, a truncation that cannot meet its
-tolerance raises ConvergenceError, and so on.
+propagate: a pole hit raises PoleError, an argument or a value outside
+double range or a truncation's reach raises DomainError, and so on.
 """
 
 
@@ -12,10 +12,6 @@ class HypzetaError(Exception):
 
 class PoleError(HypzetaError):
     """Evaluation requested at (or numerically on top of) a pole."""
-
-
-class ConvergenceError(HypzetaError):
-    """A truncated series/product cannot reach the requested tolerance."""
 
 
 class DomainError(HypzetaError):

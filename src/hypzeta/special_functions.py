@@ -13,11 +13,12 @@ zeta sum length grows with |Im s|, which is refused with DomainError
 beyond 10^6 (8 MB per array of the sum), and the double-gamma product
 length doubles from 10,000 terms until its remainder bound meets 1e-11,
 up to a ceiling of 160,000 terms (about |s - 1| <= 1,060 after the
-recursion shift); beyond it G2 raises ConvergenceError.
+recursion shift); beyond it G2 raises DomainError.
 
 All routines work in IEEE binary64; tolerances quoted in docstrings are
-for that precision. Functions are pure, refuse a non-finite argument
-with DomainError, and raise instead of returning non-finite values.
+for that precision. Functions are pure, conjugate-symmetric bit for bit
+(see _memoized), refuse a non-finite argument with DomainError, and
+raise instead of returning non-finite values.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import threading
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import DomainError, PoleError
 
 __all__ = [
     "EULER_GAMMA",
@@ -115,26 +116,22 @@ _LOGGAMMA_TAYLOR = (
 _TAYLOR_RADIUS = 0.2
 
 
-def _sinpi(x: float) -> float:
-    """sin(pi x), with x reduced mod 2 before the multiplication by pi."""
+def _sincospi(x: float) -> tuple[float, float]:
+    """(sin(pi x), cos(pi x)), with x reduced mod 2 once before pi multiplies it."""
     r = math.fmod(abs(x), 2.0)
     if r < 0.5:
-        value = math.sin(math.pi * r)
+        sin = math.sin(math.pi * r)
     elif r > 1.5:
-        value = math.sin(math.pi * (r - 2.0))
+        sin = math.sin(math.pi * (r - 2.0))
     else:
-        value = -math.sin(math.pi * (r - 1.0))
-    return -value if x < 0.0 else value
-
-
-def _cospi(x: float) -> float:
-    """cos(pi x), with x reduced mod 2 before the multiplication by pi."""
-    r = math.fmod(abs(x), 2.0)
+        sin = -math.sin(math.pi * (r - 1.0))
     if r == 0.5:
-        return 0.0
-    if r < 1.0:
-        return -math.sin(math.pi * (r - 0.5))
-    return math.sin(math.pi * (r - 1.5))
+        cos = 0.0
+    elif r < 1.0:
+        cos = -math.sin(math.pi * (r - 0.5))
+    else:
+        cos = math.sin(math.pi * (r - 1.5))
+    return (-sin if x < 0.0 else sin), cos
 
 
 def _log_sinpi(z: complex) -> complex:
@@ -143,14 +140,14 @@ def _log_sinpi(z: complex) -> complex:
     Im z >= +0, and by the sign bit of Im z <= -0 the conjugate of its
     value at conj z. With z = x + iy, y >= 0, 1 - e^(2i pi z) is formed as
     2 sin^2 pi x - cos 2 pi x expm1(-2 pi y) - i e^(-2 pi y) sin 2 pi x, in
-    the closed right half-plane, from _sinpi and _cospi, which reduce x
-    mod 2 before pi multiplies it: nothing of size e^(pi y) is formed, and
+    the closed right half-plane, from _sincospi, which reduces x mod 2
+    before pi multiplies it: nothing of size e^(pi y) is formed, and
     nothing cancels next to the zeros of sin(pi z)."""
     x, y = z.real, abs(z.imag)
-    sin_x = _sinpi(x)
+    sin_x, cos_x = _sincospi(x)
     versin = 2.0 * sin_x * sin_x  # 1 - cos 2 pi x
     decay = math.expm1(-2.0 * math.pi * y)
-    one_minus = complex(versin - (1.0 - versin) * decay, -2.0 * sin_x * _cospi(x) * (1.0 + decay))
+    one_minus = complex(versin - (1.0 - versin) * decay, -2.0 * sin_x * cos_x * (1.0 + decay))
     value = complex(math.pi * y, -math.pi * x) + _LOG_HALF_I + cmath.log(one_minus)
     return value.conjugate() if math.copysign(1.0, z.imag) < 0.0 else value
 
@@ -195,9 +192,7 @@ def _loggamma(z: complex) -> complex:
             series = 0j
             for c in coefficients:
                 series = series * e + c
-            value = series * e
-            # real on the real axis, with the sign of zero of Im z
-            return complex(value.real, z.imag) if z.imag == 0.0 else value
+            return series * e
     if z.real < 0.1:
         return _LOG_PI - _log_sinpi(z) - _loggamma(complex(1.0 - z.real, -z.imag))
     return _loggamma_recurrence(z)
@@ -212,18 +207,17 @@ _KERNEL_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def _kernel_memo():
-    """Scope in which log_gamma and riemann_zeta each evaluate an argument
-    once, and the product behind log_barnes_gamma2 once per conjugate
-    pair; `verify.run_verify` runs in one, since its identities revisit
-    their arguments and its grids are symmetric under s -> conj(s).
+    """Scope in which log_gamma, riemann_zeta and the product behind
+    log_barnes_gamma2 each evaluate a conjugate pair once;
+    `verify.run_verify` runs in one, since its identities revisit their
+    arguments and its grids are symmetric under s -> conj(s).
 
     Later calls in the scope reuse the value bit for bit, and a hit in
-    log_gamma or riemann_zeta skips the argument checks: the memo holds
-    only values that passed them, since a call that raises stores
-    nothing. Arguments that differ only in the sign of a zero imaginary
-    part, the two sides of a cut, are kept apart. The memo is a fresh
-    dict for each scope and is dropped when the scope closes, whether
-    its body returns or raises, so no value outlives it.
+    log_gamma or riemann_zeta skips the pole and range checks: the memo
+    holds only values that passed them, since a call that raises stores
+    nothing. The memo is a fresh dict for each scope and is dropped when
+    the scope closes, whether its body returns or raises, so no value
+    outlives it.
     """
     token = _KERNEL_MEMO.set({})
     try:
@@ -234,11 +228,21 @@ def _kernel_memo():
 
 def _memoized(kernel, s: complex) -> complex:
     """kernel(s): from the open memo if it holds s, else evaluated, and
-    kept if a memo is open."""
+    kept if a memo is open.
+
+    Every kernel satisfies f(conj s) = conj f(s) bit for bit off the
+    real axis; on it, the sign of a zero Im s names the side of a cut
+    (log Gamma left of 0) or the sign of a real value's zero imaginary
+    part. So an s with the sign bit of Im s set, s - 0j among them, is
+    answered as the conjugate of the kernel at conj(s), in a memo or
+    not, and the two sides of a cut share one evaluation.
+    """
+    if math.copysign(1.0, s.imag) < 0.0:
+        return _memoized(kernel, s.conjugate()).conjugate()
     memo = _KERNEL_MEMO.get()
     if memo is None:
         return kernel(s)
-    key = (kernel, s.real, s.imag, math.copysign(1.0, s.imag))
+    key = (kernel, s.real, s.imag)
     value = memo.get(key)
     if value is None:
         value = memo[key] = kernel(s)
@@ -253,15 +257,16 @@ def log_gamma(s: complex) -> complex:
     PoleError at the poles s = 0, -1, -2, ..., and DomainError where the
     value leaves double range.
     """
-    return _memoized(_checked_log_gamma, complex(s))
+    return _memoized(_checked_log_gamma, _finite_complex(s))
 
 
 def _checked_log_gamma(s: complex) -> complex:
-    """log_gamma(s), its argument checked."""
-    s = _finite_complex(s)
+    """log_gamma(s), checked for its poles and for overflow."""
     if _is_nonpositive_integer(s):
         raise PoleError(f"log_gamma pole at s={s}")
-    return _ensure_finite(_loggamma(s), "log_gamma")
+    value = _ensure_finite(_loggamma(s), "log_gamma")
+    # real on the positive real axis, with the sign of zero of Im s
+    return complex(value.real, s.imag) if s.imag == 0.0 and s.real > 0.0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -320,34 +325,33 @@ def riemann_zeta(s: complex) -> complex:
     relative accuracy: within 5e-15 of mpmath at -4 + 1e-9, -6 - 3e-8
     and -2 + 1e-7 i.
     """
-    return _memoized(_riemann_zeta, complex(s))
+    return _memoized(_riemann_zeta, _finite_complex(s))
 
 
 def _riemann_zeta(s: complex) -> complex:
-    """riemann_zeta(s), its argument checked."""
-    s = _finite_complex(s)
+    """riemann_zeta(s), checked for its pole, its |Im s| bound and overflow."""
     if abs(s - 1.0) < _POLE_TOL:
         raise PoleError("riemann_zeta pole at s=1")
     if abs(s.imag) > _ZETA_MAX_IMAG:
-        raise DomainError(f"riemann_zeta takes |Im s| <= 1e6 (got s = {s})")
+        raise DomainError(f"riemann_zeta takes |Im s| <= 1e6 (got {s.imag:.6g})")
     if s.real >= 0.5:
-        return _ensure_finite(_zeta_euler_maclaurin(s), "riemann_zeta")
-    if abs(s) < _POLE_TOL:
-        return complex(-0.5)
-    if s.real < -1.0 and _is_nonpositive_integer(s) and round(s.real) % 2 == 0:
-        return 0j
-    reflected = riemann_zeta(1.0 - s)
-    log_factor = (
-        s * math.log(2.0) + (s - 1.0) * math.log(math.pi)
-        + _log_sinpi(s / 2.0) + log_gamma(1.0 - s)
-    )
-    try:
-        value = cmath.exp(log_factor) * reflected
-        if cmath.isfinite(value):
-            return value
-    except OverflowError:
-        pass
-    raise DomainError(f"riemann_zeta leaves double range at s={s}")
+        value = _zeta_euler_maclaurin(s)
+    elif abs(s) < _POLE_TOL:
+        value = complex(-0.5)
+    elif s.real < -1.0 and _is_nonpositive_integer(s) and round(s.real) % 2 == 0:
+        value = 0j
+    else:
+        log_factor = (
+            s * math.log(2.0) + (s - 1.0) * math.log(math.pi)
+            + _log_sinpi(s / 2.0) + log_gamma(1.0 - s)
+        )
+        try:
+            value = cmath.exp(log_factor) * riemann_zeta(1.0 - s)
+        except OverflowError:  # refused with the infinite product below
+            value = complex(math.inf)
+    value = _ensure_finite(value, "riemann_zeta")
+    # real on the real axis, with the sign of zero of Im s
+    return complex(value.real, s.imag) if s.imag == 0.0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +419,7 @@ def _g2_cutoff(t: complex) -> int:
     cutoff = _G2_MIN_CUTOFF
     while _g2_remainder_bound(t, cutoff) > _G2_TAIL_TOL:
         if cutoff >= _G2_MAX_CUTOFF:
-            raise ConvergenceError(
+            raise DomainError(
                 f"double-gamma product needs more than {_G2_MAX_CUTOFF} terms "
                 f"for |s - 1| ~ {abs(t):.3g}"
             )
@@ -473,21 +477,15 @@ def log_barnes_gamma2(s: complex) -> complex:
     |s - 1| <= 120 after the shift, doubled while the remainder bound
     exceeds 1e-11. Relative accuracy ~1e-11 for |s| <= 10.
     Raises PoleError at s = 0, -1, -2, ... (pole of order k+1 at -k), and
-    ConvergenceError, before evaluating anything, where 160,000 terms do
+    DomainError, before evaluating anything, where 160,000 terms do
     not suffice (|s - 1| beyond about 1,060 after the shift).
     """
     s = _finite_complex(s)
     if _is_nonpositive_integer(s):
         raise PoleError(f"double gamma pole at s={s}")
-    shift = 0.0 + 0.0j
+    shift = complex(-0.0, -0.0)  # adds as the identity, zero signs too
     while s.real < 1.0:
         shift += log_gamma(s)
         s = complex(s.real + 1.0, s.imag)  # keeps the sign of a zero Im s
-    # the product is conjugate-symmetric bit for bit on Re s >= 1, so a
-    # memo keeps one entry per conjugate pair, s +- 0j among them
-    if math.copysign(1.0, s.imag) < 0.0:
-        product = _memoized(_log_gamma2_product, s.conjugate()).conjugate()
-    else:
-        product = _memoized(_log_gamma2_product, s)
-    return _ensure_finite(shift + product, "log_barnes_gamma2")
+    return _ensure_finite(shift + _memoized(_log_gamma2_product, s), "log_barnes_gamma2")
 

@@ -1,6 +1,7 @@
 """Special-function tests: frozen values, independent oracles, identities."""
 
 import cmath
+import contextlib
 import math
 import sys
 import threading
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypzeta.errors import ConvergenceError, DomainError, PoleError
+from hypzeta.errors import DomainError, HypzetaError, PoleError
 from hypzeta import special_functions
 from hypzeta.special_functions import (
     ZETA_PRIME_MINUS_ONE,
@@ -394,13 +395,102 @@ class TestBarnesGamma2:
     def test_cutoff_follows_the_argument(self, t, cutoff):
         assert special_functions._g2_cutoff(t) == cutoff
 
-    def test_convergence_error_beyond_ceiling(self, monkeypatch):
+    def test_domain_error_beyond_ceiling(self, monkeypatch):
         def no_product(*args, **kwargs):
             raise AssertionError("the product was evaluated")
 
         monkeypatch.setattr(special_functions.np, "arange", no_product)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(DomainError, match="160000 terms"):
             log_barnes_gamma2(complex(0.3, 5000.0))
+
+
+def _sinpi_reference(x: float) -> float:
+    """sin(pi x), x reduced mod 2 for it alone: _sincospi's reference."""
+    r = math.fmod(abs(x), 2.0)
+    if r < 0.5:
+        value = math.sin(math.pi * r)
+    elif r > 1.5:
+        value = math.sin(math.pi * (r - 2.0))
+    else:
+        value = -math.sin(math.pi * (r - 1.0))
+    return -value if x < 0.0 else value
+
+
+def _cospi_reference(x: float) -> float:
+    """cos(pi x), x reduced mod 2 for it alone: _sincospi's reference."""
+    r = math.fmod(abs(x), 2.0)
+    if r == 0.5:
+        return 0.0
+    if r < 1.0:
+        return -math.sin(math.pi * (r - 0.5))
+    return math.sin(math.pi * (r - 1.5))
+
+
+# imaginary parts from 1e-12 to 60, and the real axis
+_IMAG = st.one_of(st.just(0.0), st.floats(-12.0, math.log10(60.0)).map(lambda e: 10.0 ** e))
+
+
+class TestConjugation:
+    """f(conj s) = conj f(s) bit for bit, the sign of a zero part included."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kernel=st.sampled_from([log_gamma, riemann_zeta, log_barnes_gamma2]),
+           re=st.floats(-12.0, 8.0), im=_IMAG)
+    @example(kernel=riemann_zeta, re=-1.0, im=0.0)
+    @example(kernel=riemann_zeta, re=-0.5, im=0.0)
+    @example(kernel=log_gamma, re=-2.5, im=0.0)  # on the cut
+    @example(kernel=log_gamma, re=0.05, im=0.0)  # reflected into (0.9, 1)
+    @example(kernel=log_barnes_gamma2, re=-0.5, im=0.0)
+    @example(kernel=log_barnes_gamma2, re=-12.0, im=60.0)
+    def test_value_at_the_conjugate_is_the_conjugate(self, kernel, re, im):
+        s = complex(re, im)
+        try:
+            value = kernel(s)
+        except HypzetaError as exc:
+            for scope in (contextlib.nullcontext, special_functions._kernel_memo):
+                with scope(), pytest.raises(type(exc)):
+                    kernel(s.conjugate())
+            return
+        assert _bits(kernel(s.conjugate())) == _bits(value.conjugate()), s
+        # in a memo, whichever side comes first, the values are those outside it
+        for first, expected in ((s, value), (s.conjugate(), value.conjugate())):
+            with special_functions._kernel_memo():
+                inside = [kernel(first), kernel(first.conjugate())]
+            assert [_bits(v) for v in inside] == [_bits(expected), _bits(expected.conjugate())], s
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel=st.sampled_from([special_functions._checked_log_gamma,
+                                   special_functions._riemann_zeta]),
+           re=st.floats(-12.0, 8.0), exponent=st.floats(-12.0, math.log10(60.0)))
+    def test_kernels_are_conjugate_symmetric_off_the_axis(self, kernel, re, exponent):
+        # the kernels evaluated at Im s < 0 themselves: answering that
+        # side by conjugation, as _memoized does, changes no value off the axis
+        s = complex(re, 10.0 ** exponent)
+        assert _bits(kernel(s.conjugate())) == _bits(kernel(s).conjugate()), s
+
+    @settings(max_examples=80, deadline=None)
+    @given(re=st.floats(-12.0, 8.0), negative=st.booleans())
+    @example(re=-1.0, negative=False)  # reflected: the factor leaves ~1e-17 in Im
+    @example(re=-0.5, negative=True)
+    @example(re=0.05, negative=False)
+    def test_real_on_the_real_axis(self, re, negative):
+        s = complex(re, -0.0 if negative else 0.0)
+        if abs(re - 1.0) >= 1e-12:  # zeta's pole
+            assert riemann_zeta(s).imag.hex() == s.imag.hex(), s
+        if re >= 1e-12:  # past log Gamma's pole at 0
+            assert log_gamma(s).imag.hex() == s.imag.hex(), s
+
+
+@settings(max_examples=400)
+@given(x=st.one_of(st.floats(-1e6, 1e6), st.integers(-2 * 10**6, 2 * 10**6).map(lambda k: k / 2)))
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=0.5)
+@example(x=-1.5)
+@example(x=1e6)
+def test_sincospi_has_the_bits_of_separate_reductions(x):
+    sin, cos = special_functions._sincospi(x)
+    assert (sin.hex(), cos.hex()) == (_sinpi_reference(x).hex(), _cospi_reference(x).hex()), x
 
 
 class TestGaussMultiplication:

@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 
 from hypzeta import special_functions, verify, zeta_factors
-from hypzeta.errors import ConvergenceError, DomainError, PoleError
+from hypzeta.errors import DomainError, PoleError
 from hypzeta.scattering import modular_model
 from hypzeta.special_functions import log_barnes_gamma2, log_gamma, riemann_zeta
 
@@ -238,9 +238,9 @@ def test_run_verify_evaluates_each_log_gamma_and_zeta_sum_once(log_gamma_calls, 
     verify.run_verify()
     assert len(log_gamma_calls) == len(set(log_gamma_calls))
     # pinned, so a lost or an extra shared value shows
-    assert len(log_gamma_calls) == 1079  # 4,630 without the memo
+    assert len(log_gamma_calls) == 880  # 4,630 without the memo
     assert len(zeta_sums) == len(set(zeta_sums))
-    assert len(zeta_sums) == 207  # 678 without the memo
+    assert len(zeta_sums) == 183  # 678 without the memo
 
 
 def test_run_verify_runs_every_product_right_of_one(product_calls):
@@ -268,13 +268,13 @@ def test_memo_keeps_signed_zeros_apart(product_calls, log_gamma_calls):
     assert inside == outside and inside_gamma == outside_gamma
     # every point shifts to 1.5 +- 0j, whose sides share one product
     assert product_calls == [(1.5, 0.0, 1.0)]
-    # one log-gamma evaluation for each side of each cut
+    # one log-gamma evaluation, on the upper side, serves both sides of each cut
     assert len(log_gamma_calls) == len(set(log_gamma_calls))
-    assert {(re, 0.0, sign) for re in (-0.5, -2.5) for sign in (1.0, -1.0)} <= set(log_gamma_calls)
-    # the two sides of the cut at -0.5 and -2.5 take different branches
+    assert {(re, 0.0, 1.0) for re in (-0.5, -2.5)} <= set(log_gamma_calls)
+    assert all(sign == 1.0 for _, _, sign in log_gamma_calls)
+    # the two sides of the cut at -0.5 and -2.5 still take different branches
     for plus, minus in ((0, 1), (2, 3)):
-        assert log_barnes_gamma2(points[plus]) != log_barnes_gamma2(points[minus])
-        assert log_gamma(points[plus]) != log_gamma(points[minus])
+        assert inside[plus] != inside[minus] and inside_gamma[plus] != inside_gamma[minus]
 
 
 def test_memo_runs_one_product_per_conjugate_pair(product_calls):
@@ -303,7 +303,7 @@ def test_memo_runs_one_product_per_conjugate_pair(product_calls):
     (riemann_zeta, complex(0.3, 2e6), DomainError),
     (riemann_zeta, complex(-300.0, 0.5), DomainError),  # leaves double range
     (log_barnes_gamma2, -2.0, PoleError),
-    (log_barnes_gamma2, complex(0.3, -5000.0), ConvergenceError),
+    (log_barnes_gamma2, complex(0.3, -5000.0), DomainError),  # past the product ceiling
 ])
 def test_memo_never_answers_for_a_failed_check(kernel, s, error):
     # a hit skips the argument checks, so the memo must hold no value for
