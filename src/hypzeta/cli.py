@@ -293,7 +293,6 @@ def _cmd_euler(args) -> tuple[Report, int]:
     report.add("value", truncated.value)
     report.add("abs_error_estimate", truncated.abs_error_estimate)
     report.add("k_cutoff_used", truncated.k_cutoff_used)
-    report.add("k_tail_error", truncated.k_tail_error)
     report.add("trace_tail_error", truncated.trace_tail_error)
     if truncated.abs_error_estimate > 0.01 * abs(truncated.value):
         report.notes.append(

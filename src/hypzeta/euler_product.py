@@ -2,20 +2,19 @@
 
 Evaluates the Selberg zeta function Z(s) = prod_P prod_k (1 - p^(-s-k))
 and the Ruelle zeta function R(s) = Z(s)/Z(s+1) = prod_P (1 - p^(-s))
-for Re s > 1, with explicit truncation-error estimates. The inner k-sum
-is cut where its geometric bound in the smallest norm drops below a
-fixed target; the missing trace shells are estimated from the prime
-geodesic theorem and doubled - an honest estimate, not a proven bound.
+for Re s > 1, with explicit truncation-error estimates. The k-product
+is summed in closed form: expanded in m it is geometric, so
+log Z = -sum_P sum_m p^(-ms) / (m (1 - p^(-m))) leaves no k-tail. The
+missing trace shells are estimated from the prime geodesic theorem and
+doubled - an honest estimate, not a proven bound.
 
 Both products read the spectrum's columnar table
 (`LengthSpectrum.columns`: one column per distinct trace, weighted by
 its class count) and run over numpy arrays. The Selberg product takes,
-for each k, only the prefix of shells whose term can still move log Z in
-a double (a staircase, not the full shell x k rectangle); the
-magnitudes of the terms it skips sum to less than 1e-17, and each kept
-term's log(1 - x) keeps the low bits of Re x. Every result
-carries its relative error estimate split into the k-tail and the
-trace-tail parts.
+for each m, only the prefix of shells whose term can still move log Z in
+a double (a staircase, not the full shell x m rectangle); the terms it
+skips sum to less than 1.4e-17. Every result carries its relative
+trace-tail error estimate.
 """
 
 from __future__ import annotations
@@ -33,10 +32,7 @@ from .special_functions import EULER_GAMMA, _finite_complex
 __all__ = ["TruncatedValue", "selberg_Z", "ruelle_R"]
 
 _TAIL_SAFETY = 2.0
-_MIN_K_CUTOFF = 10
-# relative target of the adaptive k-cutoff; the k-tail is cut at a tenth of it
-_REL_TOL = 1e-10
-# bound on the summed magnitudes of the terms p^(-s-k) that selberg_Z skips
+# selberg_Z skips each term with p^(-m sigma) below this over the class count
 _SKIPPED_BOUND = 1e-17
 
 
@@ -44,15 +40,15 @@ _SKIPPED_BOUND = 1e-17
 class TruncatedValue:
     """Truncated product value with its absolute error estimate.
 
-    `k_tail_error` and `trace_tail_error` are the relative parts of the
-    estimate: the terms cut at k > k_cutoff_used and the shells beyond
-    the spectrum's max_trace; abs_error_estimate = |value| * (their sum).
+    `trace_tail_error` is the relative estimate for the shells beyond the
+    spectrum's max_trace, and abs_error_estimate = |value| *
+    trace_tail_error. `k_cutoff_used` is the largest m that selberg_Z
+    summed (0 for the direct Ruelle product).
     """
 
     value: complex
     abs_error_estimate: float
     k_cutoff_used: int
-    k_tail_error: float
     trace_tail_error: float
 
 
@@ -103,34 +99,30 @@ def _trace_tail_estimate(sigma: float, max_trace: int) -> float:
     """Relative error from the classes beyond max_trace.
 
     By the prime geodesic theorem (Selberg; Iwaniec 1984 for PSL(2,Z)) the
-    classes of norm at most x number li(x) asymptotically, so the missing terms |log(1 - p^(-s))| ~ p^(-sigma)
-    sum to the integral of x^(-sigma) / log x from N(T) on, which is
-    E1((sigma - 1) log N(T)) with N(T) the norm at trace T. expm1 turns
-    that error of the log into one of the value, and the safety factor
-    covers the sub-leading terms of the theorem.
+    classes of norm at most x number li(x) asymptotically, so the missing
+    terms |log(1 - p^(-s))| ~ p^(-sigma) sum to the integral of
+    x^(-sigma) / log x from N(T) on, which is E1((sigma - 1) log N(T))
+    with N(T) the norm at trace T. expm1 turns that error of the log
+    into one of the value, and the safety factor covers the sub-leading
+    terms of the theorem.
     """
     log_norm = 2.0 * math.acosh(max_trace / 2.0)
     return _TAIL_SAFETY * math.expm1(_exp1((sigma - 1.0) * log_norm))
 
 
-def _k_cutoff(spectrum: LengthSpectrum, sigma: float) -> int:
-    """Smallest k >= _MIN_K_CUTOFF with count * p_min^(-(sigma + k + 1)) below
-    a tenth of _REL_TOL."""
-    p_min = float(spectrum.columns[2, 0])
-    exponent = math.log(10.0 * spectrum.class_count / _REL_TOL) / math.log(p_min)
-    return max(_MIN_K_CUTOFF, math.floor(exponent - sigma - 1.0) + 1)
-
-
-def _kept_shells(spectrum: LengthSpectrum, sigma: float, cutoff: int) -> np.ndarray:
-    """For each k <= cutoff, the number of leading shells whose terms
-    p^(-s-k) selberg_Z evaluates: those with p^(-sigma-k) >= tau, a prefix
-    of the table, where tau = _SKIPPED_BOUND / M and M = (cutoff + 1) *
-    class_count. The at most M skipped terms move log Z by less than
-    _SKIPPED_BOUND / (1 - tau), as |log(1 - x)| <= |x| / (1 - |x|).
+def _kept_shells(spectrum: LengthSpectrum, sigma: float) -> np.ndarray:
+    """For m = 1, 2, ..., the number of leading shells whose terms
+    p^(-ms) selberg_Z evaluates: those with p^(-m sigma) >= tau, a prefix
+    of the table, where tau = _SKIPPED_BOUND / class_count. It stops at
+    the last m at which the shortest length can still qualify, and is
+    empty when none can. A class's skipped terms sum to less than
+    tau / (1 - 1/p_min)^2, so all of them to less than 1.4e-17.
     """
-    tau = _SKIPPED_BOUND / ((cutoff + 1) * spectrum.class_count)
-    bound = -math.log(tau) / (sigma + np.arange(cutoff + 1))
-    return np.searchsorted(spectrum.columns[3], bound, side="right")
+    # p^(-m sigma) >= tau where m log p <= reach
+    reach = -math.log(_SKIPPED_BOUND / spectrum.class_count) / sigma
+    length = spectrum.columns[3]
+    m_max = math.floor(reach / length[0])
+    return np.searchsorted(length, reach / np.arange(1, m_max + 1), side="right")
 
 
 def _log_one_minus(x: np.ndarray) -> np.ndarray:
@@ -146,58 +138,41 @@ def _log_one_minus(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _truncated(spectrum: LengthSpectrum, sigma: float, log_value: complex,
+               cutoff: int) -> TruncatedValue:
+    value = cmath.exp(log_value)
+    trace_tail = _trace_tail_estimate(sigma, spectrum.max_trace)
+    return TruncatedValue(value, abs(value) * trace_tail, cutoff, trace_tail)
+
+
 def selberg_Z(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
     """Truncated Selberg zeta value on Re s > 1.
 
-    log Z is the double sum of log(1 - p^(-s-k)) over the spectrum's
-    classes and k up to an adaptive cutoff, with the phase p^(-i Im s)
-    computed once per shell. For each k only the shells whose
-    |p^(-s-k)| = p^(-sigma-k) can still move log Z in a double are
-    evaluated, a prefix of the table that shrinks as k grows; the skipped
-    terms' magnitudes sum to less than 1e-17 (see `_kept_shells`). The
-    error estimate combines the k-tail (geometric in the smallest norm)
-    with the prime-geodesic trace tail.
+    log Z = -sum_P sum_m p^(-ms) / (m (1 - p^(-m))) over the spectrum's
+    classes: the k-product in closed form. Each term is one real
+    magnitude turned by the phase m Im s log p. For each m only the
+    shells whose p^(-m sigma) can still move log Z in a double are
+    evaluated, a prefix of the table that shrinks as m grows (see
+    `_kept_shells`). The error estimate is the prime-geodesic trace tail.
     """
     s = _require_usable(spectrum, s)
     sigma = s.real
-    cutoff = _k_cutoff(spectrum, sigma)
-    _, count, norm, length = spectrum.columns
-    kept = _kept_shells(spectrum, sigma, cutoff)
-    # the staircase as one flat run of (shell, k) pairs, k by k
+    _, count, _, length = spectrum.columns
+    kept = _kept_shells(spectrum, sigma)
+    # the staircase as one flat run of (shell, m) pairs, m by m
     shell = np.arange(kept.sum()) - np.repeat(np.cumsum(kept) - kept, kept)
-    k = np.repeat(np.arange(cutoff + 1), kept)
-    phase = np.exp(-1j * s.imag * length[: kept[0]])
-    x = np.exp(-(sigma + k) * length[shell]) * phase[shell]
-    log_z = complex(count[shell] @ _log_one_minus(x))
-    p_min = float(norm[0])
-    k_tail = (
-        spectrum.class_count
-        * p_min ** (-(sigma + cutoff + 1))
-        / (1.0 - 1.0 / p_min)
-    )
-    trace_tail = _trace_tail_estimate(sigma, spectrum.max_trace)
-    value = cmath.exp(log_z)
-    return TruncatedValue(
-        value=value,
-        abs_error_estimate=abs(value) * (k_tail + trace_tail),
-        k_cutoff_used=cutoff,
-        k_tail_error=k_tail,
-        trace_tail_error=trace_tail,
-    )
+    m = np.repeat(np.arange(1, kept.size + 1), kept)
+    ml = m * length[shell]
+    magnitude = count[shell] * np.exp(-sigma * ml) / (m * -np.expm1(-ml))
+    angle = s.imag * ml
+    log_z = complex(-(magnitude @ np.cos(angle)), magnitude @ np.sin(angle))
+    return _truncated(spectrum, sigma, log_z, kept.size)
 
 
 def _ruelle_direct(spectrum: LengthSpectrum, s: complex) -> TruncatedValue:
     _, count, _, length = spectrum.columns
     log_r = complex(count @ _log_one_minus(np.exp(-s * length)))
-    value = cmath.exp(log_r)
-    trace_tail = _trace_tail_estimate(s.real, spectrum.max_trace)
-    return TruncatedValue(
-        value=value,
-        abs_error_estimate=abs(value) * trace_tail,
-        k_cutoff_used=0,
-        k_tail_error=0.0,
-        trace_tail_error=trace_tail,
-    )
+    return _truncated(spectrum, s.real, log_r, 0)
 
 
 def ruelle_R(
@@ -221,13 +196,5 @@ def ruelle_R(
     za = selberg_Z(spectrum, s)
     zb = selberg_Z(spectrum, s + 1.0)
     value = za.value / zb.value
-    rel = za.abs_error_estimate / abs(za.value) + zb.abs_error_estimate / abs(zb.value)
-    # rel is the sum of the four parts below, up to the rounding of
-    # dividing each estimate by its value
-    return TruncatedValue(
-        value=value,
-        abs_error_estimate=abs(value) * rel,
-        k_cutoff_used=za.k_cutoff_used,
-        k_tail_error=za.k_tail_error + zb.k_tail_error,
-        trace_tail_error=za.trace_tail_error + zb.trace_tail_error,
-    )
+    trace_tail = za.trace_tail_error + zb.trace_tail_error
+    return TruncatedValue(value, abs(value) * trace_tail, za.k_cutoff_used, trace_tail)

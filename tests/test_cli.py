@@ -282,7 +282,7 @@ class TestSpectrum:
         assert cache.read_bytes() == written and not meta.exists()
 
     def test_edited_count_is_a_miss(self, tmp_path):
-        # a well-formed row with a wrong count once read as a hit: Z(2) = 0.949851630394971
+        # a well-formed row with a wrong count once read as a hit: Z(2) = 0.9498516303946497
         cache = tmp_path / "spec.csv"
         argv = ["zeta", "--s", "2,0", "--max-trace", "10", "--cache", str(cache)]
         _, clean, _ = invoke_json(argv)
@@ -293,7 +293,7 @@ class TestSpectrum:
         assert code == 0 and report["inputs"]["cache_status"] == "miss"
         fresh = hypzeta.selberg_Z(hypzeta.enumerate_spectrum(10), 2.0).value
         assert result_of(report, "value") == result_of(clean, "value") == {"re": fresh.real, "im": fresh.imag}
-        assert result_of(report, "value")["re"] == 0.9551541049298284
+        assert result_of(report, "value")["re"] == 0.9551541049295054
         assert cache.read_bytes() == written
 
     def test_hit_builds_no_trace_shell(self, tmp_path, no_trace_shell):
@@ -660,12 +660,10 @@ class TestErrorSplit:
     def test_parts_reported(self, argv):
         code, report, _ = invoke_json(argv + ["--s", "2,0", "--max-trace", "30"])
         assert code == 0
-        parts = result_of(report, "k_tail_error") + result_of(report, "trace_tail_error")
+        parts = result_of(report, "trace_tail_error")
         value = result_of(report, "value")
         total = result_of(report, "abs_error_estimate")
         assert abs(abs(complex(value["re"], value["im"])) * parts - total) <= 1e-12 * total
-        if "direct" in argv:
-            assert result_of(report, "k_tail_error") == 0.0
 
 
 def _refuse_constant(name):

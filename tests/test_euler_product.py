@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hypzeta.errors import DomainError, EmptySpectrumError
-from hypzeta.euler_product import _exp1, _k_cutoff, _kept_shells, ruelle_R, selberg_Z
+from hypzeta.euler_product import _exp1, _kept_shells, ruelle_R, selberg_Z
 from hypzeta.length_spectrum import LengthSpectrum, enumerate_spectrum, read_cache, write_cache
 
 
@@ -40,28 +40,33 @@ def mp_tail_estimate(spectrum, sigma):
     return float(2 * mp.expm1(mp.e1((sigma - 1) * log_norm)))
 
 
-def loop_k_cutoff(spectrum, sigma):
-    """The k-cutoff as the loop that defined it: raise k from 10 until the
-    k-tail bound count * p_min^(-(sigma + k + 1)) drops below 1e-11."""
-    p_min = spectrum.shells[0].norm
-    k = 10
-    while spectrum.class_count * p_min ** (-(sigma + k + 1)) >= 1e-11:
-        k += 1
-    return k
-
-
-def scalar_selberg(spectrum, s, cutoff):
-    """Truncated Selberg product as a double loop over shells and k."""
+def scalar_selberg(spectrum, s):
+    """Selberg product as a double loop over shells and k, each shell's
+    k-loop run until |p^(-s-k)| < 1e-18."""
     log_z = 0j
     for shell in spectrum.shells:
-        inner = 0j
-        for k in range(cutoff + 1):
-            inner += cmath.log(1.0 - cmath.exp(-(s + k) * shell.length))
-        log_z += shell.count * inner
-    p_min = spectrum.shells[0].norm
-    k_tail = spectrum.class_count * p_min ** (-(s.real + cutoff + 1)) / (1.0 - 1.0 / p_min)
+        k = 0
+        while abs(x := cmath.exp(-(s + k) * shell.length)) >= 1e-18:
+            log_z += shell.count * cmath.log(1.0 - x)
+            k += 1
     value = cmath.exp(log_z)
-    return value, abs(value) * (k_tail + mp_tail_estimate(spectrum, s.real))
+    return value, abs(value) * mp_tail_estimate(spectrum, s.real)
+
+
+def mp_every_k(spectrum, s):
+    """Z over the spectrum's shells and every k, at 40 digits: log Z =
+    -sum_P sum_m p^(-ms) / (m (1 - p^(-m))), each shell's m-series summed
+    until its terms fall below 1e-40."""
+    with mp.workdps(40):
+        s = mp.mpc(s.real, s.imag)
+        log_z = mp.mpc(0)
+        for _, count, _, length in spectrum.columns.T.tolist():
+            length = mp.mpf(length)
+            m = 1
+            while abs(term := mp.exp(-m * s * length) / (m * -mp.expm1(-m * length))) >= 1e-40:
+                log_z -= int(count) * term
+                m += 1
+        return complex(mp.exp(log_z))
 
 
 def scalar_ruelle(spectrum, s):
@@ -97,6 +102,15 @@ class TestSelbergZ:
             ours = selberg_Z(sp40, s)
             assert abs(ours.value - double_sum_oracle(sp40, s)) < 1e-8
 
+    @pytest.mark.parametrize("max_trace", [10, 40])
+    @pytest.mark.parametrize("s", [1.0001, 1.05, 2.0, complex(1.5, 1.0), complex(3.0, 5.0),
+                                   complex(1.2, 10.0)])
+    def test_against_every_k_in_mpmath(self, max_trace, s):
+        # the k-product has no tail to cut: Z is the sum over every k
+        spectrum = enumerate_spectrum(max_trace)
+        ref = mp_every_k(spectrum, complex(s))
+        assert abs(selberg_Z(spectrum, s).value - ref) <= 1e-15 * abs(ref)
+
     def test_large_real_argument_is_one(self, sp40):
         assert abs(selberg_Z(sp40, 20.0).value - 1.0) < 1e-12
 
@@ -126,12 +140,9 @@ class TestSelbergZ:
         with pytest.raises(EmptySpectrumError):
             selberg_Z(empty, 2.0)
 
-    def test_k_cutoff_floor(self, sp40):
-        assert selberg_Z(sp40, 20.0).k_cutoff_used >= 10
-
     def test_metadata_recorded(self, sp40):
         out = selberg_Z(sp40, 2.0)
-        assert out.abs_error_estimate == abs(out.value) * (out.k_tail_error + out.trace_tail_error)
+        assert out.abs_error_estimate == abs(out.value) * out.trace_tail_error
         assert out.trace_tail_error > 0.0
 
 
@@ -141,7 +152,7 @@ class TestAgainstScalarLoops:
     def test_selberg(self, max_trace, s):
         spectrum = enumerate_spectrum(max_trace)
         ours = selberg_Z(spectrum, s)
-        value, error = scalar_selberg(spectrum, complex(s), ours.k_cutoff_used)
+        value, error = scalar_selberg(spectrum, complex(s))
         assert abs(ours.value - value) <= 1e-13 * abs(value)
         assert abs(ours.abs_error_estimate - error) <= 1e-12 * error
 
@@ -155,17 +166,14 @@ class TestAgainstScalarLoops:
         assert abs(ours.abs_error_estimate - error) <= 1e-12 * error
 
 
-def rectangle_terms(spectrum, s, cutoff):
-    """Every term p^(-s-k) of the truncated Selberg product as one
-    shell x k array, and log Z summed over all of it. Each log(1 - x) is
-    formed from the real and imaginary parts of x, as log(1.0 - x) would
-    round away Re x wherever |x| is below 1.1e-16."""
-    _, count, _, length = spectrum.columns
-    phase = np.exp(-1j * s.imag * length)
-    x = np.exp(-np.outer(length, s.real + np.arange(cutoff + 1))) * phase[:, None]
-    a, b = x.real, x.imag
-    log_terms = 0.5 * np.log1p(b * b - a * (2.0 - a)) + 1j * np.arctan2(-b, 1.0 - a)
-    return x, complex(count @ log_terms.sum(axis=1))
+def rectangle_terms(spectrum, s, m_count):
+    """The terms p^(-ms) / (m (1 - p^(-m))) of -log Z for every shell and
+    m <= m_count as one shell x m array, with the magnitudes p^(-m sigma)
+    that the staircase screens."""
+    length = spectrum.columns[3]
+    m = np.arange(1, m_count + 1)
+    ml = np.outer(length, m)
+    return np.exp(-s * ml) / (m * -np.expm1(-ml)), np.exp(-s.real * ml)
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +182,7 @@ def sp800():
 
 
 class TestStaircase:
-    """selberg_Z evaluates, for each k, only a prefix of the shells."""
+    """selberg_Z evaluates, for each m, only a prefix of the shells."""
 
     POINTS = (1.05, complex(1.5, 1.0), 2.0, complex(3.0, 5.0), complex(1.2, 10.0))
 
@@ -183,45 +191,54 @@ class TestStaircase:
     def test_matches_the_full_rectangle(self, max_trace, s, sp800):
         spectrum = sp800 if max_trace == 800 else enumerate_spectrum(max_trace)
         s = complex(s)
-        cutoff = _k_cutoff(spectrum, s.real)
-        x, log_z = rectangle_terms(spectrum, s, cutoff)
-        full = cmath.exp(log_z)
-        assert abs(selberg_Z(spectrum, s).value - full) <= 1e-15 * abs(full)
-        # the skipped terms are the small ones, and their magnitudes sum below 1e-17
-        kept = _kept_shells(spectrum, s.real, cutoff)
-        assert (np.diff(kept) <= 0).all() and kept[0] >= 1
-        skipped = np.arange(x.shape[0])[:, None] >= kept[None, :]
-        tau = 1e-17 / ((cutoff + 1) * spectrum.class_count)
-        magnitude = np.abs(x)
+        _, count, norm, length = spectrum.columns
+        # every term beyond m_count is below p_min^(-70) < 1e-30
+        m_count = math.ceil(70.0 / length[0])
+        terms, magnitude = rectangle_terms(spectrum, s, m_count)
+        full = cmath.exp(-(count @ terms.sum(axis=1)))
+        out = selberg_Z(spectrum, s)
+        assert abs(out.value - full) <= 1e-15 * abs(full)
+        kept = _kept_shells(spectrum, s.real)
+        assert out.k_cutoff_used == kept.size and 1 <= kept.size < m_count
+        assert (np.diff(kept) <= 0).all() and kept[-1] >= 1
+        # the skipped terms are the small ones, and they sum below the bound
+        kept = np.pad(kept, (0, m_count - kept.size))
+        skipped = np.arange(len(length))[:, None] >= kept[None, :]
+        tau = 1e-17 / spectrum.class_count
         assert (magnitude[skipped] < tau * (1 + 1e-12)).all()
         assert (magnitude[~skipped] >= tau * (1 - 1e-12)).all()
-        count = spectrum.columns[1]
-        assert (count[:, None] * magnitude * skipped).sum() < 1e-17
+        bound = spectrum.class_count * tau / (1.0 - 1.0 / norm[0]) ** 2
+        assert bound < 1.4e-17
+        assert (count[:, None] * np.abs(terms) * skipped).sum() < bound
 
     @pytest.mark.parametrize("s", [1.05, 2.0, complex(1.5, 1.0), complex(1.2, 10.0)])
     def test_log_terms_against_mpmath(self, s, sp800):
-        # the staircase keeps terms down to ~1e-23, and log(1.0 - x) rounds
-        # Re x away for every |x| < 1.1e-16; summed, that moves log Z by
-        # up to 5e-13, which the kernel of selberg_Z does not
+        # Z's definition, sum_P count * sum_k log(1 - p^(-s-k)), in mpmath;
+        # log(1.0 - x) in doubles rounds Re x away for every |x| < 1.1e-16,
+        # which moves log Z by up to 5e-13, and the m-series forms no such log
         s = complex(s)
-        cutoff = _k_cutoff(sp800, s.real)
-        x, _ = rectangle_terms(sp800, s, cutoff)
-        kept = np.arange(x.shape[0])[:, None] < _kept_shells(sp800, s.real, cutoff)[None, :]
-        count = np.broadcast_to(sp800.columns[1][:, None], x.shape)[kept]
-        x = x[kept]
+        counts, xs = [], []
         with mp.workdps(30):
-            log_z = mp.fsum(int(c) * mp.log(1 - mp.mpc(v.real, v.imag)) for c, v in zip(count, x))
+            log_z = mp.mpc(0)
+            for _, count, _, length in sp800.columns.T.tolist():
+                k = 0
+                while abs(x := mp.exp(-(s + k) * mp.mpf(length))) >= 1e-30:
+                    log_z += int(count) * mp.log(1 - x)
+                    counts.append(count)
+                    xs.append(cmath.exp(-(s + k) * length))
+                    k += 1
             ref = complex(mp.exp(log_z))
         error = abs(selberg_Z(sp800, s).value - ref)
         assert error <= 1e-15 * abs(ref)
-        lossy = cmath.exp(complex(count @ np.log(1.0 - x)))
+        lossy = cmath.exp(complex(np.array(counts) @ np.log(1.0 - np.array(xs))))
         assert abs(lossy - ref) > 10.0 * error
 
     def test_beyond_every_term(self, sp40):
         # at Re s = 400 every term is below the threshold: Z is exactly 1
-        out = selberg_Z(sp40, 400.0)
-        assert (_kept_shells(sp40, 400.0, out.k_cutoff_used) == 0).all()
-        assert out.value == 1.0
+        for s in (400.0, 1e308):
+            out = selberg_Z(sp40, s)
+            assert _kept_shells(sp40, s).size == 0 and out.k_cutoff_used == 0
+            assert out.value == 1.0
 
     def test_quotient_forms_no_rectangle(self, sp800):
         selberg_Z(sp800, 2.0)  # warm up the spectrum's cached counts
@@ -243,15 +260,6 @@ def test_exp1_against_mpmath():
     assert _exp1(746.0) == 0.0 and _exp1(math.inf) == 0.0
 
 
-class TestKCutoff:
-    @pytest.mark.parametrize("max_trace", [3, 7, 12, 40, 200])
-    def test_closed_form_is_the_loop(self, max_trace):
-        spectrum = enumerate_spectrum(max_trace)
-        sigmas = [1.0 + 1e-12, 1.0001] + [1.0 + i / 100.0 for i in range(1, 4001)]
-        assert [_k_cutoff(spectrum, sigma) for sigma in sigmas] == [
-            loop_k_cutoff(spectrum, sigma) for sigma in sigmas]
-
-
 class TestCachedSpectrum:
     @pytest.mark.parametrize("max_trace", [40, 200, 800])
     def test_hit_and_miss_bit_identical(self, max_trace, tmp_path):
@@ -269,21 +277,18 @@ class TestErrorSplit:
     @pytest.mark.parametrize("method", ["quotient", "direct"])
     def test_parts_sum_to_estimate(self, sp40, s, method):
         out = ruelle_R(sp40, s, method=method)
-        parts = abs(out.value) * (out.k_tail_error + out.trace_tail_error)
+        parts = abs(out.value) * out.trace_tail_error
         assert abs(parts - out.abs_error_estimate) <= 1e-12 * out.abs_error_estimate
         assert out.trace_tail_error > 0.0
-        if method == "direct":
-            assert out.k_tail_error == 0.0
-        else:
+        if method == "quotient":
             za, zb = selberg_Z(sp40, s), selberg_Z(sp40, complex(s) + 1.0)
-            assert out.k_tail_error == za.k_tail_error + zb.k_tail_error
             assert out.trace_tail_error == za.trace_tail_error + zb.trace_tail_error
 
     @pytest.mark.parametrize("s", [1.05, 2.0, complex(3.0, 5.0)])
     def test_selberg_parts(self, sp40, s):
         out = selberg_Z(sp40, s)
-        assert out.abs_error_estimate == abs(out.value) * (out.k_tail_error + out.trace_tail_error)
-        assert 0.0 < out.k_tail_error < out.trace_tail_error
+        assert out.abs_error_estimate == abs(out.value) * out.trace_tail_error
+        assert 0.0 < out.trace_tail_error
 
 
 class TestNonFinite:
