@@ -143,11 +143,15 @@ def modular_model() -> ScatteringModel:
     )
 
 
+def _one(s: complex) -> complex:
+    return 1.0 + 0.0j
+
+
 def trivial_model() -> ScatteringModel:
     """Cusp-free model: phi identically 1, no continuous spectrum data."""
     return ScatteringModel(
         n=0,
-        phi=lambda s: 1.0 + 0.0j,
+        phi=_one,
         n0=0,
         phi_tilde_0=1.0,
         A=0,

@@ -31,7 +31,7 @@ import threading
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, HypzetaError, PoleError
 
 __all__ = [
     "EULER_GAMMA",
@@ -207,13 +207,15 @@ _KERNEL_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def _kernel_memo():
-    """Scope in which log_gamma, riemann_zeta and the product behind
-    log_barnes_gamma2 each evaluate a conjugate pair once;
-    `verify.run_verify` runs in one, since its identities revisit their
-    arguments and its grids are symmetric under s -> conj(s).
+    """Scope in which every memoized function (log_gamma, riemann_zeta,
+    the product behind log_barnes_gamma2, and the factors of
+    `zeta_factors`) evaluates each conjugate pair of arguments once, per
+    context for a factor; `verify.run_verify` runs in one, since its
+    identities revisit their arguments and its grids are symmetric under
+    s -> conj(s).
 
-    Later calls in the scope reuse the value bit for bit, and a hit in
-    log_gamma or riemann_zeta skips the pole and range checks: the memo
+    Later calls in the scope reuse the value bit for bit, and a hit skips
+    the argument checks (poles, ranges, a factor's cusp count): the memo
     holds only values that passed them, since a call that raises stores
     nothing. The memo is a fresh dict for each scope and is dropped when
     the scope closes, whether its body returns or raises, so no value
@@ -226,27 +228,39 @@ def _kernel_memo():
         _KERNEL_MEMO.reset(token)
 
 
-def _memoized(kernel, s: complex) -> complex:
-    """kernel(s): from the open memo if it holds s, else evaluated, and
-    kept if a memo is open.
+def _memoized(kernel, s: complex, *context):
+    """kernel(*context, s): from the open memo if it holds (context, s),
+    else evaluated, and kept if a memo is open. The context (a factor's
+    signature, and its model if it takes one) is part of the key, so it
+    must be hashable, and contexts that compare equal must give equal
+    values.
 
     Every kernel satisfies f(conj s) = conj f(s) bit for bit off the
     real axis; on it, the sign of a zero Im s names the side of a cut
     (log Gamma left of 0) or the sign of a real value's zero imaginary
     part. So an s with the sign bit of Im s set, s - 0j among them, is
     answered as the conjugate of the kernel at conj(s), in a memo or
-    not, and the two sides of a cut share one evaluation.
+    not, and the two sides of a cut share one evaluation. Where conj(s)
+    raises, the kernel is called at s itself, whose error names the
+    caller's s; every value comes from Im s >= +0.
     """
-    if math.copysign(1.0, s.imag) < 0.0:
-        return _memoized(kernel, s.conjugate()).conjugate()
+    mirrored = math.copysign(1.0, s.imag) < 0.0
+    z = s.conjugate() if mirrored else s
     memo = _KERNEL_MEMO.get()
-    if memo is None:
-        return kernel(s)
-    key = (kernel, s.real, s.imag)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = kernel(s)
-    return value
+    try:
+        if memo is None:
+            # a star call with no context costs ~0.1 us, on every kernel call
+            value = kernel(*context, z) if context else kernel(z)
+        else:
+            key = (kernel, context, z.real, z.imag)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = kernel(*context, z)
+    except HypzetaError:
+        if mirrored:
+            kernel(*context, s)
+        raise
+    return value.conjugate() if mirrored else value
 
 
 def log_gamma(s: complex) -> complex:

@@ -13,11 +13,18 @@ Products of fractional powers are combined as sums of
 exponent * log(base), principal logs but for kappa's, which follow one
 branch so that kappa is single-valued; identities of the other
 factors hold up to a root of unity.
+
+z_infty, z_ell, kappa, ruelle_fe_rhs and kappa's sine block answer
+through special_functions._memoized, keyed by (signature, model, s): at
+an s whose Im has its sign bit set, s - 0j included, each is the
+conjugate of its value at conj(s), and in a _kernel_memo() scope each
+evaluates a conjugate pair once.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,6 +36,7 @@ from .special_functions import (
     _finite_complex,
     _is_nonpositive_integer,
     _log_sinpi,
+    _memoized,
     _near_integer,
     log_barnes_gamma2,
     log_gamma,
@@ -75,6 +83,21 @@ class FactorValue:
     def from_log(cls, log_value: complex) -> "FactorValue":
         return cls(log_value=complex(log_value), value=_exp(log_value))
 
+    def conjugate(self) -> "FactorValue":
+        return FactorValue(self.log_value.conjugate(), self.value.conjugate())
+
+
+def _memoized_factor(factor):
+    """factor(*context, s) for a finite s, evaluated through _memoized with
+    the context (signature, or signature and model) in its key."""
+
+    @functools.wraps(factor)
+    def memoized(*args):
+        *context, s = args
+        return _memoized(factor, _finite_complex(s), *context)
+
+    return memoized
+
 
 def _chi(sig: Signature) -> float:
     """Area over 2 pi."""
@@ -86,9 +109,9 @@ def _log_base(s: complex) -> complex:
     return s * math.log(2.0 * math.pi) + 2.0 * log_barnes_gamma2(s) - log_gamma(s)
 
 
+@_memoized_factor
 def z_infty(sig: Signature, s: complex) -> FactorValue:
     """Archimedean factor ((2 pi)^s G2(s)^2 / Gamma(s)) ^ (area / 2 pi)."""
-    s = _finite_complex(s)
     return FactorValue.from_log(_chi(sig) * _log_base(s))
 
 
@@ -104,6 +127,7 @@ def _cone_log_bound(m: int) -> float:
     return _CONE_SLOPE * m + 5.0 * math.log(m) + 20.0
 
 
+@_memoized_factor
 def z_ell(sig: Signature, s: complex) -> FactorValue:
     """Cone-point factor: prod_j prod_k Gamma((s+k)/m_j)^((2k+1-m_j)/m_j).
 
@@ -122,7 +146,6 @@ def z_ell(sig: Signature, s: complex) -> FactorValue:
     strip no such bound is known, so refusing an underflow there still
     costs the full sum_j m_j log-gamma calls.
     """
-    s = _finite_complex(s)
     if (
         -3.0 <= s.real <= 4.0
         and abs(s.imag) <= 20.0
@@ -183,6 +206,7 @@ def det_laplacian(
     return value
 
 
+@_memoized_factor
 def _log_sine_block(sig: Signature, s: complex) -> complex:
     total = 0.0 + 0.0j
     for j, m in enumerate(sig.orders):
@@ -194,6 +218,7 @@ def _log_sine_block(sig: Signature, s: complex) -> complex:
     return total
 
 
+@_memoized_factor
 def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
     """Functional-equation multiplier kappa with Z(1-s) = kappa(s) Z(s).
 
@@ -201,16 +226,15 @@ def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
     double-gamma block (Z_inf's log base at s less that at 1 - s), the
     cusp gamma ratio, and the cone-point sine product. Each block is
     continuous above and below the real axis and conjugate-symmetric, so
-    kappa is single-valued; on the axis the sine and double-gamma blocks
-    take the side Im s = +0, and 1 - s the side -0, so kappa is real
-    there up to rounding. At s = 1/2 every factor but phi is 1, so
-    kappa(1/2) = phi(1/2) = (-1)^(A/2). Raises SingularFactorError naming
-    whichever factor is singular at s.
+    kappa is single-valued; on the axis, at s + 0j, the sine and
+    double-gamma blocks take the side Im s = +0, and 1 - s the side -0,
+    so kappa is real there up to rounding, and kappa(s - 0j) is its
+    conjugate, as at every s whose Im has its sign bit set. At s = 1/2
+    every factor but phi is 1, so kappa(1/2) = phi(1/2) = (-1)^(A/2).
+    Raises SingularFactorError naming whichever factor is singular at s.
     """
-    s = _finite_complex(s)
-    t = complex(s.real, 0.0) if s.imag == 0.0 else s
     c = constants(sig, sc)
-    sine_block = _log_sine_block(sig, t)
+    sine_block = _log_sine_block(sig, s)
     try:
         phi_val = sc.phi(s)
     except PoleError as exc:
@@ -218,7 +242,7 @@ def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
     if phi_val == 0:
         raise SingularFactorError("scattering determinant", f"phi({s}) = 0")
     try:
-        gamma2_block = _log_base(t) - _log_base(complex(1.0 - t.real, -t.imag))
+        gamma2_block = _log_base(s) - _log_base(complex(1.0 - s.real, -s.imag))
     except PoleError as exc:
         raise SingularFactorError("double-gamma block", str(exc)) from None
     try:
@@ -235,6 +259,7 @@ def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
     return FactorValue.from_log(log_total)
 
 
+@_memoized_factor
 def ruelle_fe_rhs(
     sig: Signature,
     sc: ScatteringModel,
@@ -246,10 +271,10 @@ def ruelle_fe_rhs(
     * prod_j (sin pi s / sin(pi s / m_j))^2.
     All exponents are integers, so no branch choices arise, and the
     factors are summed as logs and exponentiated once: the sines alone
-    leave double range from |Im s| ~ 226 on. Raises DomainError where the
-    value itself does.
+    leave double range from |Im s| ~ 226 on. Exactly 0 at the integers
+    it admits. Raises DomainError where the value itself leaves double
+    range.
     """
-    s = _finite_complex(s)
     check_cusp_count(sig, sc)
     if sig.n >= 1 and (abs(s - 0.5) < 1e-12 or abs(s + 0.5) < 1e-12):
         raise PoleError("Ruelle functional equation is singular at s = 1/2 and s = -1/2")
@@ -262,7 +287,9 @@ def ruelle_fe_rhs(
     phi_product = sc.phi(s) * sc.phi(-s)
     if phi_product == 0:
         raise PoleError(f"phi(s) phi(-s) vanishes at s={s}")
-    if s == 0:  # the checks above leave no cone points and 2g-2+n >= 1
+    if s.imag == 0.0 and s.real.is_integer():
+        # the checks above leave 2g-2+n >= 1 or a cone point of order m not
+        # dividing s, so a power of sin(pi s) = 0 is a factor
         return 0j
     log_sin_pis = _log_sinpi(s)
     log_value = euler * (math.log(4.0) + 2.0 * log_sin_pis) - cmath.log(phi_product)

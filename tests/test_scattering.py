@@ -187,6 +187,11 @@ class TestModelValidation:
         # (-1)^(A/2) = phi(1/2), with phi(1/2) from the determinant itself
         assert abs(model.phi(0.5) - model.parity) < 1e-12
 
+    @pytest.mark.parametrize("build", [modular_model, trivial_model])
+    def test_builtin_models_compare_and_hash_equal(self, build):
+        # the factor memo keys kappa and ruelle_fe_rhs by their model
+        assert build() == build() and hash(build()) == hash(build())
+
     def test_odd_A_rejected(self):
         with pytest.raises(ValueError):
             ScatteringModel(n=1, phi=modular_phi, n0=1, phi_tilde_0=1.0,

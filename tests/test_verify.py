@@ -1,6 +1,7 @@
 """Verify-suite report tests: each worst-of-grid check names its sample point."""
 
 import cmath
+import collections
 import contextlib
 import dataclasses
 import math
@@ -241,6 +242,29 @@ def test_run_verify_evaluates_each_log_gamma_and_zeta_sum_once(log_gamma_calls, 
     assert len(log_gamma_calls) == 880  # 4,630 without the memo
     assert len(zeta_sums) == len(set(zeta_sums))
     assert len(zeta_sums) == 183  # 678 without the memo
+
+
+def test_run_verify_evaluates_each_factor_once_per_conjugate_pair(monkeypatch):
+    memos = []
+    scope = verify._kernel_memo
+
+    @contextlib.contextmanager
+    def keeping():
+        with scope():
+            memos.append(special_functions._KERNEL_MEMO.get())
+            yield
+
+    monkeypatch.setattr(verify, "_kernel_memo", keeping)
+    verify.run_verify()
+    # a miss evaluates the factor once and keeps it under one key, a hit
+    # adds none, so the keys count the evaluations; pinned, so that a lost
+    # or an extra shared value shows
+    (memo,) = memos
+    factors = (zeta_factors.z_infty, zeta_factors.z_ell, zeta_factors.kappa,
+               zeta_factors.ruelle_fe_rhs, zeta_factors._log_sine_block)
+    kept = collections.Counter(key[0] for key in memo)
+    # 240, 240, 183, 66 and 243 evaluations without the memo
+    assert [kept[f.__wrapped__] for f in factors] == [72, 72, 69, 36, 69]
 
 
 def test_run_verify_runs_every_product_right_of_one(product_calls):

@@ -1,18 +1,23 @@
 """Closed-form factor tests: pinned values, identities, constants."""
 
 import cmath
+import contextlib
 import math
 import random
+import re
 import warnings
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cut_safe_points import CUT_SAFE_POINTS
 
 from hypzeta.errors import (
     DomainError,
     DomainWarning,
+    HypzetaError,
     MismatchError,
     PoleError,
     SingularFactorError,
@@ -403,6 +408,15 @@ class TestRuelleFERhs:
         # R(s) R(-s) has a zero of order 4 at 0 on a genus-2 surface
         assert ruelle_fe_rhs(COMPACT, trivial_model(), 0.0) == 0
 
+    @pytest.mark.parametrize("sig, s", [
+        (COMPACT, 1.0), (COMPACT, -3.0), (Signature(2, 0, (3,)), 4.0), (Signature(1, 0, (2,)), 3.0),
+    ])
+    def test_zero_at_integers(self, sig, s):
+        # a power of sin(pi s) is a factor wherever no check refuses s;
+        # log sin(pi s) itself is undefined there
+        sc = modular_model() if sig.n else trivial_model()
+        assert ruelle_fe_rhs(sig, sc, s) == 0 and ruelle_fe_rhs(sig, sc, complex(s, -0.0)) == 0
+
 
 class TestCuspCount:
     @pytest.mark.parametrize("call", [
@@ -580,6 +594,122 @@ class TestFactorValue:
     def test_exp_consistency(self):
         fv = FactorValue.from_log(2.5 - 0.7j)
         assert cmath.isclose(cmath.exp(fv.log_value), fv.value, rel_tol=1e-14)
+
+    def test_conjugate(self):
+        fv = FactorValue.from_log(2.5 - 0.7j).conjugate()
+        assert fv == FactorValue.from_log(2.5 + 0.7j)
+
+
+def _bits(value, zero_sign: bool = True) -> tuple[str, ...]:
+    """Every part of a complex or a FactorValue as hex, so -0.0 and 0.0
+    differ unless zero_sign is false."""
+    parts = [value.log_value, value.value] if isinstance(value, FactorValue) else [value]
+    return tuple(x.hex() if x or zero_sign else "0" for z in parts for x in (z.real, z.imag))
+
+
+MEMOIZED_FACTORS = [z_infty, z_ell, _log_sine_block, kappa, ruelle_fe_rhs]
+MEMO_SIGNATURES = [MODULAR, COMPACT, TRIANGLE, Signature(1, 1, (2,)), Signature(1, 0, (2,)),
+                   Signature(0, 0, (3, 3, 5))]
+
+
+def _context(factor, sig: Signature) -> tuple:
+    """The arguments before s: the signature, and the model for the factors
+    that take one (modular with one cusp, trivial with none)."""
+    if factor in (kappa, ruelle_fe_rhs):
+        return sig, modular_model() if sig.n else trivial_model()
+    return (sig,)
+
+
+class TestFactorMemo:
+    """The factors answer through special_functions._memoized, as the kernels do."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(factor=st.sampled_from(MEMOIZED_FACTORS), sig=st.sampled_from(MEMO_SIGNATURES),
+           re=st.floats(-3.0, 4.0), exponent=st.floats(-6.0, 1.0))
+    @example(factor=kappa, sig=MODULAR, re=0.3, exponent=0.3)
+    @example(factor=z_ell, sig=COMPACT, re=-1.3, exponent=-2.0)
+    def test_factors_are_conjugate_symmetric_off_the_axis(self, factor, sig, re, exponent):
+        # the factors evaluated at Im s < 0 themselves: answering that side
+        # by conjugation changes no value off the axis, but the sign of an
+        # exact zero (the Im of an empty cone product, of ruelle_fe_rhs on
+        # the imaginary axis)
+        s = complex(re, 10.0 ** exponent)
+        kernel, context = factor.__wrapped__, _context(factor, sig)
+        try:
+            value = kernel(*context, s)
+        except HypzetaError as exc:
+            with pytest.raises(type(exc)):
+                kernel(*context, s.conjugate())
+            return
+        mirrored = kernel(*context, s.conjugate())
+        assert _bits(mirrored, zero_sign=False) == _bits(value.conjugate(), zero_sign=False), s
+
+    @settings(max_examples=40, deadline=None)
+    @given(factor=st.sampled_from(MEMOIZED_FACTORS), sig=st.sampled_from(MEMO_SIGNATURES),
+           re=st.floats(-3.0, 4.0), im=st.one_of(st.just(0.0), st.floats(0.01, 10.0)))
+    @example(factor=z_ell, sig=TRIANGLE, re=-1.3, im=0.0)  # on log Gamma's cut
+    @example(factor=kappa, sig=MODULAR, re=1.7, im=0.0)
+    @example(factor=ruelle_fe_rhs, sig=TRIANGLE, re=0.25, im=0.0)
+    def test_memo_returns_the_values_outside_it(self, factor, sig, re, im):
+        s = complex(re, im)
+        context = _context(factor, sig)
+        try:
+            value = factor(*context, s)
+        except HypzetaError as exc:
+            for scope in (contextlib.nullcontext, special_functions._kernel_memo):
+                with scope(), pytest.raises(type(exc)):
+                    factor(*context, s.conjugate())
+            return
+        # outside a memo, s - 0j as every s whose Im has its sign bit set
+        assert _bits(factor(*context, s.conjugate())) == _bits(value.conjugate()), s
+        # in a memo, whichever side comes first, the values are those outside it
+        for first, expected in ((s, value), (s.conjugate(), value.conjugate())):
+            with special_functions._kernel_memo():
+                inside = [factor(*context, first), factor(*context, first.conjugate())]
+            assert [_bits(v) for v in inside] == [_bits(expected), _bits(expected.conjugate())], s
+
+    @pytest.mark.parametrize("s", [2.0, complex(2.0, -0.0)], ids=repr)
+    def test_a_factor_that_raises_stores_nothing(self, s):
+        # a hit skips the argument checks, so a singular point must stay out
+        with special_functions._kernel_memo():
+            for _ in range(3):
+                with pytest.raises(SingularFactorError, match="sine"):
+                    kappa(MODULAR, modular_model(), s)
+            kernels = {key[0] for key in special_functions._KERNEL_MEMO.get()}
+        assert not kernels & {kappa.__wrapped__, _log_sine_block.__wrapped__}
+
+    def test_an_error_below_the_axis_names_the_callers_s(self):
+        s = complex(3.0, -0.0)
+        for scope in (contextlib.nullcontext, special_functions._kernel_memo):
+            with scope(), pytest.raises(PoleError, match=re.escape(f"s={s}")):
+                ruelle_fe_rhs(MODULAR, modular_model(), s)
+
+    def test_outside_a_memo_every_call_evaluates(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(zeta_factors, "_log_base", lambda s: calls.append(s) or 0j)
+        for s in (1.5 + 2j, 1.5 - 2j, 1.5 + 2j):
+            z_infty(MODULAR, s)
+        # the second call answers 1.5 - 2j as the conjugate at 1.5 + 2j
+        assert calls == [1.5 + 2j] * 3
+
+
+class TestSignedZeroOnTheAxis:
+    """At x - 0j a factor is the conjugate of its value at x + 0j, so the
+    cone-point factor takes the same side of log Gamma's cut as Z_inf."""
+
+    @pytest.mark.parametrize("x", [-0.4, -1.3, -2.7])
+    def test_z_ell_below_the_cut_is_the_conjugate(self, x):
+        above, below = z_ell(TRIANGLE, complex(x, 0.0)), z_ell(TRIANGLE, complex(x, -0.0))
+        assert above.log_value.imag != 0.0  # on the cut, where the sides differ
+        assert _bits(below) == _bits(above.conjugate())
+
+    @pytest.mark.parametrize("x", [-0.4, -1.3, -2.7])
+    def test_det_laplacian_below_the_cut_is_the_conjugate(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DomainWarning)
+            above, below = (det_laplacian(TRIANGLE, trivial_model(), complex(x, im), 1.0)
+                            for im in (0.0, -0.0))
+        assert abs(below - above.conjugate()) <= 1e-12 * abs(above)
 
 
 NON_FINITE = [
