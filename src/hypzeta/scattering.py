@@ -80,50 +80,33 @@ def _neville_to_zero(xs, ys):
 
 def _modular_phi_direct(s: complex) -> complex:
     num = riemann_zeta(2.0 * s - 1.0)
-    den = riemann_zeta(2.0 * s)
-    if den == 0:
-        raise PoleError(f"scattering determinant pole at zeta zero, s={s}")
+    den = riemann_zeta(2.0 * s)  # 0 only at s = -j, which modular_phi takes as 1/phi(1 - s)
     gamma_ratio = cmath.exp(log_gamma(s - 0.5) - log_gamma(s))
     return math.sqrt(math.pi) * gamma_ratio * num / den
-
-
-def _modular_phi_removable(j: int) -> complex:
-    """phi at s = 1/2 - j, where Gamma(s - 1/2) has a pole.
-
-    The pole of zeta(2s) cancels it at j = 0, where phi is -1, and the zero
-    zeta(-2j) for j >= 1, where ((2j)!/j!)^2 zeta(2j+1) / ((-16 pi^2)^j
-    zeta(1-2j)) = j C(2j, j) 4^(-j) zeta(2j+1) / zeta(2j) by zeta's
-    functional equation.
-    """
-    if j == 0:
-        return complex(-1.0)
-    ratio = riemann_zeta(2 * j + 1).real / riemann_zeta(2 * j).real
-    return complex(j * math.comb(2 * j, j) / 4 ** j * ratio)
-
-
-def _near(s: complex, target: float, tol: float = _SING_TOL) -> bool:
-    return abs(s - target) < tol
 
 
 def modular_phi(s: complex) -> complex:
     """Scattering determinant of the modular group.
 
     phi(s) = sqrt(pi) * Gamma(s - 1/2)/Gamma(s) * zeta(2s - 1)/zeta(2s).
-    The removable singularities at s = 1/2 - j (gamma pole cancelled by a
-    zeta factor) take their exact limit; s = 1 is a genuine pole.
-    Raises DomainError for |Im s| > 5 * 10^5, where zeta(2s - 1) is past
-    its own bound.
+    On the real axis left of 1/2, where 2s is an integer, a pole of
+    Gamma(s - 1/2) or Gamma(s) meets a pole or zero of zeta; there phi
+    is 1/phi(1 - s), by phi(s) phi(1 - s) = 1, but -1 at s = 1/2 and 0
+    at s = 0. s = 1 is a genuine pole. Raises DomainError for
+    |Im s| > 5 * 10^5, where zeta(2s - 1) is past its own bound.
     """
     s = _finite_complex(s)
     if abs(s.imag) > _PHI_MAX_IMAG:
         raise DomainError(f"modular_phi takes |Im s| <= 5e5 (got s = {s})")
-    if _near(s, 1.0):
+    if abs(s - 1.0) < _SING_TOL:
         raise PoleError("modular scattering determinant has a pole at s=1")
-    if abs(s.imag) < _SING_TOL:
-        j = round(0.5 - s.real)
-        # gamma-factor poles at s = 1/2 - j and the zeta(2s) pole at s = 1/2
-        if j >= 0 and _near(s.real, 0.5 - j):
-            return _modular_phi_removable(j)
+    half = s.real - math.remainder(s.real, 0.5)  # the nearest multiple of 1/2, exactly
+    if half <= 0.5 and abs(s - half) < _SING_TOL:
+        if half == 0.5:
+            return complex(-1.0)
+        if half == 0.0:
+            return 0j
+        return 1.0 / _modular_phi_direct(1.0 - s)
     return _modular_phi_direct(s)
 
 

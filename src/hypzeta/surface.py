@@ -62,10 +62,6 @@ class Signature:
         # kept beside the fields, so out of equality, hash and repr
         object.__setattr__(self, "_normalized_area", total)
 
-    @property
-    def v(self) -> int:
-        return len(self.orders)
-
     def normalized_area(self) -> Fraction:
         """Area divided by 2*pi, as an exact rational (summed once, at construction)."""
         return self._normalized_area
@@ -151,19 +147,21 @@ def constants(sig: Signature, sc) -> SurfaceConstants:
     return SurfaceConstants(B=b_const, C=c_const, D=d_const, log_E=log_e)
 
 
-def _finite_point(point) -> float:
-    """float(point), raising DomainError unless it is finite."""
+def _finite_point(point) -> int | float:
+    """point, as an int where integral (exact at any size); DomainError unless finite."""
+    if isinstance(point, int):
+        return point
     x = float(point)
     if not math.isfinite(x):
         raise DomainError(f"order is only defined at finite points, got {point}")
-    return x
+    return int(x) if x.is_integer() else x
 
 
 def _as_twice_integer(point) -> int:
     """Map an integer or half-integer input to round(2*point), else raise."""
-    doubled = 2.0 * _finite_point(point)
+    doubled = 2 * _finite_point(point)
     if abs(doubled - round(doubled)) > 1e-9:
-        raise DomainError(f"order is only defined at integers and half-integers, got {point}")
+        raise DomainError(f"order is only defined at integers, or half-integers for Z, got {point}")
     return int(round(doubled))
 
 
@@ -199,8 +197,7 @@ def order_R(sig: Signature, n0: int, point: int) -> int:
     """Order of the Ruelle zeta function R(s) = Z(s)/Z(s+1) at an integer
     point, read from order_Z at the point and one step to its right;
     DomainError at any other point."""
-    x = _finite_point(point)
-    nearest = round(x)
-    if abs(x - nearest) > 5e-10:  # the tolerance of order_Z
+    twice = _as_twice_integer(point)
+    if twice % 2:
         raise DomainError(f"order of R is only defined at integers, got {point}")
-    return order_Z(sig, n0, nearest) - order_Z(sig, n0, nearest + 1)
+    return order_Z(sig, n0, twice // 2) - order_Z(sig, n0, twice // 2 + 1)

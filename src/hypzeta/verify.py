@@ -17,6 +17,7 @@ import math
 from . import euler_product, length_spectrum, zeta_factors
 from .scattering import (
     ScatteringModel,
+    _neville_to_zero,
     modular_model,
     phi_leading_at_zero,
     trivial_model,
@@ -288,13 +289,12 @@ def factor_identity_checks() -> list[dict]:
         checks.append(_check(f"kappa(1/2) = phi(1/2) [{sig.label()}]",
                              zeta_factors.kappa(sig, sc, 0.5).value, sc.phi(0.5), tol))
         # magnitude of the leading coefficient against the functional equation
-        order, coeff = zeta_factors.ruelle_leading_at_zero(sig, sc)
-        d = order
+        d, coeff = zeta_factors.ruelle_leading_at_zero(sig, sc)
         samples = []
         for r in (1e-2, 1e-3):
             rhs = zeta_factors.ruelle_fe_rhs(sig, sc, complex(r, 0.0))
             samples.append(math.sqrt(abs(rhs)) * r ** (-d))
-        extrap = (samples[1] * 1e-4 - samples[0] * 1e-6) / (1e-4 - 1e-6)
+        extrap = _neville_to_zero((1e-4, 1e-6), samples)
         checks.append(_check(
             f"Ruelle leading magnitude vs functional equation [{sig.label()}]",
             extrap, abs(coeff), 1e-6 * max(1.0, abs(coeff)),

@@ -33,6 +33,7 @@ from .errors import DomainError, DomainWarning, PoleError, SingularFactorError
 from .scattering import ScatteringModel
 from .special_functions import (
     ZETA_PRIME_MINUS_ONE,
+    _ensure_finite,
     _finite_complex,
     _is_nonpositive_integer,
     _log_sinpi,
@@ -41,7 +42,7 @@ from .special_functions import (
     log_barnes_gamma2,
     log_gamma,
 )
-from .surface import Signature, check_cusp_count, constants
+from .surface import Signature, check_cusp_count, constants, order_R
 
 __all__ = [
     "FactorValue",
@@ -271,39 +272,46 @@ def ruelle_fe_rhs(
     * prod_j (sin pi s / sin(pi s / m_j))^2.
     All exponents are integers, so no branch choices arise, and the
     factors are summed as logs and exponentiated once: the sines alone
-    leave double range from |Im s| ~ 226 on. Exactly 0 at the integers
-    it admits. Raises DomainError where the value itself leaves double
-    range.
+    leave double range from |Im s| ~ 226 on. At an integer p it is 0,
+    raises PoleError, or is its limit (c^2 at 0, c from
+    ruelle_leading_at_zero) as order_R(p) + order_R(-p) is positive,
+    negative or 0. Raises DomainError where the value leaves double range.
     """
     check_cusp_count(sig, sc)
     if sig.n >= 1 and (abs(s - 0.5) < 1e-12 or abs(s + 0.5) < 1e-12):
         raise PoleError("Ruelle functional equation is singular at s = 1/2 and s = -1/2")
-    euler = 2 * sig.g - 2 + sig.n
-    if _near_integer(s) and euler < 0:
-        raise PoleError(f"sin(pi s) vanishes at s={s} with negative exponent")
-    for m in sig.orders:
-        if _near_integer(s / m):
-            raise PoleError(f"sin(pi s / {m}) vanishes at s={s}")
+    p = round(s.real) if _near_integer(s) else None
+    if p is not None:
+        order = order_R(sig, sc.n0, p) + order_R(sig, sc.n0, -p)
+        if order > 0:
+            return 0j
+        if order < 0:
+            raise PoleError(f"R(s) R(-s) has a pole of order {-order} at s={s}")
+        if p == 0:
+            c = ruelle_leading_at_zero(sig, sc)[1]
+            return _ensure_finite(complex(c * c), f"R(s) R(-s) at s={s}")
     phi_product = sc.phi(s) * sc.phi(-s)
     if phi_product == 0:
         raise PoleError(f"phi(s) phi(-s) vanishes at s={s}")
-    if s.imag == 0.0 and s.real.is_integer():
-        # the checks above leave 2g-2+n >= 1 or a cone point of order m not
-        # dividing s, so a power of sin(pi s) = 0 is a factor
-        return 0j
-    log_sin_pis = _log_sinpi(s)
+    # at an integer p of order 0, each vanishing sine is taken by its slope,
+    # pi for sin(pi s) and pi / m for sin(pi s / m), and the powers of s - p cancel;
+    # p is reduced mod m in integers, as s / m has lost its fraction beyond 2^53
+    log_sin_pis = _log_sinpi(s) if p is None else math.log(math.pi)
+    euler = 2 * sig.g - 2 + sig.n
     log_value = euler * (math.log(4.0) + 2.0 * log_sin_pis) - cmath.log(phi_product)
     if sig.n:  # s = +-1/2, where 4s^2 - 1 = 0, was refused above when n >= 1
         log_value -= sig.n * cmath.log(4.0 * s * s - 1.0)
     for m in sig.orders:
-        log_value += 2.0 * (log_sin_pis - _log_sinpi(s / m))
+        z = s / m if p is None else complex(p % m / m)
+        log_sin = math.log(math.pi / m) if z == 0 else _log_sinpi(z)
+        log_value += 2.0 * (log_sin_pis - log_sin)
     return _exp(log_value)
 
 
 def ruelle_leading_at_zero(sig: Signature, sc: ScatteringModel) -> tuple[int, float]:
     """Order and leading coefficient of the Ruelle zeta function at s = 0.
 
-    order = 2g - 2 + n - n0 and
+    order = order_R at 0 = 2g - 2 + n - n0 and
     coeff = -(2 pi)^(2g-2+n) / phi_tilde_0 * prod_j m_j,
     using the model's stored leading coefficient of phi. This is the
     paper's printed (-1)^(A/2 + 1) prefactor times (-1)^(A/2); for the
@@ -314,7 +322,6 @@ def ruelle_leading_at_zero(sig: Signature, sc: ScatteringModel) -> tuple[int, fl
     """
     check_cusp_count(sig, sc)
     euler = 2 * sig.g - 2 + sig.n
-    order = euler - sc.n0
     try:
         coeff = -(2.0 * math.pi) ** euler / sc.phi_tilde_0
         for m in sig.orders:
@@ -323,7 +330,7 @@ def ruelle_leading_at_zero(sig: Signature, sc: ScatteringModel) -> tuple[int, fl
         coeff = math.inf
     if math.isinf(coeff):
         raise DomainError("the Ruelle leading coefficient at 0 leaves double range")
-    return order, coeff
+    return order_R(sig, sc.n0, 0), coeff
 
 
 def _log_c_common(sig: Signature, sc: ScatteringModel, sign: float) -> float:

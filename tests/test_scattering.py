@@ -51,6 +51,19 @@ class TestModularPhi:
                      * mp.zeta(2 * s - 1) / mp.zeta(2 * s))
             assert abs(modular_phi(0.5 - j) - complex(limit)) <= 1e-13 * abs(limit)
 
+    def test_zero_at_zero(self):
+        # 1/Gamma(s) vanishes at 0, where zeta(2s - 1)/zeta(2s) is 1/6 / (1/2)
+        assert modular_phi(0.0) == 0
+
+    @pytest.mark.parametrize("j", range(1, 9))
+    def test_negative_integer_against_mpmath(self, j):
+        # the zero of 1/Gamma(s) at -j cancels the zero zeta(-2j)
+        with mp.workdps(40):
+            s = -j + mp.mpf(10) ** -25
+            limit = (mp.sqrt(mp.pi) * mp.gamma(s - mp.mpf(1) / 2) / mp.gamma(s)
+                     * mp.zeta(2 * s - 1) / mp.zeta(2 * s))
+            assert abs(modular_phi(-j) - complex(limit)) <= 1e-13 * abs(limit)
+
     def test_functional_equation_grid(self):
         for i in range(50):
             re = 0.08 + 0.84 * ((i * 13) % 50) / 49.0
@@ -81,6 +94,12 @@ class TestModularPhi:
 
     def test_bound_admits_its_edge(self):
         assert cmath.isfinite(modular_phi(complex(0.3, 5e5)))
+
+    @pytest.mark.parametrize("s", [1e308, -1e308, complex(1e308, 1.0), complex(-1e308, 1e-9)])
+    def test_far_real_part_is_domain_error(self, s):
+        # 2s - 1 leaves double range, on the direct side or, left of 1/2, at 1 - s
+        with pytest.raises(DomainError, match="finite"):
+            modular_phi(s)
 
 
 class TestLeadingAtZero:

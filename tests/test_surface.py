@@ -193,6 +193,14 @@ class TestOrders:
         for point in range(-10, 4):
             assert order_R(MODULAR, 1, float(point)) == order_R(MODULAR, 1, point)
 
+    @pytest.mark.parametrize("k", [2**60 + j for j in range(6)] + [int(1e308)],
+                             ids=[f"2^60+{j}" for j in range(6)] + ["int(1e308)"])
+    def test_exact_at_any_size(self, k):
+        # below -1 the order of R at -k depends on k mod 6 alone; k is read
+        # exactly, as ints past 2^53 are not doubles and 2 * 1e308 is past their range
+        assert order_R(MODULAR, 1, -k) == order_R(MODULAR, 1, -(k % 6) - 6)
+        assert order_R(MODULAR, 1, k) == order_R(MODULAR, 1, float(k)) == 0
+
     @given(signatures())
     @settings(max_examples=150, deadline=None)
     def test_Z_orders_nonnegative_at_negative_integers(self, sig):

@@ -32,7 +32,7 @@ from hypzeta.special_functions import (
     log_gamma,
     riemann_zeta,
 )
-from hypzeta.surface import Signature, constants
+from hypzeta.surface import Signature, constants, order_R
 from hypzeta import special_functions, zeta_factors
 from hypzeta.verify import IDENTITY_GRID
 from hypzeta.zeta_factors import (
@@ -418,6 +418,68 @@ class TestRuelleFERhs:
         assert ruelle_fe_rhs(sig, sc, s) == 0 and ruelle_fe_rhs(sig, sc, complex(s, -0.0)) == 0
 
 
+# one of each kind of integer point: (0;1;2,3) has zeros, poles and
+# points of order 0, (1;0;2), (1;1;2) and (1;1;) are of order 0 at s = 0
+ORDER_RULE_SIGNATURES = [MODULAR, TRIANGLE, Signature(1, 0, (2,)), Signature(1, 1, (2,)),
+                         Signature(1, 1), COMPACT]
+
+
+def _ruelle_rhs_mp(sig, s):
+    """R(s) R(-s) at the mpmath point s, with phi the modular one on a cusp."""
+    def phi(z):
+        return mp.sqrt(mp.pi) * mp.gamma(z - 0.5) / mp.gamma(z) * mp.zeta(2 * z - 1) / mp.zeta(2 * z)
+
+    value = (4 * mp.sin(mp.pi * s) ** 2) ** (2 * sig.g - 2 + sig.n) / (4 * s * s - 1) ** sig.n
+    if sig.n:
+        value /= phi(s) * phi(-s)
+    for m in sig.orders:
+        value *= (mp.sin(mp.pi * s) / mp.sin(mp.pi * s / m)) ** 2
+    return value
+
+
+class TestRuelleFERhsAtIntegers:
+    """At an integer p, R(s) R(-s) has the order order_R(p) + order_R(-p)."""
+
+    @pytest.mark.parametrize("sig", ORDER_RULE_SIGNATURES, ids=Signature.label)
+    def test_order_rule(self, sig):
+        sc = modular_model() if sig.n else trivial_model()
+        for p in range(-50, 51):
+            order = order_R(sig, sc.n0, p) + order_R(sig, sc.n0, -p)
+            with mp.workdps(40):
+                # the order read off mpmath's values 1e-8 and 1e-10 right of p
+                near, nearer = (abs(_ruelle_rhs_mp(sig, p + mp.mpf(10) ** -k)) for k in (8, 10))
+                assert abs(mp.log(near / nearer) / mp.log(100) - order) < 0.01, p
+                limit = complex(_ruelle_rhs_mp(sig, p + mp.mpf(10) ** -25))
+            if order > 0:
+                assert ruelle_fe_rhs(sig, sc, float(p)) == 0, p
+            elif order < 0:
+                with pytest.raises(PoleError, match=re.escape(f"order {-order} at s={complex(p)}")):
+                    ruelle_fe_rhs(sig, sc, float(p))
+            else:
+                assert abs(ruelle_fe_rhs(sig, sc, float(p)) - limit) <= 1e-12 * abs(limit), p
+
+    @pytest.mark.parametrize("sig", [TRIANGLE, Signature(1, 0, (2,)), COMPACT], ids=Signature.label)
+    @pytest.mark.parametrize("p", [2.0**53, -1e20, 1e308])
+    def test_order_rule_past_two_to_the_53(self, sig, p):
+        # every double this large is an integer, and s / m is no longer exact
+        order = order_R(sig, 0, p) + order_R(sig, 0, -p)
+        value = ruelle_fe_rhs(sig, trivial_model(), p)
+        if order > 0:
+            assert value == 0
+        else:
+            with mp.workdps(360):
+                limit = complex(_ruelle_rhs_mp(sig, int(p) + mp.mpf(10) ** -25))
+            assert order == 0 and abs(value - limit) <= 1e-12 * abs(limit)
+
+    @pytest.mark.parametrize("sig", [Signature(1, 0, (2,)), Signature(1, 1, (2,)), Signature(1, 1)],
+                             ids=Signature.label)
+    def test_square_of_the_leading_coefficient_at_zero(self, sig):
+        # the paper's R(s) R(-s) ~ c^2 (-1)^d s^(2d) at order d = 0
+        sc = modular_model() if sig.n else trivial_model()
+        assert order_R(sig, sc.n0, 0) == 0
+        assert ruelle_fe_rhs(sig, sc, 0.0) == ruelle_leading_at_zero(sig, sc)[1] ** 2
+
+
 class TestCuspCount:
     @pytest.mark.parametrize("call", [
         lambda sig, sc: ruelle_fe_rhs(sig, sc, 0.25),
@@ -679,7 +741,8 @@ class TestFactorMemo:
         assert not kernels & {kappa.__wrapped__, _log_sine_block.__wrapped__}
 
     def test_an_error_below_the_axis_names_the_callers_s(self):
-        s = complex(3.0, -0.0)
+        # R(s) R(-s) has a pole of order 2 at 6 on the modular surface
+        s = complex(6.0, -0.0)
         for scope in (contextlib.nullcontext, special_functions._kernel_memo):
             with scope(), pytest.raises(PoleError, match=re.escape(f"s={s}")):
                 ruelle_fe_rhs(MODULAR, modular_model(), s)
