@@ -30,7 +30,7 @@ __all__ = ["run", "main"]
 
 
 _DEFAULT_MAX_TRACE = 40
-# most points an `orders` table spans, as enumerate_spectrum's default capacity
+# most points an `orders` table spans
 _MAX_ORDER_POINTS = 100_000
 
 
@@ -100,6 +100,7 @@ def _print_human(report: Report, stream=None):
 
 
 def _parse_complex(text: str) -> complex:
+    """argparse type of --s and --z-value: a finite complex number as RE,IM."""
     parts = text.split(",")
     try:
         if len(parts) in (1, 2):
@@ -108,7 +109,7 @@ def _parse_complex(text: str) -> complex:
                 return value
     except ValueError:
         pass
-    raise UsageError(f"expected a finite complex number as RE,IM (got {text!r})")
+    raise argparse.ArgumentTypeError(f"expected a finite complex number as RE,IM (got {text!r})")
 
 
 def _max_trace(text: str) -> int:
@@ -135,10 +136,14 @@ def _model_for(sig: Signature) -> ScatteringModel:
 
 
 def _surface_report(args) -> tuple[Signature, ScatteringModel, Report]:
-    """Signature, its model and a Report naming both, for args.command."""
+    """Signature, its model and a Report naming both, and s where
+    args.command takes one."""
     sig = parse_signature(args.signature)
     model = _model_for(sig)
-    return sig, model, Report(args.command, {"signature": sig.label(), "group": model.label})
+    report = Report(args.command, {"signature": sig.label(), "group": model.label})
+    if "s" in args:
+        report.inputs["s"] = args.s
+    return sig, model, report
 
 
 def _spectrum_for(args, report: Report):
@@ -160,11 +165,11 @@ def _spectrum_for(args, report: Report):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: populate a Report, return exit code
+# subcommand handlers: each returns its populated Report
 # ---------------------------------------------------------------------------
 
 
-def _cmd_orders(args) -> tuple[Report, int]:
+def _cmd_orders(args) -> Report:
     sig, model, report = _surface_report(args)
     lo, hi = args.from_point, args.to_point
     if lo > hi:
@@ -182,32 +187,27 @@ def _cmd_orders(args) -> tuple[Report, int]:
             table.append({"point": half, "order_Z": order_Z(sig, model.n0, half)})
     table.sort(key=lambda row: row["point"])
     report.add("orders", table)
-    return report, 0
+    return report
 
 
-def _cmd_kappa(args) -> tuple[Report, int]:
+def _cmd_kappa(args) -> Report:
     sig, model, report = _surface_report(args)
-    s = _parse_complex(args.s)
-    value = zeta_factors.kappa(sig, model, s)
-    report.inputs["s"] = s
+    value = zeta_factors.kappa(sig, model, args.s)
     report.add("kappa", value.value)
     report.add("log_kappa", value.log_value)
-    return report, 0
+    return report
 
 
-def _cmd_det_laplacian(args) -> tuple[Report, int]:
+def _cmd_det_laplacian(args) -> Report:
     sig, model, report = _surface_report(args)
-    s = _parse_complex(args.s)
-    report.inputs["s"] = s
-    if args.z_value is not None:
+    s, z_value = args.s, args.z_value
+    if z_value is not None:
         if args.max_trace is not None or args.cache is not None:
             raise UsageError(
                 "--z-value replaces the Euler product; it takes neither "
                 "--max-trace nor --cache"
             )
-        z_value = _parse_complex(args.z_value)
-        report.inputs["z_value"] = z_value
-        report.inputs["z_source"] = "probe"
+        report.inputs.update({"z_value": z_value, "z_source": "probe"})
     else:
         if args.max_trace is None:
             args.max_trace = _DEFAULT_MAX_TRACE
@@ -223,19 +223,19 @@ def _cmd_det_laplacian(args) -> tuple[Report, int]:
     for w in caught:
         report.notes.append(str(w.message))
     report.add("det_laplacian", value)
-    return report, 0
+    return report
 
 
-def _cmd_ruelle_leading(args) -> tuple[Report, int]:
+def _cmd_ruelle_leading(args) -> Report:
     sig, model, report = _surface_report(args)
     order, coeff = zeta_factors.ruelle_leading_at_zero(sig, model)
     report.add("order", order)
     report.add("coefficient", coeff)
     report.add("abs_coefficient", abs(coeff))
-    return report, 0
+    return report
 
 
-def _cmd_constants(args) -> tuple[Report, int]:
+def _cmd_constants(args) -> Report:
     """The determinant constants; past one cusp, the geometric ones only."""
     sig = parse_signature(args.signature)
     report = Report("constants", {"signature": sig.label()})
@@ -247,7 +247,7 @@ def _cmd_constants(args) -> tuple[Report, int]:
         report.notes.append(f"{exc}; reporting geometric data only")
         for name, value in zip(("B", "C"), geometric_constants(sig)):
             report.add(name, value)
-        return report, 0
+        return report
     report.inputs["group"] = model.label
     report.add("A", model.A)
     c = constants(sig, model)
@@ -256,10 +256,10 @@ def _cmd_constants(args) -> tuple[Report, int]:
     report.add("E", zeta_factors._exp(c.log_E, math.exp))
     report.add("c1", zeta_factors.c1(sig, model))
     report.add("c0", zeta_factors.c0(sig, model))
-    return report, 0
+    return report
 
 
-def _cmd_spectrum(args) -> tuple[Report, int]:
+def _cmd_spectrum(args) -> Report:
     report = Report("spectrum", {"max_trace": args.max_trace})
     spectrum = _spectrum_for(args, report)
     rows = [
@@ -268,7 +268,7 @@ def _cmd_spectrum(args) -> tuple[Report, int]:
     ]
     report.add("class_count", spectrum.class_count)
     report.add("shells", rows)
-    return report, 0
+    return report
 
 
 def _print_spectrum_csv(report: Report):
@@ -280,16 +280,15 @@ def _print_spectrum_csv(report: Report):
     print("\n".join(lines))
 
 
-def _cmd_euler(args) -> tuple[Report, int]:
+def _cmd_euler(args) -> Report:
     """`zeta` and `ruelle`: the truncated Euler product named by args.command."""
-    s = _parse_complex(args.s)
-    report = Report(args.command, {"s": s, "max_trace": args.max_trace})
+    report = Report(args.command, {"s": args.s, "max_trace": args.max_trace})
     spectrum = _spectrum_for(args, report)
     if args.command == "zeta":
-        truncated = euler_product.selberg_Z(spectrum, s)
+        truncated = euler_product.selberg_Z(spectrum, args.s)
     else:
         report.inputs["method"] = args.method
-        truncated = euler_product.ruelle_R(spectrum, s, method=args.method)
+        truncated = euler_product.ruelle_R(spectrum, args.s, method=args.method)
     report.add("value", truncated.value)
     report.add("abs_error_estimate", truncated.abs_error_estimate)
     report.add("k_cutoff_used", truncated.k_cutoff_used)
@@ -299,17 +298,17 @@ def _cmd_euler(args) -> tuple[Report, int]:
             "truncation estimate exceeds 1% of the value; increase "
             "--max-trace or move s away from the convergence boundary"
         )
-    return report, 0
+    return report
 
 
-def _cmd_verify(args) -> tuple[Report, int]:
+def _cmd_verify(args) -> Report:
     outcome = verify.run_verify()
     report = Report("verify", {})
     for name, checks in outcome["sections"].items():
         report.checks.extend({**c, "name": f"{name}: {c['name']}"} for c in checks)
     report.add("total_checks", outcome["total_checks"])
     report.add("failed_checks", outcome["failed_checks"])
-    return report, (0 if outcome["passed"] else 3)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +316,25 @@ def _cmd_verify(args) -> tuple[Report, int]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, surface=False, s=False, euler=False):
+def _subcommand(sub, name, handler, help, surface=False, s=False, euler=False):
+    """Add subcommand `name`, run by handler, with --json and the common
+    flags asked for; returns its parser for the subcommand's own flags."""
+    sp = sub.add_parser(name, help=help)
+    sp.set_defaults(handler=handler)
     sp.add_argument("--json", action="store_true", help="emit the report as JSON")
     if surface:
         sp.add_argument("--signature", required=True,
                         help="surface as g,n,m1:m2:...:mv; 0 cusps take the trivial "
                              "scattering model, 1 cusp the modular one")
     if s:
-        sp.add_argument("--s", required=True, help="evaluation point as RE,IM")
+        sp.add_argument("--s", type=_parse_complex, required=True,
+                        help="evaluation point as RE,IM")
     if euler:
         sp.add_argument("--max-trace", type=_max_trace, default=_DEFAULT_MAX_TRACE,
                         dest="max_trace",
                         help=f"length-spectrum completeness bound (default {_DEFAULT_MAX_TRACE})")
         sp.add_argument("--cache", help="CSV spectrum cache path")
+    return sp
 
 
 @functools.cache
@@ -339,51 +344,36 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hypzeta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    orders = sub.add_parser("orders", help="order tables for Z and R")
-    _add_common(orders, surface=True)
+    orders = _subcommand(sub, "orders", _cmd_orders, "order tables for Z and R", surface=True)
     orders.add_argument("--from", type=int, required=True, dest="from_point")
     orders.add_argument("--to", type=int, required=True, dest="to_point")
-    orders.set_defaults(handler=_cmd_orders)
 
-    kappa_p = sub.add_parser("kappa", help="functional-equation multiplier")
-    _add_common(kappa_p, surface=True, s=True)
-    kappa_p.set_defaults(handler=_cmd_kappa)
+    _subcommand(sub, "kappa", _cmd_kappa, "functional-equation multiplier", surface=True, s=True)
 
-    det = sub.add_parser("det-laplacian", help="closed-form determinant value")
-    _add_common(det, surface=True, s=True, euler=True)
-    det.add_argument("--z-value", dest="z_value",
+    det = _subcommand(sub, "det-laplacian", _cmd_det_laplacian, "closed-form determinant value",
+                      surface=True, s=True, euler=True)
+    det.add_argument("--z-value", type=_parse_complex, dest="z_value",
                      help="probe value for Z(s) as RE,IM (replaces the Euler product; "
                           "not with --max-trace or --cache)")
     # max_trace None marks --max-trace as not given, which --z-value requires
-    det.set_defaults(handler=_cmd_det_laplacian, max_trace=None)
+    det.set_defaults(max_trace=None)
 
-    leading = sub.add_parser("ruelle-leading", help="order and leading coefficient at 0")
-    _add_common(leading, surface=True)
-    leading.set_defaults(handler=_cmd_ruelle_leading)
+    _subcommand(sub, "ruelle-leading", _cmd_ruelle_leading, "order and leading coefficient at 0",
+                surface=True)
+    _subcommand(sub, "constants", _cmd_constants, "area, A, B, C, D, E, c0, c1", surface=True)
 
-    consts = sub.add_parser("constants", help="area, A, B, C, D, E, c0, c1")
-    _add_common(consts, surface=True)
-    consts.set_defaults(handler=_cmd_constants)
+    spectrum = _subcommand(sub, "spectrum", _cmd_spectrum, "geodesic length spectrum table")
+    spectrum.add_argument("--max-trace", type=_max_trace, required=True, dest="max_trace")
+    spectrum.add_argument("--cache", help="CSV spectrum cache path")
 
-    spectrum_p = sub.add_parser("spectrum", help="geodesic length spectrum table")
-    _add_common(spectrum_p)
-    spectrum_p.add_argument("--max-trace", type=_max_trace, required=True, dest="max_trace")
-    spectrum_p.add_argument("--cache", help="CSV spectrum cache path")
-    spectrum_p.set_defaults(handler=_cmd_spectrum)
+    _subcommand(sub, "zeta", _cmd_euler, "truncated Selberg product (Re s > 1)", s=True,
+                euler=True)
+    ruelle = _subcommand(sub, "ruelle", _cmd_euler, "truncated Ruelle product (Re s > 1)",
+                         s=True, euler=True)
+    ruelle.add_argument("--method", choices=("direct", "quotient"), default="direct",
+                        help="direct product (default), or Z(s)/Z(s+1) as a cross-check")
 
-    zeta_p = sub.add_parser("zeta", help="truncated Selberg product (Re s > 1)")
-    _add_common(zeta_p, s=True, euler=True)
-    zeta_p.set_defaults(handler=_cmd_euler)
-
-    ruelle_p = sub.add_parser("ruelle", help="truncated Ruelle product (Re s > 1)")
-    _add_common(ruelle_p, s=True, euler=True)
-    ruelle_p.add_argument("--method", choices=("direct", "quotient"), default="direct",
-                          help="direct product (default), or Z(s)/Z(s+1) as a cross-check")
-    ruelle_p.set_defaults(handler=_cmd_euler)
-
-    verify_p = sub.add_parser("verify", help="run the full identity suite")
-    _add_common(verify_p)
-    verify_p.set_defaults(handler=_cmd_verify)
+    _subcommand(sub, "verify", _cmd_verify, "run the full identity suite")
 
     return parser
 
@@ -401,7 +391,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        report, code = args.handler(args)
+        report = args.handler(args)
     except (UsageError, ValueError) as exc:
         return _fail(argv, exc, 1, "usage error", "usage")
     except (HypzetaError, ArithmeticError) as exc:
@@ -414,9 +404,10 @@ def run(argv=None) -> int:
             print(f"note: {note}", file=sys.stderr)
     else:
         _print_human(report)
-    if code == 3:
+    if not all(c["passed"] for c in report.checks):
         print("verification suite FAILED", file=sys.stderr)
-    return code
+        return 3
+    return 0
 
 
 def main():  # console-script entry point

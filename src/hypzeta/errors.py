@@ -5,6 +5,11 @@ propagate: a pole hit raises PoleError, an argument or a value outside
 double range or a truncation's reach raises DomainError, and so on.
 """
 
+__all__ = [
+    "HypzetaError", "PoleError", "DomainError", "MismatchError", "FitError",
+    "SingularFactorError", "CapacityError", "EmptySpectrumError", "DomainWarning",
+]
+
 
 class HypzetaError(Exception):
     """Base class for all package-specific errors."""

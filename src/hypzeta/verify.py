@@ -129,6 +129,14 @@ def signature_corpus(count: int = 30) -> list[Signature]:
     return out
 
 
+def _sample_grid(count: int, re: tuple, im: tuple) -> list[complex]:
+    """count points, the i-th at lo + span * ((i * stride) % count) / (count - 1)
+    in each part for that part's (lo, span, stride), rounded to 6 places."""
+    def part(i, lo, span, stride):
+        return round(lo + span * ((i * stride) % count) / (count - 1), 6)
+    return [complex(part(i, *re), part(i, *im)) for i in range(count)]
+
+
 def _gauss_multiplication_defect(s: complex, m: int) -> float:
     """|1 - (2 pi)^((1-m)/2) m^(s-1/2) prod_k Gamma((s+k)/m) / Gamma(s)|,
     the relative defect of Gauss's order-m multiplication formula."""
@@ -148,15 +156,8 @@ def _gauss_multiplication_defect(s: complex, m: int) -> float:
 def special_function_checks() -> list[dict]:
     tol = 1e-10
     checks = []
-    # reflection formula on a 100-point grid avoiding integers
-    pts = []
-    for i in range(100):
-        re = -2.3 + 4.7 * ((i * 37) % 100) / 99.0
-        im = -4.0 + 8.0 * ((i * 53) % 100) / 99.0
-        s = complex(round(re, 6), round(im, 6))
-        if abs(s.imag) < 0.05 and abs(s.real - round(s.real)) < 0.05:
-            s += 0.11 + 0.13j
-        pts.append(s)
+    # reflection formula on a 100-point grid, none of its points near an integer
+    pts = _sample_grid(100, (-2.3, 4.7, 37), (-4.0, 8.0, 53))
     checks.append(_worst(
         (s, _rel_check("gamma reflection",
                        cmath.exp(log_gamma(s) + log_gamma(1.0 - s)),
@@ -203,15 +204,8 @@ def scattering_checks() -> list[dict]:
     # the stored A against the determinant: (-1)^(A/2) = phi(1/2)
     for sc in (model, trivial_model()):
         checks.append(_check(f"phi(1/2) = (-1)^(A/2) [{sc.label}]", sc.phi(0.5), sc.parity, 1e-10))
-    # phi(s) phi(1-s) = 1 on a 50-point grid away from poles
-    pts = []
-    for i in range(50):
-        re = 0.08 + 0.84 * ((i * 13) % 50) / 49.0
-        im = -5.0 + 10.0 * ((i * 29) % 50) / 49.0
-        s = complex(round(re, 6), round(im, 6))
-        if abs(s - 0.5) < 0.05 or abs(s.imag) < 0.05:
-            s += 0.07 + 0.09j
-        pts.append(s)
+    # phi(s) phi(1-s) = 1 on a 50-point grid, none of its points near the real axis
+    pts = _sample_grid(50, (0.08, 0.84, 13), (-5.0, 10.0, 29))
     checks.append(_worst(
         (s, _check("phi(s) phi(1-s) = 1", model.phi(s) * model.phi(1.0 - s), 1.0, tol))
         for s in pts
@@ -303,17 +297,14 @@ def factor_identity_checks() -> list[dict]:
 
 
 def order_checks() -> list[dict]:
-    checks = []
-    modular = Signature(0, 1, (2, 3))
-    compact = Signature(2, 0)
-    for point, expected in MODULAR_Z_ORDERS.items():
-        checks.append(_check(f"Z order modular s={point}", order_Z(modular, 1, point), expected, 0))
-    for point, expected in MODULAR_R_ORDERS.items():
-        checks.append(_check(f"R order modular s={point}", order_R(modular, 1, point), expected, 0))
-    for point, expected in COMPACT_Z_ORDERS.items():
-        checks.append(_check(f"Z order compact s={point}", order_Z(compact, 0, point), expected, 0))
-    for point, expected in COMPACT_R_ORDERS.items():
-        checks.append(_check(f"R order compact s={point}", order_R(compact, 0, point), expected, 0))
+    checks = [
+        _check(f"{kind} order {label} s={point}", order(sig, n0, point), expected, 0)
+        for label, sig, n0, z_table, r_table in (
+            ("modular", Signature(0, 1, (2, 3)), 1, MODULAR_Z_ORDERS, MODULAR_R_ORDERS),
+            ("compact", Signature(2, 0), 0, COMPACT_Z_ORDERS, COMPACT_R_ORDERS))
+        for kind, order, table in (("Z", order_Z, z_table), ("R", order_R, r_table))
+        for point, expected in table.items()
+    ]
     corpus = signature_corpus()
     # z_orders[sig][k] is the order of Z at -k, k = 0..50
     z_orders = {sig: [order_Z(sig, 0, -k) for k in range(51)] for sig in corpus}

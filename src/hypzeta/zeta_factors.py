@@ -59,13 +59,16 @@ __all__ = [
 
 def _exp(log_value: complex, exp=cmath.exp) -> complex:
     """exp (cmath's unless given), raising DomainError where the value
-    leaves double range: where it overflows, and where it underflows to 0."""
+    leaves double range: where it overflows, where it underflows to 0, and
+    where it is not finite (a log that is inf or nan)."""
     try:
         value = exp(log_value)
     except OverflowError:
         raise DomainError(f"exp({log_value}) overflows a double") from None
     if value == 0:
         raise DomainError(f"exp({log_value}) underflows to 0")
+    if not cmath.isfinite(value):
+        raise DomainError(f"exp({log_value}) is not a finite double")
     return value
 
 
@@ -196,7 +199,7 @@ def det_laplacian(
     log_rest = (
         z_infty(sig, s).log_value
         + z_ell(sig, s).log_value
-        - sig.n * log_gamma(s + 0.5)
+        - (sig.n and sig.n * log_gamma(s + 0.5))
         + c.B * half * half
         + c.C * half
         + c.D
@@ -246,8 +249,8 @@ def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
         gamma2_block = _log_base(s) - _log_base(complex(1.0 - s.real, -s.imag))
     except PoleError as exc:
         raise SingularFactorError("double-gamma block", str(exc)) from None
-    try:
-        cusp_block = sig.n * (log_gamma(1.5 - s) - log_gamma(s + 0.5))
+    try:  # on a compact surface the block is 0, also at its half-integer poles
+        cusp_block = sig.n and sig.n * (log_gamma(1.5 - s) - log_gamma(s + 0.5))
     except PoleError as exc:
         raise SingularFactorError("cusp gamma ratio", str(exc)) from None
     log_total = (

@@ -115,6 +115,16 @@ class TestNonFiniteInput:
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "usage"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["kappa", "--signature", "0,1,2:3", "--s", "1,2,3"], "--s"),
+        (["det-laplacian", "--signature", "0,1,2:3", "--s", "2,0", "--z-value", "abc"],
+         "--z-value"),
+    ])
+    def test_message_names_the_flag(self, argv, flag):
+        code, out, _ = invoke_json(argv)
+        assert code == 1
+        assert out["error"]["message"].startswith(f"argument {flag}: expected a finite complex")
+
 
 class TestParserReuse:
     def test_method_default_restored(self):
@@ -563,6 +573,24 @@ class TestNegativeRealPart:
         _, joined, _ = invoke_json(["det-laplacian", "--signature", "0,1,2:3",
                                     "--s=-0.7,0.5", "--z-value=-1,0"])
         assert report["results"] == joined["results"]
+
+
+class TestCompactHalfInteger:
+    """Without cusps no gamma factor has a pole at s = -1/2 - k."""
+
+    def test_kappa(self):
+        code, report, err = invoke_json(["kappa", "--signature", "2,0,", "--s", "-0.5,0"])
+        assert code == 0, err
+        assert report["inputs"]["s"] == {"re": -0.5, "im": 0.0}
+        value = result_of(report, "kappa")
+        assert abs(complex(value["re"], value["im"]) - 1.0 / 16.0) < 1e-12
+
+    def test_det_laplacian_probe(self):
+        argv = ["det-laplacian", "--signature", "2,0,", "--s", "-0.5,0", "--z-value", "1,0"]
+        code, report, err = invoke_json(argv)
+        assert code == 0, err
+        value = result_of(report, "det_laplacian")
+        assert math.isfinite(value["re"]) and math.isfinite(value["im"])
 
 
 class TestSurfaceInfo:

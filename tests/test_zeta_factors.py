@@ -226,6 +226,16 @@ class TestDetLaplacian:
         )
         assert abs(probe - (2 * s - 1) ** (sc.A // 2) * cmath.exp(logs)) < 1e-12 * abs(probe)
 
+    @pytest.mark.parametrize("s", [-0.5, -1.5, -2.5])
+    def test_compact_half_integers(self, s):
+        # no cusp gamma factor on (2;0;), so no pole at s = -1/2 - k: the value
+        # is the limit from above the axis
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DomainWarning)
+            value = det_laplacian(COMPACT, trivial_model(), s, 1.0)
+            limit = det_laplacian(COMPACT, trivial_model(), complex(s, 1e-9), 1.0).real
+        assert cmath.isfinite(value) and abs(value - limit) <= 1e-12 * abs(limit)
+
     def test_domain_warning_below_convergence(self):
         with pytest.warns(DomainWarning):
             det_laplacian(MODULAR, modular_model(), 0.75, 1.0)
@@ -267,6 +277,18 @@ class TestKappa:
             s = complex(round(re, 6), round(im, 6))
             value = kappa(MODULAR, model, s).value * kappa(MODULAR, model, 1.0 - s).value
             assert abs(value - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("sig", [COMPACT, TRIANGLE, Signature(1, 0, (3,))],
+                             ids=lambda sig: sig.label())
+    @pytest.mark.parametrize("s", [-0.5, 1.5, -2.5, 3.5])
+    def test_compact_half_integers(self, sig, s):
+        # without cusps Z is regular and non-zero at -1/2 - k, so kappa is
+        # finite there, the limit of kappa from above the axis
+        sc = trivial_model()
+        value = kappa(sig, sc, s).value
+        limit = kappa(sig, sc, complex(s, 1e-9)).value.real
+        assert abs(value - limit) <= 1e-12 * abs(limit)
+        assert abs(value * kappa(sig, sc, 1.0 - s).value - 1.0) < 1e-12
 
     def test_singular_factor_named(self):
         # sin(pi(s+k)/m) vanishes at integer s for the m=2 block
@@ -514,9 +536,14 @@ class TestOverflow:
         # log c1 and log c0 are about 5.8e5
         lambda: c1(Signature(0, 0, (10**5,) * 3), trivial_model()),
         lambda: c0(Signature(0, 0, (10**5,) * 3), trivial_model()),
+        # -pi Re s, the sines' imaginary parts, is -inf here: their logs subtract to nan
+        lambda: ruelle_fe_rhs(COMPACT, trivial_model(), 1e308 + 1j),
+        lambda: ruelle_fe_rhs(Signature(1, 0, (2,)), trivial_model(), 1e308 + 1j),
+        lambda: ruelle_fe_rhs(TRIANGLE, trivial_model(), 1e308 + 1j),
     ], ids=["z_infty", "kappa", "det_laplacian-exp", "det_laplacian-nan",
             "leading-genus-200", "leading-orders-1e200", "leading-orders-1e400",
-            "leading-tiny-phi", "c1", "c0"])
+            "leading-tiny-phi", "c1", "c0", "ruelle_fe_rhs-compact-nan",
+            "ruelle_fe_rhs-cone-nan", "ruelle_fe_rhs-triangle-nan"])
     def test_domain_error(self, call):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DomainWarning)
