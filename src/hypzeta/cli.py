@@ -209,6 +209,9 @@ def _cmd_det_laplacian(args) -> Report:
             )
         report.inputs.update({"z_value": z_value, "z_source": "probe"})
     else:
+        if sig != Signature(0, 1, (2, 3)):
+            raise UsageError(f"the Euler product is the modular surface's (0;1;2,3); "
+                             f"give Z(s) on {sig.label()} with --z-value")
         if args.max_trace is None:
             args.max_trace = _DEFAULT_MAX_TRACE
         spectrum = _spectrum_for(args, report)
@@ -400,8 +403,6 @@ def run(argv=None) -> int:
         print(json.dumps(report.to_dict(), default=_complex_json))
     elif report.command == "spectrum":
         _print_spectrum_csv(report)
-        for note in report.notes:
-            print(f"note: {note}", file=sys.stderr)
     else:
         _print_human(report)
     if not all(c["passed"] for c in report.checks):

@@ -209,7 +209,8 @@ _KERNEL_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 def _kernel_memo():
     """Scope in which every memoized function (log_gamma, riemann_zeta,
     the product behind log_barnes_gamma2, and the factors of
-    `zeta_factors`) evaluates each conjugate pair of arguments once, per
+    `zeta_factors` with the closed form that det_laplacian, kappa and c1
+    share) evaluates each conjugate pair of arguments once, per
     context for a factor; `verify.run_verify` runs in one, since its
     identities revisit their arguments and its grids are symmetric under
     s -> conj(s).

@@ -245,13 +245,16 @@ def _factor_identities_at(sig: Signature, sc: ScatteringModel, s: complex,
     zi1m = zeta_factors.z_infty(sig, 1.0 - s).log_value
     zi1p = zeta_factors.z_infty(sig, s + 1.0).log_value
     zim = zeta_factors.z_infty(sig, -s).log_value
-    rhs_log = 0.0 + 0.0j
+    rhs_log = sine_log = 0.0 + 0.0j
     for m in sig.orders:
         rhs_log += (
             2.0 / m * cmath.log(cmath.sin(math.pi * s))
             - (m - 1) / m * cmath.log(-4.0 + 0.0j)
             - 2.0 * cmath.log(cmath.sin(math.pi * s / m))
         )
+        # the paper's prod_k sin(pi (s+k)/m)^((m-2k-1)/m), Z_ell(s)/Z_ell(1-s)
+        sine_log += sum((m - 2 * k - 1) / m * cmath.log(cmath.sin(math.pi * (s + k) / m))
+                        for k in range(m))
     kap = zeta_factors.kappa(sig, sc, s).value
     kap1m = zeta_factors.kappa(sig, sc, 1.0 - s).value
     kap1p = zeta_factors.kappa(sig, sc, s + 1.0).value
@@ -260,7 +263,7 @@ def _factor_identities_at(sig: Signature, sc: ScatteringModel, s: complex,
     power = math.lcm(sig.normalized_area().denominator, *sig.orders)
     sides = {
         "cone-factor ratio vs sine product":
-            (cmath.exp(ze - ze1m), cmath.exp(zeta_factors._log_sine_block(sig, s)), 1),
+            (cmath.exp(ze - ze1m), cmath.exp(sine_log), power),
         "archimedean four-point identity":
             (cmath.exp(zi1p - zi + zi1m - zim),
              cmath.exp(chi * cmath.log(-4.0 * cmath.sin(math.pi * s) ** 2)), power),
@@ -387,11 +390,11 @@ def run_verify() -> dict:
 
     The sections share one kernel memo, so log_gamma, riemann_zeta and
     the product behind log_barnes_gamma2 each evaluate a conjugate pair
-    of arguments once per run (880, 183 and 29 evaluations), and so do
-    the factors z_infty, z_ell, kappa, ruelle_fe_rhs and kappa's sine
-    block for each (surface, model): 72, 72, 69, 36 and 69 evaluations,
-    318 where 972 would run without the memo. A memo hit skips the pole
-    and range checks.
+    of arguments once per run (891, 183 and 29 evaluations), and so do
+    the factors z_infty, z_ell, kappa, ruelle_fe_rhs and the closed form
+    that kappa reads for each (surface, model): 72, 72, 69, 36 and 77
+    evaluations, 326 where 1,097 would run without the memo. A memo hit
+    skips the pole and range checks.
     """
     with _kernel_memo():
         sections = {

@@ -9,12 +9,18 @@ det'(Laplacian) to Z'(1) and to the renormalized value of Z at 0.
 Each function that takes a scattering model raises MismatchError when
 its cusp count differs from the signature's.
 
-Products of fractional powers are combined as sums of
-exponent * log(base), principal logs but for kappa's, which follow one
-branch so that kappa is single-valued; identities of the other
-factors hold up to a root of unity.
+The determinant identity det(Laplacian - s(1-s)) = Z(s) F(s) is
+assembled once, as log F(s) / (2s - 1)^(A/2) in _log_closed_form:
+det_laplacian multiplies it by Z(s), kappa reads it at s and 1 - s
+through the determinant's functional equation, and c1 is its value at 1.
 
-z_infty, z_ell, kappa, ruelle_fe_rhs and kappa's sine block answer
+Products of fractional powers are combined as sums of
+exponent * log(base), with the branches of log Gamma and log G2, which
+are continuous above the real axis and conjugate below it, so kappa is
+single-valued; the identities of Z_inf and Z_ell hold up to a root of
+unity.
+
+z_infty, z_ell, kappa, ruelle_fe_rhs and the closed form answer
 through special_functions._memoized, keyed by (signature, model, s): at
 an s whose Im has its sign bit set, s - 0j included, each is the
 conjugate of its value at conj(s), and in a _kernel_memo() scope each
@@ -159,6 +165,11 @@ def z_ell(sig: Signature, s: complex) -> FactorValue:
         raise DomainError(
             f"cone-point factor underflows a double at s={s} for orders {sig.orders}"
         )
+    return FactorValue.from_log(_log_cone(sig, s))
+
+
+def _log_cone(sig: Signature, s: complex) -> complex:
+    """log Z_ell(s), the cone points' sum of weighted log-gammas."""
     total = 0.0 + 0.0j
     for j, m in enumerate(sig.orders):
         for k in range(m):
@@ -171,16 +182,33 @@ def z_ell(sig: Signature, s: complex) -> FactorValue:
                     f"argument {arg}"
                 ) from None
             total += (2 * k + 1 - m) / m * lg
-    return FactorValue.from_log(total)
+    return total
 
 
-def det_laplacian(
-    sig: Signature,
-    sc: ScatteringModel,
-    s: complex,
-    Z_value: complex,
-) -> complex:
-    """Determinant of the shifted Laplacian, assembled from closed-form factors.
+@_memoized_factor
+def _log_closed_form(sig: Signature, sc: ScatteringModel, s: complex) -> complex:
+    """log of det(Laplacian - s(1-s)) / ((2s - 1)^(A/2) Z(s)): log Z_inf
+    + log Z_ell - n log Gamma(s + 1/2) + B (s - 1/2)^2 + C (s - 1/2) + D.
+
+    The cusp term enters only when n >= 1, so on a compact surface the
+    form is finite at the half-integers. Raises PoleError where a gamma
+    or double-gamma argument lands on a pole.
+    """
+    c = constants(sig, sc)
+    half = s - 0.5
+    return (
+        _chi(sig) * _log_base(s)
+        + _log_cone(sig, s)
+        - (sig.n and sig.n * log_gamma(s + 0.5))
+        + c.B * half * half
+        + c.C * half
+        + c.D
+    )
+
+
+def det_laplacian(sig: Signature, sc: ScatteringModel, s: complex, Z_value: complex) -> complex:
+    """Determinant of the shifted Laplacian, (2s - 1)^(A/2) Z(s) times the
+    exp of _log_closed_form.
 
     The Selberg zeta value Z(s) is supplied by the caller (for example
     from the truncated Euler product, trustworthy for Re s > 1). When
@@ -194,51 +222,30 @@ def det_laplacian(
             DomainWarning("supplied Z(s) is untrusted for Re s <= 1"),
             stacklevel=2,
         )
-    c = constants(sig, sc)
-    half = s - 0.5
-    log_rest = (
-        z_infty(sig, s).log_value
-        + z_ell(sig, s).log_value
-        - (sig.n and sig.n * log_gamma(s + 0.5))
-        + c.B * half * half
-        + c.C * half
-        + c.D
-    )
-    value = (2.0 * s - 1.0) ** (sc.A // 2) * _exp(log_rest) * complex(Z_value)
+    value = (2.0 * s - 1.0) ** (sc.A // 2) * _exp(_log_closed_form(sig, sc, s)) * complex(Z_value)
     if not cmath.isfinite(value):
         raise DomainError(f"det_laplacian leaves double range at s={s}")
     return value
 
 
 @_memoized_factor
-def _log_sine_block(sig: Signature, s: complex) -> complex:
-    total = 0.0 + 0.0j
-    for j, m in enumerate(sig.orders):
-        for k in range(m):
-            arg = (s + k) / m
-            if _near_integer(arg):
-                raise SingularFactorError(f"sine factor (j={j}, k={k})")
-            total += (m - 2 * k - 1) / m * _log_sinpi(arg)
-    return total
-
-
-@_memoized_factor
 def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
     """Functional-equation multiplier kappa with Z(1-s) = kappa(s) Z(s).
 
-    Assembled in log space from the cusp exponential, phi(s), the
-    double-gamma block (Z_inf's log base at s less that at 1 - s), the
-    cusp gamma ratio, and the cone-point sine product. Each block is
-    continuous above and below the real axis and conjugate-symmetric, so
-    kappa is single-valued; on the axis, at s + 0j, the sine and
-    double-gamma blocks take the side Im s = +0, and 1 - s the side -0,
-    so kappa is real there up to rounding, and kappa(s - 0j) is its
+    With L the _log_closed_form, the determinant's functional equation
+    gives kappa = phi(s) exp(L(s) - L(1 - s)). L is continuous above and
+    below the real axis and conjugate-symmetric, so kappa is
+    single-valued; on the axis, at s + 0j, L(s) takes the side Im s = +0
+    and L(1 - s) the side -0, the limit from above, and kappa is real
+    there, its imaginary rounding residue dropped; kappa(s - 0j) is its
     conjugate, as at every s whose Im has its sign bit set. At s = 1/2
-    every factor but phi is 1, so kappa(1/2) = phi(1/2) = (-1)^(A/2).
-    Raises SingularFactorError naming whichever factor is singular at s.
+    the two logs are conjugates of one real value, so
+    kappa(1/2) = phi(1/2) = (-1)^(A/2).
+    Raises MismatchError before phi is read, and SingularFactorError
+    naming the scattering determinant or the closed-form factor where
+    either is singular at s.
     """
-    c = constants(sig, sc)
-    sine_block = _log_sine_block(sig, s)
+    check_cusp_count(sig, sc)
     try:
         phi_val = sc.phi(s)
     except PoleError as exc:
@@ -246,29 +253,18 @@ def kappa(sig: Signature, sc: ScatteringModel, s: complex) -> FactorValue:
     if phi_val == 0:
         raise SingularFactorError("scattering determinant", f"phi({s}) = 0")
     try:
-        gamma2_block = _log_base(s) - _log_base(complex(1.0 - s.real, -s.imag))
+        log_ratio = _log_closed_form(sig, sc, s) - _log_closed_form(
+            sig, sc, complex(1.0 - s.real, -s.imag))
     except PoleError as exc:
-        raise SingularFactorError("double-gamma block", str(exc)) from None
-    try:  # on a compact surface the block is 0, also at its half-integer poles
-        cusp_block = sig.n and sig.n * (log_gamma(1.5 - s) - log_gamma(s + 0.5))
-    except PoleError as exc:
-        raise SingularFactorError("cusp gamma ratio", str(exc)) from None
-    log_total = (
-        c.C * (2.0 * s - 1.0)
-        + cmath.log(phi_val)
-        + _chi(sig) * gamma2_block
-        + cusp_block
-        + sine_block
-    )
-    return FactorValue.from_log(log_total)
+        raise SingularFactorError("closed-form factor", str(exc)) from None
+    value = FactorValue.from_log(cmath.log(phi_val) + log_ratio)
+    if s.imag == 0.0:  # real, with the sign of zero of Im s
+        return FactorValue(value.log_value, complex(value.value.real, s.imag))
+    return value
 
 
 @_memoized_factor
-def ruelle_fe_rhs(
-    sig: Signature,
-    sc: ScatteringModel,
-    s: complex,
-) -> complex:
+def ruelle_fe_rhs(sig: Signature, sc: ScatteringModel, s: complex) -> complex:
     """Right side of the Ruelle functional equation, the value of R(s) R(-s).
 
     (phi(s) phi(-s))^(-1) (4 sin^2 pi s)^(2g-2+n) / (4 s^2 - 1)^n
@@ -336,30 +332,22 @@ def ruelle_leading_at_zero(sig: Signature, sc: ScatteringModel) -> tuple[int, fl
     return order_R(sig, sc.n0, 0), coeff
 
 
-def _log_c_common(sig: Signature, sc: ScatteringModel, sign: float) -> float:
-    """The part of log c1 (sign +1) and log c0 (sign -1) outside the cone
-    sums: (n - A/2) log 2 + sign (area / 4 pi) log 2 pi + log E."""
-    return (
-        (sig.n - sc.A / 2.0) * math.log(2.0)
-        + sign * 0.5 * _chi(sig) * math.log(2.0 * math.pi)
-        + constants(sig, sc).log_E
-    )
-
-
 def c1(sig: Signature, sc: ScatteringModel) -> float:
-    """Constant with det'(Laplacian) = c1 * Z'(1); raises DomainError
-    where it overflows or underflows to 0."""
-    log_total = _log_c_common(sig, sc, 1.0)
-    for m in sig.orders:
-        for k in range(1, m):
-            log_total += (2 * k - 1 - m) / m * math.lgamma(k / m)
-    return _exp(log_total, math.exp)
+    """Constant with det'(Laplacian) = c1 * Z'(1), the exp of
+    _log_closed_form at 1; raises DomainError where it overflows or
+    underflows to 0."""
+    return _exp(_log_closed_form(sig, sc, 1.0).real, math.exp)
 
 
 def c0(sig: Signature, sc: ScatteringModel) -> float:
-    """Constant with det'(Laplacian) = c0 * (renormalized Z at 0); raises
-    DomainError where it overflows or underflows to 0."""
-    log_total = _log_c_common(sig, sc, -1.0)
+    """Constant with det'(Laplacian) = c0 * (renormalized Z at 0): log c0 is
+    (n - A/2) log 2 - (area / 4 pi) log 2 pi + log E plus the cone sums.
+    Raises DomainError where it overflows or underflows to 0."""
+    log_total = (
+        (sig.n - sc.A / 2.0) * math.log(2.0)
+        - 0.5 * _chi(sig) * math.log(2.0 * math.pi)
+        + constants(sig, sc).log_E
+    )
     for m in sig.orders:
         log_total -= (m - 1) / m * math.log(m)
         for k in range(1, m):

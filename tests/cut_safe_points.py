@@ -3,8 +3,7 @@
 At these 20 points in Re s in [0.12, 0.48], Im s < 0, principal-branch
 evaluation of both sides of the cone-factor ratio and archimedean
 four-point identities agrees for the three surfaces of
-`hypzeta.verify.identity_pairs`, and kappa's sine block equals the sum
-of principal logs. Tests that compare against principal logs on purpose
+`hypzeta.verify.identity_pairs`. Tests that compare against principal logs on purpose
 sample here; verify itself samples its unscreened `IDENTITY_GRID`.
 """
 

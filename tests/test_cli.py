@@ -490,6 +490,10 @@ class TestOptionsPlumbing:
         code, out, err = invoke(argv + ["--max-trace", "2"])
         assert code == 1 and "at least 3" in err and out == ""
 
+    def test_max_trace_not_an_integer_is_usage_error(self):
+        code, out, err = invoke(["zeta", "--s", "2,0", "--max-trace", "abc"])
+        assert code == 1 and "'abc'" in err and out == ""
+
     @pytest.mark.parametrize("argv", [
         ["orders", "--signature", "0,1,2:3", "--from", "-1", "--to", "1", "--rel-tol", "1"],
         ["kappa", "--signature", "0,1,2:3", "--s", "0.3,0.2", "--gamma2-cutoff", "64"],
@@ -527,6 +531,16 @@ class TestDetLaplacian:
         value = result_of(report, "det_laplacian")
         assert value["re"] > 0 and abs(value["im"]) < 1e-12
         assert "euler_product" in report["inputs"]["z_source"]
+
+    def test_default_max_trace(self):
+        code, report, _ = invoke_json(["det-laplacian", "--signature", "0,1,2:3", "--s", "2,0"])
+        assert code == 0 and report["inputs"]["z_source"] == "euler_product(max_trace=40)"
+
+    @pytest.mark.parametrize("signature", ["2,0,", "1,1,2", "0,0,2:3:7"])
+    def test_euler_product_only_on_the_modular_surface(self, signature):
+        # the length spectrum is the modular group's, so its Z is no other surface's
+        code, out, err = invoke(["det-laplacian", "--signature", signature, "--s", "2,0"])
+        assert code == 1 and "--z-value" in err and out == ""
 
     def test_probe_value_with_domain_note(self):
         code, report, _ = invoke_json(

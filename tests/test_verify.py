@@ -157,18 +157,38 @@ def test_wrong_parity_constant_fails_only_the_phi_half_row(monkeypatch):
     assert failed == ["scattering: phi(1/2) = (-1)^(A/2) [modular]"]
 
 
-def test_principal_log_sine_fails_the_kappa_rows(monkeypatch):
-    # a principal log of sin jumps by 2 pi i once per period of Re z, so
-    # kappa's sine block, fractional multiples of such logs, lands off by a
-    # root of unity on part of the identity grid; the screened points
-    # missed every jump
-    monkeypatch.setattr(zeta_factors, "_log_sinpi", lambda w: cmath.log(cmath.sin(math.pi * w)))
+def test_principal_log_gamma_fails_the_ruelle_rows(monkeypatch):
+    # a principal log of Gamma jumps by 2 pi i where the value crosses the
+    # negative axis, so fractional multiples of it land off by a root of
+    # unity: the L-th powers of the four-point rows absorb that, and
+    # kappa(s) kappa(1-s) reads the same closed form at s and 1 - s, but
+    # kappa(s+1)/kappa(s) reads it at four points and fails on every surface
+    def principal(z):
+        value = log_gamma(z)
+        return complex(value.real, math.remainder(value.imag, 2.0 * math.pi))
+
+    monkeypatch.setattr(zeta_factors, "log_gamma", principal)
     outcome = verify.run_verify()
     failed = [c["name"] for checks in outcome["sections"].values()
               for c in checks if not c["passed"]]
-    assert failed == [f"{name} [{sig.label()}]" for sig, _ in verify.identity_pairs()
-                      for name in ("Ruelle functional-equation consistency",
-                                   "cone-factor ratio vs sine product")]
+    assert failed == [f"Ruelle functional-equation consistency [{sig.label()}]"
+                      for sig, _ in verify.identity_pairs()]
+
+
+@pytest.mark.parametrize("name", ["B", "C", "D", "log_E"])
+def test_c0_c1_relation_reads_each_constant(monkeypatch, name):
+    # c1 reads B, C and D through the closed form at 1, c0 reads log E: an
+    # error in any one of them breaks the relation on both surfaces
+    constants = zeta_factors.constants
+
+    def off(sig, sc):
+        c = constants(sig, sc)
+        return dataclasses.replace(c, **{name: getattr(c, name) + 1e-6})
+
+    monkeypatch.setattr(zeta_factors, "constants", off)
+    rows = {c["name"]: c["passed"] for c in verify.constants_checks()}
+    assert not rows["c0 against c1 relation [(0;1;2,3)]"]
+    assert not rows["c0 against c1 relation [(2;0;)]"]
 
 
 def test_budget_checks_record_both_values(report):
@@ -229,7 +249,7 @@ def zeta_sums(monkeypatch):
 def test_run_verify_evaluates_each_product_once(product_calls):
     verify.run_verify()
     assert len(product_calls) == len(set(product_calls))
-    # 662 without the memo, one per conjugate pair with it, s +- 0j among
+    # 664 without the memo, one per conjugate pair with it, s +- 0j among
     # them; the recursion grid's rows and the identity grid's points, 1
     # apart, share their products
     assert len(product_calls) == 29
@@ -239,7 +259,7 @@ def test_run_verify_evaluates_each_log_gamma_and_zeta_sum_once(log_gamma_calls, 
     verify.run_verify()
     assert len(log_gamma_calls) == len(set(log_gamma_calls))
     # pinned, so a lost or an extra shared value shows
-    assert len(log_gamma_calls) == 880  # 4,630 without the memo
+    assert len(log_gamma_calls) == 891  # 6,834 without the memo
     assert len(zeta_sums) == len(set(zeta_sums))
     assert len(zeta_sums) == 183  # 678 without the memo
 
@@ -261,10 +281,10 @@ def test_run_verify_evaluates_each_factor_once_per_conjugate_pair(monkeypatch):
     # or an extra shared value shows
     (memo,) = memos
     factors = (zeta_factors.z_infty, zeta_factors.z_ell, zeta_factors.kappa,
-               zeta_factors.ruelle_fe_rhs, zeta_factors._log_sine_block)
+               zeta_factors.ruelle_fe_rhs, zeta_factors._log_closed_form)
     kept = collections.Counter(key[0] for key in memo)
-    # 240, 240, 183, 66 and 243 evaluations without the memo
-    assert [kept[f.__wrapped__] for f in factors] == [72, 72, 69, 36, 69]
+    # 240, 240, 183, 66 and 368 evaluations without the memo
+    assert [kept[f.__wrapped__] for f in factors] == [72, 72, 69, 36, 77]
 
 
 def test_run_verify_runs_every_product_right_of_one(product_calls):

@@ -12,8 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cut_safe_points import CUT_SAFE_POINTS
-
 from hypzeta.errors import (
     DomainError,
     DomainWarning,
@@ -37,7 +35,7 @@ from hypzeta import special_functions, zeta_factors
 from hypzeta.verify import IDENTITY_GRID
 from hypzeta.zeta_factors import (
     FactorValue,
-    _log_sine_block,
+    _log_closed_form,
     c0,
     c1,
     det_laplacian,
@@ -291,9 +289,41 @@ class TestKappa:
         assert abs(value * kappa(sig, sc, 1.0 - s).value - 1.0) < 1e-12
 
     def test_singular_factor_named(self):
-        # sin(pi(s+k)/m) vanishes at integer s for the m=2 block
-        with pytest.raises(SingularFactorError, match="sine"):
+        # at 1 - s = -1 a gamma argument (s+k)/m of the cone sum is 0
+        with pytest.raises(SingularFactorError, match="closed-form factor.*pole"):
             kappa(MODULAR, modular_model(), 2.0)
+
+    @pytest.mark.parametrize("sig, s, match", [
+        (MODULAR, 1.0, "'scattering determinant': .*pole"),  # phi's pole at 1
+        (Signature(1, 1), 0.0, re.escape("'scattering determinant': phi(0j) = 0")),
+        (COMPACT, 2.0, "'closed-form factor': .*pole"),  # G2 and Gamma at 1 - s = -1
+    ], ids=["phi-pole", "phi-zero", "closed-form-pole"])
+    def test_each_singular_factor_named(self, sig, s, match):
+        sc = modular_model() if sig.n else trivial_model()
+        with pytest.raises(SingularFactorError, match=match):
+            kappa(sig, sc, s)
+
+    def test_mismatch_before_phi(self):
+        # the modular phi has a pole at 1, where a mismatched model must not be read
+        with pytest.raises(MismatchError):
+            kappa(COMPACT, modular_model(), 1.0)
+
+    @pytest.mark.parametrize("sig", [MODULAR, Signature(1, 1, (2,)), TRIANGLE, COMPACT],
+                             ids=Signature.label)
+    @pytest.mark.parametrize("x", [-1.3, 0.25, 1.7, 2.3, 3.7])
+    def test_exactly_real_on_the_axis(self, sig, x):
+        sc = modular_model() if sig.n else trivial_model()
+        above, below = kappa(sig, sc, complex(x, 0.0)), kappa(sig, sc, complex(x, -0.0))
+        assert _bits(above.value) == _bits(complex(above.value.real, 0.0))
+        assert _bits(below.value) == _bits(complex(above.value.real, -0.0))
+
+    @pytest.mark.parametrize("sig", [MODULAR, Signature(1, 1, (2,))], ids=Signature.label)
+    @pytest.mark.parametrize("x", [1.7, 2.3, 3.7])
+    def test_log_on_the_axis_is_the_limit_from_above(self, sig, x):
+        # 1 - s + 1/2 lies on log Gamma's cut: the cusp term reads it from below
+        sc = modular_model()
+        on_axis = kappa(sig, sc, complex(x, 0.0)).log_value
+        assert abs(on_axis - kappa(sig, sc, complex(x, 1e-9)).log_value) < 1e-6
 
     def test_cusp_mismatch(self):
         with pytest.raises(MismatchError):
@@ -342,16 +372,6 @@ class TestSineBlockBranch:
         values = [_log_sinpi((start + (stop - start) * k / steps) / math.pi)
                   for k in range(steps + 1)]
         assert max(abs(b - a) for a, b in zip(values, values[1:])) < 0.05
-
-    def test_log_kappa_branch_unchanged(self):
-        # at the cut-safe points the block is still the sum of principal
-        # logs, so log_kappa keeps the branch it had there
-        for s in CUT_SAFE_POINTS:
-            ref = sum(
-                (m - 2 * k - 1) / m * cmath.log(cmath.sin(math.pi * (s + k) / m))
-                for m in MODULAR.orders for k in range(m)
-            )
-            assert abs(_log_sine_block(MODULAR, s) - ref) < 1e-13
 
 
 class TestRuelleFERhs:
@@ -425,6 +445,13 @@ class TestRuelleFERhs:
     def test_overflow_is_domain_error(self):
         with pytest.raises(DomainError):
             ruelle_fe_rhs(MODULAR, modular_model(), 0.3 + 1000.0j)
+
+    def test_phi_zero_off_the_integers(self):
+        # a model whose phi vanishes at 1/4: R(s) R(-s) divides by phi(s) phi(-s)
+        model = ScatteringModel(n=1, phi=lambda s: 4.0 * s - 1.0, n0=0, phi_tilde_0=-1.0,
+                                A=2, label="zero at 1/4")
+        with pytest.raises(PoleError, match="vanishes"):
+            ruelle_fe_rhs(Signature(1, 1), model, 0.25)
 
     def test_compact_at_zero(self):
         # R(s) R(-s) has a zero of order 4 at 0 on a genus-2 surface
@@ -696,7 +723,7 @@ def _bits(value, zero_sign: bool = True) -> tuple[str, ...]:
     return tuple(x.hex() if x or zero_sign else "0" for z in parts for x in (z.real, z.imag))
 
 
-MEMOIZED_FACTORS = [z_infty, z_ell, _log_sine_block, kappa, ruelle_fe_rhs]
+MEMOIZED_FACTORS = [z_infty, z_ell, _log_closed_form, kappa, ruelle_fe_rhs]
 MEMO_SIGNATURES = [MODULAR, COMPACT, TRIANGLE, Signature(1, 1, (2,)), Signature(1, 0, (2,)),
                    Signature(0, 0, (3, 3, 5))]
 
@@ -704,7 +731,7 @@ MEMO_SIGNATURES = [MODULAR, COMPACT, TRIANGLE, Signature(1, 1, (2,)), Signature(
 def _context(factor, sig: Signature) -> tuple:
     """The arguments before s: the signature, and the model for the factors
     that take one (modular with one cusp, trivial with none)."""
-    if factor in (kappa, ruelle_fe_rhs):
+    if factor in (_log_closed_form, kappa, ruelle_fe_rhs):
         return sig, modular_model() if sig.n else trivial_model()
     return (sig,)
 
@@ -759,13 +786,16 @@ class TestFactorMemo:
 
     @pytest.mark.parametrize("s", [2.0, complex(2.0, -0.0)], ids=repr)
     def test_a_factor_that_raises_stores_nothing(self, s):
-        # a hit skips the argument checks, so a singular point must stay out
+        # a hit skips the argument checks, so a singular point must stay out:
+        # the closed form is kept at 2, where it is regular, and not at -1
         with special_functions._kernel_memo():
             for _ in range(3):
-                with pytest.raises(SingularFactorError, match="sine"):
+                with pytest.raises(SingularFactorError, match="closed-form factor"):
                     kappa(MODULAR, modular_model(), s)
-            kernels = {key[0] for key in special_functions._KERNEL_MEMO.get()}
-        assert not kernels & {kappa.__wrapped__, _log_sine_block.__wrapped__}
+            memo = special_functions._KERNEL_MEMO.get()
+        assert kappa.__wrapped__ not in {key[0] for key in memo}
+        kept = [key[2:] for key in memo if key[0] is _log_closed_form.__wrapped__]
+        assert kept == [(2.0, 0.0)]
 
     def test_an_error_below_the_axis_names_the_callers_s(self):
         # R(s) R(-s) has a pole of order 2 at 6 on the modular surface
